@@ -424,7 +424,7 @@ def _run_hsdp_stabilize(sc: Scenario, out_dir: Path) -> bool:
     for k in range(n_steps):
         state = stepper.step(state)
         t += dt
-        if k % max(1, n_steps // 40) == 0:
+        if k % max(1, n_steps // 40) == 0 or k == n_steps - 1:
             err = math.sqrt(
                 sum(
                     float(np.sum((a.values - b.values) ** 2))

@@ -34,7 +34,6 @@ __all__ = [
     "MonotoneCertificate",
     "SpectrumReport",
     "build_rate_matrix",
-    "edge_matrices",
     "generator",
     "strongly_connected_components",
     "is_strongly_connected",
@@ -122,23 +121,27 @@ def build_rate_matrix(edge: Edge, n: int) -> np.ndarray:
     return q
 
 
-def edge_matrices(graph: TransitionGraph) -> list[np.ndarray]:
-    return [build_rate_matrix(e, graph.n_vertices) for e in graph.edges]
-
-
 def generator(graph: TransitionGraph, rates: Sequence[float]) -> np.ndarray:
-    """Sum of per-edge matrices weighted by the given rates."""
+    """Sum of per-edge matrices weighted by the given rates.
+
+    Rates of shape (n_edges,) give one (N, N) generator; per-cell rates of
+    shape (n_edges, n_cells) give one generator per cell, (n_cells, N, N).
+    """
     rates = np.asarray(rates, dtype=float)
-    if rates.shape != (graph.n_edges,):
+    if rates.ndim not in (1, 2) or rates.shape[0] != graph.n_edges:
         raise InputError(
-            f"expected {graph.n_edges} rates, got shape {rates.shape}"
+            f"expected {graph.n_edges} rates, or ({graph.n_edges}, n_cells) per-cell "
+            f"rates, got shape {rates.shape}"
         )
     if np.any(rates < 0) or not np.all(np.isfinite(rates)):
         raise InputError("rates must be finite and non-negative")
-    q = np.zeros((graph.n_vertices, graph.n_vertices))
+    q = np.zeros(rates.shape[1:] + (graph.n_vertices, graph.n_vertices))
+    # explicit slices, not an Ellipsis: a scalar index keeps the
+    # single-generator updates on numpy's fast scalar path
+    cells = (slice(None),) * (rates.ndim - 1)
     for rate, (i, j) in zip(rates, graph.edges):
-        q[i - 1, i - 1] -= rate
-        q[j - 1, i - 1] += rate
+        q[cells + (i - 1, i - 1)] -= rate
+        q[cells + (j - 1, i - 1)] += rate
     return q
 
 
@@ -840,10 +843,11 @@ def control_to_csv(control: PiecewiseConstantControl, handle) -> None:
     try:
         handle.write("t_start,t_end,edge,rate\n")
         for k in range(control.n_intervals):
-            t0 = control.breakpoints[k]
-            t1 = control.breakpoints[k + 1]
+            t0 = float(control.breakpoints[k])
+            t1 = float(control.breakpoints[k + 1])
             for e_idx, (i, j) in enumerate(control.graph.edges):
-                handle.write(f"{t0!r},{t1!r},{i}->{j},{control.rates[k, e_idx]!r}\n")
+                rate = float(control.rates[k, e_idx])
+                handle.write(f"{t0!r},{t1!r},{i}->{j},{rate!r}\n")
     finally:
         if own:
             handle.close()

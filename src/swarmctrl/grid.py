@@ -36,6 +36,7 @@ __all__ = [
     "mass",
     "l2_norm",
     "weighted_norm",
+    "two_point_flux_matrix",
     "divergence_form_operator",
     "neumann_laplacian",
     "neumann_poisson_solve",
@@ -257,30 +258,58 @@ class SparseOperator:
     def apply(self, field: ScalarField) -> ScalarField:
         return ScalarField(self.domain, self.matrix @ field.flat)
 
-    def symmetrized(self) -> np.ndarray:
-        """Dense symmetric similarity transform diag(sqrt(a)) L diag(1/sqrt(a)).
+    def symmetrized(self) -> sp.csr_matrix:
+        """Sparse symmetric similarity transform diag(sqrt(a)) L diag(1/sqrt(a)).
 
         The assembled operator is self-adjoint in the a-weighted inner
         product; this conjugation exposes that symmetry for
         eigendecomposition.
         """
         sa = np.sqrt(self.a_values.reshape(-1))
-        dense = self.matrix.toarray()
-        s = (dense * (1.0 / sa)[None, :]) * sa[:, None]
-        return 0.5 * (s + s.T)
+        s = self.matrix.multiply(1.0 / sa[None, :]).multiply(sa[:, None])
+        return (0.5 * (s + s.T)).tocsr()
 
     def spectral_gap(self) -> float:
         """Smallest nonzero eigenvalue of -L (the decay rate of the flow)."""
         n = self.n
         if n <= 4096:
-            vals = np.linalg.eigvalsh(-self.symmetrized())
+            vals = np.linalg.eigvalsh(-self.symmetrized().toarray())
             return float(vals[1])
         # shift-invert Lanczos for larger grids; the shift sits just below
         # zero so the factorization never touches the singular point
-        s = sp.csr_matrix(-self.symmetrized())
+        s = -self.symmetrized()
         sigma = -1e-6 * float(np.max(np.abs(s.diagonal())))
         vals = spla.eigsh(s, k=2, sigma=sigma, which="LM", return_eigenvectors=False)
         return float(np.sort(vals)[1])
+
+
+def two_point_flux_matrix(
+    domain: RectDomain, face_rates: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> sp.csr_matrix:
+    """Conservative generator from per-axis face transfer rates.
+
+    ``face_rates[axis] = (to_right, to_left)`` holds, for each interior
+    face of that axis (ordered as :meth:`RectDomain.face_pairs`), the
+    rate moving mass from the left cell to the right one and back.  The
+    rates become the off-diagonal entries and the diagonal cancels each
+    column sum, so ``1^T L = 0`` holds in floating point (mass is
+    conserved) and non-negative rates give an M-matrix sign pattern.
+    """
+    n = domain.cell_count
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    data: list[np.ndarray] = []
+    for axis, (to_right, to_left) in enumerate(face_rates):
+        left, right = domain.face_pairs(axis)
+        rows += [right, left]
+        cols += [left, right]
+        data += [to_right, to_left]
+    off_diag = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
+    diagonal = -np.asarray(off_diag.sum(axis=0)).ravel()
+    return (off_diag + sp.diags(diagonal)).tocsr()
 
 
 def divergence_form_operator(a: ScalarField, w: ScalarField | None = None) -> SparseOperator:
@@ -301,11 +330,8 @@ def divergence_form_operator(a: ScalarField, w: ScalarField | None = None) -> Sp
     if np.min(w.values) <= 0:
         raise CoefficientError(f"coefficient w must be positive, min = {np.min(w.values)}")
 
-    n = domain.cell_count
     a_flat = a.flat
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
+    face_rates = []
     for axis in range(domain.dim):
         h = domain.spacing[axis]
         left, right = domain.face_pairs(axis)
@@ -314,17 +340,8 @@ def divergence_form_operator(a: ScalarField, w: ScalarField | None = None) -> Sp
         wf = 2.0 * wl * wr / (wl + wr)  # harmonic face conductance
         coef = wf / (h * h)
         # flux = wf * (a_R u_R - a_L u_L)/h leaving the left cell
-        rows += [left, right]
-        cols += [right, left]
-        data += [coef * a_flat[right], coef * a_flat[left]]
-    off_diag = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    # diagonal balances the off-diagonal column sums exactly, so the
-    # conservation identity 1^T L = 0 holds in floating point
-    diagonal = -np.asarray(off_diag.sum(axis=0)).ravel()
-    matrix = (off_diag + sp.diags(diagonal)).tocsr()
+        face_rates.append((coef * a_flat[left], coef * a_flat[right]))
+    matrix = two_point_flux_matrix(domain, face_rates)
     return SparseOperator(domain, matrix, a.values.copy(), w.values.copy())
 
 
@@ -335,19 +352,20 @@ def neumann_laplacian(domain: RectDomain) -> SparseOperator:
 
 @functools.lru_cache(maxsize=16)
 def _poisson_factorization(domain: RectDomain):
-    """LU of the bordered system [[-L, m], [m^T, 0]] enforcing zero mean.
+    """Negated zero-flux Laplacian -L and the LU of the bordered system
+    [[-L, m], [m^T, 0]] enforcing zero mean.
 
     The border vector is the mass functional, which spans the kernel of
     the zero-flux Laplacian; the bordered matrix is nonsingular and its
     solution is the unique zero-mean solution.
     """
-    lap = neumann_laplacian(domain).matrix
+    neg_lap = -neumann_laplacian(domain).matrix
     n = domain.cell_count
     m = np.full((n, 1), domain.cell_volume)
     bordered = sp.bmat(
-        [[-lap, sp.csr_matrix(m)], [sp.csr_matrix(m.T), None]], format="csc"
+        [[neg_lap, sp.csr_matrix(m)], [sp.csr_matrix(m.T), None]], format="csc"
     )
-    return spla.splu(bordered)
+    return neg_lap, spla.splu(bordered)
 
 
 def neumann_poisson_solve(rhs: ScalarField) -> ScalarField:
@@ -362,13 +380,13 @@ def neumann_poisson_solve(rhs: ScalarField) -> ScalarField:
             f"zero-flux Poisson problem needs a zero-mass right-hand side, got mass {m:.3e}"
         )
     domain = rhs.domain
-    lu = _poisson_factorization(domain)
+    neg_lap, lu = _poisson_factorization(domain)
     b = np.concatenate([rhs.flat, [0.0]])
     sol = lu.solve(b)
     phi = sol[:-1]
     if not np.all(np.isfinite(phi)):
         raise NumericalError("Poisson solve produced non-finite values")
-    residual = (-neumann_laplacian(domain).matrix) @ phi - rhs.flat
+    residual = neg_lap @ phi - rhs.flat
     scale = max(1.0, float(np.max(np.abs(rhs.values))))
     if float(np.max(np.abs(residual))) > 1e-9 * scale:
         raise NumericalError(

@@ -222,11 +222,9 @@ class SpatialGainSet:
 
 
 def _reaction_propagators(
-    graph: TransitionGraph,
     gains: SpatialGainSet | None,
     dt_half: float,
     n_states: int,
-    n_cells: int,
 ) -> np.ndarray | None:
     """exp(dt_half * sum_e K_e(x) Q_e) per cell: (cells, N, N) or (N, N)."""
     if gains is None or dt_half == 0.0:
@@ -237,13 +235,9 @@ def _reaction_propagators(
         rates = np.array([float(g.reshape(-1)[0]) for g in gains.gains])
         q = generator(gains.graph, rates)
         return scipy.linalg.expm(dt_half * q)
-    mats = np.zeros((n_cells, n_states, n_states))
-    for g, (i, j) in zip(gains.gains, gains.graph.edges):
-        flat = g.reshape(-1)
-        mats[:, i - 1, i - 1] -= flat
-        mats[:, j - 1, i - 1] += flat
+    mats = generator(gains.graph, np.stack([g.reshape(-1) for g in gains.gains]))
     out = np.empty_like(mats)
-    for c in range(n_cells):
+    for c in range(mats.shape[0]):
         out[c] = scipy.linalg.expm(dt_half * mats[c])
     return out
 
@@ -262,7 +256,6 @@ class SplitStepper:
         gains: SpatialGainSet | None,
         dt: float,
         cfg: StepperConfig | None = None,
-        graph: TransitionGraph | None = None,
     ):
         cfg = cfg or StepperConfig()
         if dt <= 0:
@@ -276,10 +269,7 @@ class SplitStepper:
         for v, d in zip(velocities, diffusion):
             matrix = assemble_advection_diffusion(domain, v, float(d), cfg.advection_flux)
             self._transport.append(make_stepper(matrix, dt, cfg.scheme))
-        self._graph = gains.graph if gains is not None else graph
-        self._reaction = _reaction_propagators(
-            self._graph, gains, 0.5 * dt, self.n_states, domain.cell_count
-        ) if gains is not None else None
+        self._reaction = _reaction_propagators(gains, 0.5 * dt, self.n_states)
 
     def _react(self, arr: np.ndarray) -> np.ndarray:
         if self._reaction is None:
@@ -599,8 +589,7 @@ def execute_hybrid_plan(
         seg = plan.shaping_duration - ctrl.total_duration
         n_steps = max(1, int(math.ceil(seg / cfg.dt)))
         stepper = SplitStepper(
-            domain, zero_velocities, plan.diffusion, None, seg / n_steps, cfg,
-            graph=graph,
+            domain, zero_velocities, plan.diffusion, None, seg / n_steps, cfg
         )
         for _ in range(n_steps):
             state = stepper.step(state)

@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .ctmc import TransitionGraph
 from .errors import InputError, StepSizeError
 from .grid import FaceField, RectDomain
 from .hybrid import SpatialGainSet, StackedDensity
@@ -26,7 +25,6 @@ __all__ = [
     "EmpiricalDensity",
     "sde_step",
     "empirical_density",
-    "constant_gains",
 ]
 
 MAX_EXIT_RATE_DT = 0.1
@@ -75,13 +73,24 @@ class ParticleEnsemble:
 
     def cell_indices(self) -> np.ndarray:
         """Flat grid cell index of each particle."""
-        idx = np.zeros(self.count, dtype=np.int64)
-        for d in range(self.domain.dim):
-            h = self.domain.spacing[d]
-            n = self.domain.cells[d]
-            k = np.clip((self.positions[:, d] / h).astype(np.int64), 0, n - 1)
-            idx = idx * n + k
-        return idx
+        return _flat_cell_index(self.domain, self.positions)
+
+
+def _cell_coordinates(domain: RectDomain, positions: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-axis index of the grid cell holding each position; points on
+    the upper boundary belong to the last cell."""
+    return tuple(
+        np.clip((positions[:, d] / h).astype(np.int64), 0, n - 1)
+        for d, (h, n) in enumerate(zip(domain.spacing, domain.cells))
+    )
+
+
+def _flat_cell_index(domain: RectDomain, positions: np.ndarray) -> np.ndarray:
+    """C-order flat index of the grid cell holding each position."""
+    idx = 0
+    for k, n in zip(_cell_coordinates(domain, positions), domain.cells):
+        idx = idx * n + k
+    return idx
 
 
 def _padded_faces(domain: RectDomain, field: FaceField, axis: int) -> np.ndarray:
@@ -97,14 +106,8 @@ def _velocity_at(
 ) -> np.ndarray:
     """Linear interpolation of face velocities within each cell."""
     out = np.zeros_like(positions)
-    cell = []
-    frac = []
-    for d in range(domain.dim):
-        h = domain.spacing[d]
-        n = domain.cells[d]
-        k = np.clip((positions[:, d] / h).astype(np.int64), 0, n - 1)
-        cell.append(k)
-        frac.append(positions[:, d] / h - k)
+    cell = _cell_coordinates(domain, positions)
+    frac = [positions[:, d] / h - cell[d] for d, h in enumerate(domain.spacing)]
     for d in range(domain.dim):
         faces = _padded_faces(domain, field, d)
         lo_idx = list(cell)
@@ -129,13 +132,6 @@ def _reflect(domain: RectDomain, positions: np.ndarray) -> np.ndarray:
             x = np.where(above, 2.0 * length - x, x)
         positions[:, d] = x
     return positions
-
-
-def constant_gains(
-    graph: TransitionGraph, domain: RectDomain, rates: Sequence[float]
-) -> SpatialGainSet:
-    """Wrap constant per-edge rates as a spatial gain set."""
-    return SpatialGainSet.constant(graph, domain, rates)
 
 
 def sde_step(
@@ -234,13 +230,7 @@ def empirical_density(
     """Histogram the ensemble on the grid cells, one field per state."""
     if grid.dim != ensemble.domain.dim:
         raise InputError("grid dimension does not match the ensemble")
-    idx = np.zeros(ensemble.count, dtype=np.int64)
-    for d in range(grid.dim):
-        h = grid.spacing[d]
-        n = grid.cells[d]
-        k = np.clip((ensemble.positions[:, d] / h).astype(np.int64), 0, n - 1)
-        idx = idx * n + k
-    combined = (ensemble.states - 1) * grid.cell_count + idx
+    combined = (ensemble.states - 1) * grid.cell_count + _flat_cell_index(grid, ensemble.positions)
     counts = np.bincount(combined, minlength=n_states * grid.cell_count)
     norm = ensemble.count * grid.cell_volume
     arr = counts.reshape(n_states, grid.cell_count).astype(float) / norm

@@ -33,12 +33,12 @@ from .grid import (
     SparseOperator,
     divergence_form_operator,
     mass,
+    two_point_flux_matrix,
 )
 
 __all__ = [
     "StepperConfig",
     "ConvergenceReport",
-    "AdvectionDiffusionProblem",
     "step_advection_diffusion",
     "evolve_weighted_heat",
     "evolve_stabilizing",
@@ -89,30 +89,6 @@ class ConvergenceReport:
     n_samples: int
 
 
-@dataclasses.dataclass(eq=False)
-class AdvectionDiffusionProblem:
-    """Forward-equation instance: grid, diffusion constant, velocity law.
-
-    ``velocity`` may be None (pure diffusion), a fixed :class:`FaceField`,
-    or a callable ``(t, y) -> FaceField`` resolved each step.  ``source``
-    is an optional cellwise linear reaction coefficient.
-    """
-
-    domain: RectDomain
-    diffusion: float
-    velocity: FaceField | Callable | None = None
-    source: ScalarField | None = None
-
-    def __post_init__(self):
-        if self.diffusion <= 0 or not math.isfinite(self.diffusion):
-            raise CoefficientError(f"diffusion must be positive, got {self.diffusion}")
-
-    def velocity_at(self, t: float, y: ScalarField) -> FaceField | None:
-        if callable(self.velocity):
-            return self.velocity(t, y)
-        return self.velocity
-
-
 def bernoulli(x: np.ndarray) -> np.ndarray:
     """B(x) = x / (exp(x) - 1), with the removable singularity filled in."""
     x = np.asarray(x, dtype=float)
@@ -142,15 +118,11 @@ def assemble_advection_diffusion(
         raise CoefficientError(f"diffusion must be non-negative, got {diffusion}")
     if flux not in FLUXES:
         raise ConfigurationError(f"unknown advection flux {flux!r}")
-    n = domain.cell_count
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
+    face_rates = []
     for axis in range(domain.dim):
         h = domain.spacing[axis]
-        left, right = domain.face_pairs(axis)
         if velocity is None:
-            vf = np.zeros(left.shape)
+            vf = np.zeros(math.prod(domain.face_shape(axis)))
         else:
             vf = velocity.components[axis].reshape(-1)
         if diffusion > 0:
@@ -167,16 +139,8 @@ def assemble_advection_diffusion(
             c_left = np.maximum(vf, 0.0)
             c_right = -np.minimum(vf, 0.0)
         # face flux out of the left cell: F = c_left*u_L - c_right*u_R
-        rows += [right, left]
-        cols += [left, right]
-        data += [c_left / h, c_right / h]
-    off_diag = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    # exact column-sum balance makes mass conservation structural
-    diagonal = -np.asarray(off_diag.sum(axis=0)).ravel()
-    matrix = (off_diag + sp.diags(diagonal)).tocsr()
+        face_rates.append((c_left / h, c_right / h))
+    matrix = two_point_flux_matrix(domain, face_rates)
     if source is not None:
         matrix = matrix + sp.diags(source.flat)
     return matrix

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from swarmctrl.cli import main, run_scenario
 
@@ -102,6 +103,17 @@ def write_cfg(tmp_path, text, name="scenario.cfg"):
     return path
 
 
+def assert_control_csv_numeric(path):
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t_start,t_end,edge,rate"
+    assert len(lines) > 1
+    for line in lines[1:]:
+        t_start, t_end, edge, rate = line.split(",")
+        assert "->" in edge
+        for field in (t_start, t_end, rate):
+            float(field)
+
+
 def test_missing_config_is_usage_error(tmp_path):
     assert run_scenario(tmp_path / "nope.cfg") == 2
 
@@ -143,8 +155,7 @@ def test_ctmc_plan_scenario(tmp_path):
     path = write_cfg(tmp_path, CTMC_CFG)
     out = tmp_path / "out"
     assert main(["ctmc-plan", "--config", str(path), "--out", str(out)]) == 0
-    control = (out / "control.csv").read_text().splitlines()
-    assert control[0] == "t_start,t_end,edge,rate"
+    assert_control_csv_numeric(out / "control.csv")
     assert (out / "trajectory.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["pass"] is True
@@ -303,7 +314,7 @@ def test_hsdp_steer_scenario(tmp_path):
     out = tmp_path / "out"
     assert main(["hsdp-steer", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "stacked.csv").exists()
-    assert (out / "control.csv").exists()
+    assert_control_csv_numeric(out / "control.csv")
     summary = json.loads((out / "summary.json").read_text())
     assert summary["pass"] is True
 
@@ -317,6 +328,14 @@ def test_hsdp_stabilize_scenario(tmp_path):
     assert summary["pass"] is True
     metadata = json.loads((out / "metadata.json").read_text())
     assert metadata["measured"]["decay_rate"] > 0
+    # final_error is the L2 error of the written t_final state
+    rows = np.loadtxt(out / "stacked.csv", delimiter=",", skiprows=1)
+    assert np.all(rows[:, 0] == 8.0)
+    x = (np.arange(32) + 0.5) / 32
+    target = np.stack([np.full(32, 0.4), 0.6 * (1 + 0.3 * np.cos(np.pi * x))])
+    target /= target.sum() / 32
+    expected = np.sqrt(np.sum((rows[:, 3].reshape(2, 32) - target) ** 2) / 32)
+    assert metadata["measured"]["final_error"] == pytest.approx(expected, rel=1e-8)
 
 
 def test_particles_scenario(tmp_path):

@@ -73,6 +73,17 @@ class TestRateMatrices:
         with pytest.raises(GraphError):
             build_rate_matrix((2, 2), 3)
 
+    def test_per_cell_generator_stacks_single_generators(self):
+        rng = np.random.default_rng(11)
+        rates = rng.random((BIPATH3.n_edges, 5))
+        stacked = generator(BIPATH3, rates)
+        assert stacked.shape == (5, 3, 3)
+        for c in range(5):
+            np.testing.assert_array_equal(stacked[c], generator(BIPATH3, rates[:, c]))
+        for bad in (rates[:3], rates[..., None], -rates):
+            with pytest.raises(InputError):
+                generator(BIPATH3, bad)
+
     def test_two_edge_product_closed_form(self):
         # product exp(t Q_(2,3)) exp(s Q_(1,2)) on three vertices
         s, t = 0.7, 1.3

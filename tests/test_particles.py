@@ -7,12 +7,8 @@ from swarmctrl.control import TargetDensity, stabilizing_velocity
 from swarmctrl.ctmc import TransitionGraph, generator
 from swarmctrl.errors import InputError, StepSizeError
 from swarmctrl.grid import FaceField, build_grid
-from swarmctrl.particles import (
-    ParticleEnsemble,
-    constant_gains,
-    empirical_density,
-    sde_step,
-)
+from swarmctrl.hybrid import SpatialGainSet
+from swarmctrl.particles import ParticleEnsemble, empirical_density, sde_step
 
 G2 = TransitionGraph(2, ((1, 2), (2, 1)))
 
@@ -80,7 +76,7 @@ class TestSdeStep:
     def test_switch_frequency_matches_rate(self):
         d = build_grid(1, [1.0], [8])
         rate, dt = 2.0, 0.01
-        gains = constant_gains(G2, d, [rate, 0.0])
+        gains = SpatialGainSet.constant(G2, d, [rate, 0.0])
         ens = ParticleEnsemble.uniform(d, 200000, state=1, seed=5)
         switched = 0
         trials = 0
@@ -96,7 +92,7 @@ class TestSdeStep:
 
     def test_rate_guard(self):
         d = build_grid(1, [1.0], [8])
-        gains = constant_gains(G2, d, [50.0, 0.0])
+        gains = SpatialGainSet.constant(G2, d, [50.0, 0.0])
         ens = ParticleEnsemble.uniform(d, 10, seed=6)
         with pytest.raises(StepSizeError):
             sde_step(ens, [None, None], [0.1, 0.1], gains, 0.01)
@@ -105,7 +101,7 @@ class TestSdeStep:
         d = build_grid(1, [1.0], [8])
         g = TransitionGraph(3, ((1, 2), (2, 3), (3, 1), (2, 1)))
         rates = [1.0, 0.7, 1.3, 0.4]
-        gains = constant_gains(g, d, rates)
+        gains = SpatialGainSet.constant(g, d, rates)
         ens = ParticleEnsemble.uniform(d, 100000, state=1, seed=9)
         dt = 0.002
         for _ in range(500):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,10 +30,18 @@ def test_stepper_config_validation():
 
 
 def test_spectral_gap_sparse_branch():
-    # beyond the dense cap the shifted Lanczos path takes over
+    # beyond the dense cap the shifted Lanczos path takes over; it must
+    # stay sparse (a dense n^2 copy at 72x72 cells alone is 215 MB)
     d = build_grid(2, [1.0, 1.0], [72, 72])
-    gap = weighted_heat_operator(ScalarField.constant(d, 1.0)).spectral_gap()
+    op = weighted_heat_operator(ScalarField.constant(d, 1.0))
+    tracemalloc.start()
+    try:
+        gap = op.spectral_gap()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert gap == pytest.approx(np.pi**2, rel=0.01)
+    assert peak <= 50 * 2**20
 
 
 def test_bernoulli_limits():
@@ -119,24 +129,13 @@ class TestStepAdvectionDiffusion:
         y1 = step_advection_diffusion(f, v, 1.0, StepperConfig(dt=1e-2))
         assert np.max(np.abs(y1.values - f.values)) <= 1e-12
 
-    def test_problem_bundle_resolves_velocity_and_source(self, unit_grid_64):
-        from swarmctrl.pde import AdvectionDiffusionProblem
-
+    def test_uniform_source_drains_mass(self, unit_grid_64):
         f = cosine_target(unit_grid_64)
-        target = TargetDensity.create(f)
-        law = stabilizing_velocity(target, 1.0)
-        problem = AdvectionDiffusionProblem(
-            domain=unit_grid_64,
-            diffusion=1.0,
-            velocity=lambda t, y: law,
-            source=ScalarField.constant(unit_grid_64, -0.5),
-        )
-        v = problem.velocity_at(0.0, f)
-        assert v is law
+        law = stabilizing_velocity(TargetDensity.create(f), 1.0)
+        sink = ScalarField.constant(unit_grid_64, -0.5)
         # uniform linear sink drains mass at the configured rate
         dt = 1e-3
-        y1 = step_advection_diffusion(f, v, problem.diffusion, StepperConfig(dt=dt),
-                                      source=problem.source)
+        y1 = step_advection_diffusion(f, law, 1.0, StepperConfig(dt=dt), source=sink)
         assert mass(y1) == pytest.approx(1.0 / (1.0 + 0.5 * dt), rel=1e-10)
 
 
