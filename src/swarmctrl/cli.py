@@ -416,9 +416,11 @@ def _run_hsdp_stabilize(sc: Scenario, out_dir: Path) -> bool:
         tuple(ScalarField(domain, a / total) for a in arrays)
     )
     t_final = sc.config.getfloat("run", "t_final", fallback=10.0)
-    dt = cfg.dt * 10
+    if t_final <= 0:
+        raise ConfigurationError(f"t_final must be positive, got {t_final}")
+    n_steps = int(math.ceil(t_final / (cfg.dt * 10)))
+    dt = t_final / n_steps
     stepper = hybrid.SplitStepper(domain, velocities, diffusion, gains, dt, cfg)
-    n_steps = int(math.ceil(t_final / dt))
     times, errors = [], []
     t = 0.0
     for k in range(n_steps):

@@ -43,6 +43,7 @@ __all__ = [
     "local_step_control",
     "breakpoint_states",
     "propagate",
+    "transition_matrix",
     "global_transfer_plan",
     "interior_entry_control",
     "transfer_control",
@@ -439,6 +440,13 @@ class PiecewiseConstantControl:
         return float(np.max(self.rates)) if self.rates.size else 0.0
 
 
+def _interval_exponentials(control: PiecewiseConstantControl):
+    """expm(dt_k * Q_k) for each interval k, in time order."""
+    for k in range(control.n_intervals):
+        dt = control.breakpoints[k + 1] - control.breakpoints[k]
+        yield scipy.linalg.expm(dt * generator(control.graph, control.rates[k]))
+
+
 def propagate(mu0: np.ndarray, control: PiecewiseConstantControl) -> np.ndarray:
     """States at every breakpoint: left-ordered product of interval
     matrix exponentials applied to mu0."""
@@ -447,12 +455,20 @@ def propagate(mu0: np.ndarray, control: PiecewiseConstantControl) -> np.ndarray:
         raise InputError("distribution size does not match the graph")
     states = [mu0.copy()]
     mu = mu0.copy()
-    for k in range(control.n_intervals):
-        dt = control.breakpoints[k + 1] - control.breakpoints[k]
-        q = generator(control.graph, control.rates[k])
-        mu = scipy.linalg.expm(dt * q) @ mu
+    for step in _interval_exponentials(control):
+        mu = step @ mu
         states.append(mu.copy())
     return np.asarray(states)
+
+
+def transition_matrix(control: PiecewiseConstantControl) -> np.ndarray:
+    """Left-ordered product of the interval exponentials over the whole
+    control: column j is the final distribution of a chain started in
+    state j, so every column sums to one."""
+    p = np.eye(control.graph.n_vertices)
+    for step in _interval_exponentials(control):
+        p = step @ p
+    return p
 
 
 @dataclasses.dataclass(eq=False)

@@ -29,6 +29,7 @@ from .ctmc import (
     monotone_certificate,
     synthesize_stationary_rates,
     transfer_control,
+    transition_matrix,
 )
 from .errors import (
     ConfigurationError,
@@ -48,6 +49,7 @@ from .grid import (
 from .pde import (
     StepperConfig,
     assemble_advection_diffusion,
+    evolve_weighted_heat,
     make_stepper,
 )
 
@@ -505,7 +507,6 @@ class HybridPlan:
     mass_control: PiecewiseConstantControl
     shaping_duration: float
     tolerance: float
-    diffusion: tuple[float, ...]
 
 
 @dataclasses.dataclass(eq=False)
@@ -515,7 +516,6 @@ class HybridExecution:
     final_state: StackedDensity
     per_state_error_l2: np.ndarray
     max_velocity: float
-    mass_trace: list[tuple[float, np.ndarray]]
 
 
 def hybrid_steering_plan(
@@ -524,7 +524,6 @@ def hybrid_steering_plan(
     target: HybridTarget,
     t_final: float,
     tolerance: float,
-    diffusion: Sequence[float] | None = None,
 ) -> HybridPlan:
     """Plan: zero velocities with rate transfer on [0, t_f/2], then zero
     rates with per-state steering on (t_f/2, t_f]."""
@@ -541,7 +540,6 @@ def hybrid_steering_plan(
         raise InputError("steering target must give every state positive mass")
     if abs(initial.total_mass() - 1.0) > 1e-9:
         raise InputError(f"initial total mass must be 1, got {initial.total_mass()!r}")
-    diffusion = tuple(float(d) for d in (diffusion or [1.0] * graph.n_vertices))
     mass_control = transfer_control(
         graph, initial.mass_vector(), target.mass_vector(), 0.5 * t_final
     )
@@ -552,7 +550,6 @@ def hybrid_steering_plan(
         mass_control=mass_control,
         shaping_duration=0.5 * t_final,
         tolerance=tolerance,
-        diffusion=diffusion,
     )
 
 
@@ -561,41 +558,18 @@ def execute_hybrid_plan(
     initial: StackedDensity,
     cfg: StepperConfig | None = None,
 ) -> HybridExecution:
+    """Stage 1 has unit diffusion, zero velocities and spatially constant
+    rates, so transport and reaction commute: it is the heat flow of every
+    state followed by the CTMC transition matrix of the mass control."""
     cfg = cfg or StepperConfig()
     domain = initial.domain
-    graph = plan.graph
     n_states = initial.n_states
-    zero_velocities: list[FaceField | None] = [None] * n_states
-    state = initial.copy()
-    mass_trace = [(0.0, state.mass_vector())]
-
-    # stage 1: rate transfer, velocities zero; splitting intervals aligned
-    # to the control breakpoints so the mass vector tracks the rate ODE
-    t = 0.0
-    ctrl = plan.mass_control
-    for k in range(ctrl.n_intervals):
-        seg = float(ctrl.breakpoints[k + 1] - ctrl.breakpoints[k])
-        gains = SpatialGainSet.constant(graph, domain, ctrl.rates[k])
-        n_steps = max(1, int(math.ceil(seg / cfg.dt)))
-        stepper = SplitStepper(
-            domain, zero_velocities, plan.diffusion, gains, seg / n_steps, cfg
-        )
-        for _ in range(n_steps):
-            state = stepper.step(state)
-        t += seg
-        mass_trace.append((t, state.mass_vector()))
-    if ctrl.total_duration < plan.shaping_duration:
-        # idle remainder of stage 1: pure diffusion
-        seg = plan.shaping_duration - ctrl.total_duration
-        n_steps = max(1, int(math.ceil(seg / cfg.dt)))
-        stepper = SplitStepper(
-            domain, zero_velocities, plan.diffusion, None, seg / n_steps, cfg
-        )
-        for _ in range(n_steps):
-            state = stepper.step(state)
-        t += seg
-        mass_trace.append((t, state.mass_vector()))
-    switch_state = state.copy()
+    if plan.graph.n_vertices != n_states:
+        raise InputError("plan graph does not match the number of states")
+    ones = ScalarField.constant(domain, 1.0)
+    t1 = plan.shaping_duration
+    heated = np.stack([evolve_weighted_heat(f, ones, 1.0, t1, cfg).flat for f in initial.fields])
+    switch_state = StackedDensity.from_array(domain, transition_matrix(plan.mass_control) @ heated)
 
     # stage 2: zero rates, per-state steering on normalized fields
     target_masses = plan.target.mass_vector()
@@ -607,8 +581,8 @@ def execute_hybrid_plan(
         norm_target = ctl.TargetDensity.create(
             ScalarField(domain, plan.target.fields[k].values / m_k)
         )
-        y_k = state.fields[k].values / m_k
-        y_k = np.maximum(y_k, 0.0)  # clip splitting roundoff
+        y_k = switch_state.fields[k].values / m_k
+        y_k = np.maximum(y_k, 0.0)  # clip roundoff-level negatives
         y_field = ScalarField(domain, y_k / (np.sum(y_k) * domain.cell_volume))
         sub_plan = ctl.synthesize_steering_plan(
             y_field, norm_target, plan.shaping_duration, per_state_tol
@@ -617,7 +591,6 @@ def execute_hybrid_plan(
         max_velocity = max(max_velocity, run.max_velocity)
         final_fields.append(ScalarField(domain, run.final_state.values * m_k))
     final = StackedDensity(tuple(final_fields))
-    mass_trace.append((plan.t_final, final.mass_vector()))
     errors = np.array(
         [
             l2_norm(ScalarField(domain, f.values - g.values))
@@ -630,5 +603,4 @@ def execute_hybrid_plan(
         final_state=final,
         per_state_error_l2=errors,
         max_velocity=max_velocity,
-        mass_trace=mass_trace,
     )

@@ -94,10 +94,14 @@ def bernoulli(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = np.abs(x) < 1e-5
+    large = x > 700.0  # B = x exp(-x) there: 1 - exp(-x) rounds to 1, expm1 overflows near 710
+    mid = ~(small | large)
     xs = x[small]
     out[small] = 1.0 - xs / 2.0 + xs * xs / 12.0
-    xl = x[~small]
-    out[~small] = xl / np.expm1(xl)
+    xl = x[large]
+    out[large] = xl * np.exp(-xl)
+    xm = x[mid]
+    out[mid] = xm / np.expm1(xm)
     return out
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from swarmctrl.grid import ScalarField, build_grid
 
@@ -23,3 +24,11 @@ def random_density(domain, rng, floor=0.1):
 def cosine_target(domain, amplitude=0.3, mode=1):
     x = domain.axis_centers(0)
     return ScalarField(domain, 1.0 + amplitude * np.cos(mode * np.pi * x)).normalized()
+
+
+@st.composite
+def random_grids(draw):
+    dim = draw(st.integers(1, 2))
+    cells = draw(st.lists(st.integers(2, 9), min_size=dim, max_size=dim))
+    lengths = draw(st.lists(st.floats(0.5, 3.0), min_size=dim, max_size=dim))
+    return build_grid(dim, lengths, cells)

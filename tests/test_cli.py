@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from swarmctrl.cli import main, run_scenario
+from swarmctrl.ctmc import TransitionGraph, generator, synthesize_stationary_rates
 
 STABILIZE_CFG = """
 [scenario]
@@ -336,6 +338,29 @@ def test_hsdp_stabilize_scenario(tmp_path):
     target /= target.sum() / 32
     expected = np.sqrt(np.sum((rows[:, 3].reshape(2, 32) - target) ** 2) / 32)
     assert metadata["measured"]["final_error"] == pytest.approx(expected, rel=1e-8)
+
+
+def test_hsdp_stabilize_ends_at_t_final(tmp_path):
+    # uniform targets give spatially constant gains, so the per-state
+    # masses follow the rate ODE exactly and show when the run ended
+    text = (
+        HSDP_STAB_CFG.replace("0.6*(1 + 0.3*cos(pi*x))", "0.6")
+        .replace("t_final = 8.0", "t_final = 0.305")
+        .replace("final_error = 1e-4\n", "")
+    )
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["hsdp-stabilize", "--config", str(path), "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "stacked.csv", delimiter=",", skiprows=1)
+    assert np.all(rows[:, 0] == 0.305)
+    masses = rows[:, 3].reshape(2, 32).sum(axis=1) / 32
+    # the controller's seeded initial stack: 0.2 + uniform draws per state
+    rng = np.random.Generator(np.random.Philox(3))
+    m0 = np.array([np.sum(0.2 + rng.random(32)) for _ in range(2)])
+    m0 /= m0.sum()
+    graph = TransitionGraph(2, ((1, 2), (2, 1)))
+    q = generator(graph, synthesize_stationary_rates(graph, np.array([0.4, 0.6])))
+    np.testing.assert_allclose(masses, scipy.linalg.expm(0.305 * q) @ m0, rtol=1e-10)
 
 
 def test_particles_scenario(tmp_path):

@@ -25,6 +25,7 @@ from swarmctrl.ctmc import (
     strongly_connected_components,
     synthesize_stationary_rates,
     transfer_control,
+    transition_matrix,
     validate_covering_closed_walk,
 )
 from swarmctrl.errors import (
@@ -275,6 +276,25 @@ class TestPropagate:
         sums = traj.sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
         assert traj.min() >= -1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        rates=st.lists(
+            st.lists(st.floats(0.0, 5.0), min_size=3, max_size=3),
+            min_size=0,
+            max_size=4,
+        )
+    )
+    def test_transition_matrix_columns_propagate_unit_vectors(self, rates):
+        rates = np.array(rates).reshape(-1, 3)
+        ctrl = PiecewiseConstantControl(
+            CYCLE3, np.linspace(0.0, 1.0, rates.shape[0] + 1), rates
+        )
+        p = transition_matrix(ctrl)
+        for j in range(3):
+            end = propagate(np.eye(3)[j], ctrl)[-1]
+            np.testing.assert_allclose(p[:, j], end, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(p.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
 
 class TestGlobalTransfer:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import random_grids
 from swarmctrl import grid
 
 from swarmctrl.errors import (
@@ -24,14 +25,6 @@ from swarmctrl.grid import (
     neumann_poisson_solve,
 )
 from swarmctrl.pde import assemble_advection_diffusion
-
-
-@st.composite
-def random_grids(draw):
-    dim = draw(st.integers(1, 2))
-    cells = draw(st.lists(st.integers(2, 9), min_size=dim, max_size=dim))
-    lengths = draw(st.lists(st.floats(0.5, 3.0), min_size=dim, max_size=dim))
-    return build_grid(dim, lengths, cells)
 
 
 class TestBuildGrid:

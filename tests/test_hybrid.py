@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cosine_target
-from swarmctrl.ctmc import TransitionGraph, synthesize_stationary_rates
+from conftest import cosine_target, random_grids
+from swarmctrl import control, hybrid, pde
+from swarmctrl.ctmc import (
+    TransitionGraph,
+    generator,
+    propagate,
+    synthesize_stationary_rates,
+)
 from swarmctrl.errors import GraphError, SynthesisError
 from swarmctrl.grid import ScalarField, build_grid, mass
 from swarmctrl.hybrid import (
@@ -20,7 +28,12 @@ from swarmctrl.hybrid import (
     stabilizing_velocities,
     zero_mass_stabilizing_gains,
 )
-from swarmctrl.pde import fit_decay_rate
+from swarmctrl.pde import (
+    StepperConfig,
+    fit_decay_rate,
+    make_stepper,
+    weighted_heat_operator,
+)
 
 BIG2 = TransitionGraph(2, ((1, 2), (2, 1)))
 
@@ -38,6 +51,16 @@ def random_stack(domain, n_states, rng):
     return StackedDensity(tuple(ScalarField(domain, a / total) for a in arrays))
 
 
+@st.composite
+def strongly_connected_graphs(draw):
+    n = draw(st.integers(2, 4))
+    order = draw(st.permutations(range(1, n + 1)))
+    cycle = {(order[k], order[(k + 1) % n]) for k in range(n)}
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    extra = draw(st.sets(st.sampled_from(pairs)))
+    return TransitionGraph(n, tuple(sorted(cycle | extra)))
+
+
 def stack_error(state, target):
     return np.sqrt(
         sum(
@@ -49,6 +72,29 @@ def stack_error(state, target):
 
 
 class TestSplitStep:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_zero_velocity_step_is_heat_then_ctmc(self, data):
+        # unit diffusion, no drift, spatially constant gains: transport acts
+        # on cells and reaction on states, so the two commute and one split
+        # step is expm(dt Q) applied after one heat step of every state
+        d = data.draw(random_grids())
+        g = data.draw(strongly_connected_graphs())
+        n = g.n_vertices
+        rates = data.draw(st.lists(st.floats(0.0, 5.0), min_size=g.n_edges, max_size=g.n_edges))
+        dt = data.draw(st.floats(1e-3, 0.1))
+        scheme = data.draw(st.sampled_from(["implicit_euler", "crank_nicolson"]))
+        stack = random_stack(d, n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        gains = SpatialGainSet.constant(g, d, rates)
+        cfg = StepperConfig(dt=dt, scheme=scheme)
+        out = split_step(stack, [None] * n, [1.0] * n, gains, dt, cfg).as_array()
+        heat = make_stepper(
+            weighted_heat_operator(ScalarField.constant(d, 1.0)).matrix, dt, scheme
+        )
+        heated = np.stack([heat(f.flat) for f in stack.fields])
+        ref = scipy.linalg.expm(dt * generator(g, rates)) @ heated
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_zero_gains_decouple(self, unit_grid_64):
         rng = np.random.default_rng(0)
         stack = random_stack(unit_grid_64, 2, rng)
@@ -364,5 +410,42 @@ class TestHybridSteering:
         plan = hybrid_steering_plan(BIG2, stack, target, 2.0, 1e-2)
         run = execute_hybrid_plan(plan, stack)
         assert np.max(np.abs(run.switch_state.mass_vector() - target.mass_vector())) <= 1e-9
+        mass_ode = propagate(stack.mass_vector(), plan.mass_control)[-1]
+        np.testing.assert_allclose(run.switch_state.mass_vector(), mass_ode, rtol=0, atol=1e-12)
         assert np.max(run.per_state_error_l2) <= 1e-2
         assert np.isfinite(run.max_velocity)
+
+    def test_stage_one_builds_no_split_stepper(self, monkeypatch):
+        # stage 1 factors one heat step per state; stage 2 starts at the
+        # first steering synthesis
+        counts = {"split": 0, "factor": 0, "stage_one_factor": None}
+        original_make_stepper = pde.make_stepper
+
+        def counting_make_stepper(*args, **kwargs):
+            counts["factor"] += 1
+            return original_make_stepper(*args, **kwargs)
+
+        for module in (pde, hybrid, control):
+            monkeypatch.setattr(module, "make_stepper", counting_make_stepper)
+        original_init = SplitStepper.__init__
+
+        def counting_init(self, *args, **kwargs):
+            counts["split"] += 1
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SplitStepper, "__init__", counting_init)
+        original_synthesize = control.synthesize_steering_plan
+
+        def marking_synthesize(*args, **kwargs):
+            if counts["stage_one_factor"] is None:
+                counts["stage_one_factor"] = counts["factor"]
+            return original_synthesize(*args, **kwargs)
+
+        monkeypatch.setattr(control, "synthesize_steering_plan", marking_synthesize)
+        d = build_grid(1, [1.0], [32])
+        stack = random_stack(d, 2, np.random.default_rng(5))
+        plan = hybrid_steering_plan(BIG2, stack, two_state_target(d), 1.0, 5e-2)
+        assert plan.mass_control.n_intervals > 2
+        execute_hybrid_plan(plan, stack)
+        assert counts["split"] == 0
+        assert counts["stage_one_factor"] <= 2

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from swarmctrl.errors import CoefficientError, FitError, InputError, TargetError
 from swarmctrl.grid import FaceField, ScalarField, build_grid, mass
 from swarmctrl.pde import (
     StepperConfig,
+    assemble_advection_diffusion,
     bernoulli,
     evolve_stabilizing,
     evolve_weighted_heat,
@@ -52,6 +54,20 @@ def test_bernoulli_limits():
     assert vals[2] == pytest.approx(2.0 / (np.e**2 - 1.0))
     # B(-x) - B(x) = x
     assert vals[3] - vals[2] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_bernoulli_large_argument_does_not_overflow():
+    # cell Peclet numbers |v| h / D far above 709 must not overflow expm1
+    d = build_grid(1, [1.0], [7])
+    v = FaceField(d, (np.array([8.0, -8.0, 3.0, -0.5, 8.0, -7.9]),))
+    x = np.linspace(700.0, 1e4, 2001)[1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for diffusion in (1e-3, 1e-6):
+            matrix = assemble_advection_diffusion(d, v, diffusion)
+            np.testing.assert_allclose(matrix.sum(axis=0), 0.0, atol=1e-9)
+        vals = bernoulli(x)
+    np.testing.assert_array_equal(vals, x * np.exp(-x))
 
 
 class TestStepAdvectionDiffusion:
