@@ -35,7 +35,7 @@ from .grid import (
     face_mean,
     l2_norm,
     mass,
-    neumann_laplacian,
+    neumann_heat_gap,
     neumann_poisson_solve,
     weighted_norm,
 )
@@ -277,7 +277,7 @@ def synthesize_steering_plan(
     gain_window = t_final - eps
     gap = target.spectral_gap()
     relax_gap = target.relaxation_gap()
-    heat_gap = neumann_laplacian(target.domain).spectral_gap()
+    heat_gap = neumann_heat_gap(target.domain)
 
     err0 = weighted_norm(
         ScalarField(y0.domain, y0.values - target.f.values), target.a

@@ -211,9 +211,6 @@ class SpatialGainSet:
     def is_spatially_constant(self) -> bool:
         return all(np.ptp(g) == 0.0 for g in self.gains)
 
-    def max_gain(self) -> float:
-        return max((float(np.max(g)) for g in self.gains), default=0.0)
-
     def max_total_exit_rate(self) -> float:
         """Largest over states and cells of the summed outgoing gains."""
         n = self.graph.n_vertices

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -280,6 +281,22 @@ class TestSteeringPlan:
         witness = [r.max_velocity for r in gain_records]
         assert all(np.isfinite(w) for w in witness)
         assert witness[-1] <= 2.0 * max(witness[:3])
+
+    def test_2d_synthesis_stays_sparse(self):
+        # a dense n^2 gap at 64x64 cells alone is 128 MB
+        d = build_grid(2, [1.0, 1.0], [64, 64])
+        gx, gy = d.center_grids()
+        f = ScalarField(d, 1.0 + 0.2 * np.cos(np.pi * gx) * np.cos(np.pi * gy)).normalized()
+        target = TargetDensity.create(f)
+        y0 = ScalarField(d, np.exp(-((gx - 0.4) ** 2) / 0.02)).normalized()
+        tracemalloc.start()
+        try:
+            plan = synthesize_steering_plan(y0, target, 0.5, 2e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.schedule.gap > 0
+        assert peak <= 16 * 2**20
 
 
 class TestPathFollowing:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import random_grids
+from conftest import gap_grids, random_grids
 from swarmctrl import grid
 
 from swarmctrl.errors import (
@@ -21,10 +21,15 @@ from swarmctrl.grid import (
     build_grid,
     divergence_form_operator,
     mass,
+    neumann_heat_gap,
     neumann_laplacian,
     neumann_poisson_solve,
 )
-from swarmctrl.pde import assemble_advection_diffusion
+from swarmctrl.pde import (
+    assemble_advection_diffusion,
+    relaxation_operator,
+    weighted_heat_operator,
+)
 
 
 class TestBuildGrid:
@@ -183,6 +188,35 @@ class TestDivergenceFormOperator:
         u = ScalarField(d, 1.0 / a.values)
         scale = max(1.0, np.max(np.abs(op.matrix.diagonal())))
         assert np.max(np.abs(op.apply(u).values)) <= 1e-14 * scale
+
+
+def dense_gap(op):
+    return float(np.linalg.eigvalsh(-op.symmetrized().toarray())[1])
+
+
+class TestSpectralGap:
+    @settings(max_examples=30, deadline=None)
+    @given(domain=gap_grids(), seed=st.integers(0, 2**32 - 1))
+    def test_gap_matches_dense_oracle(self, domain, seed):
+        rng = np.random.default_rng(seed)
+        a = ScalarField(domain, 0.2 + rng.random(domain.shape))
+        w = ScalarField(domain, 0.2 + rng.random(domain.shape))
+        for op in (weighted_heat_operator(a), relaxation_operator(w)):
+            assert op.spectral_gap() == pytest.approx(dense_gap(op), rel=1e-8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(domain=gap_grids())
+    def test_neumann_heat_gap_closed_form(self, domain):
+        oracle = dense_gap(neumann_laplacian(domain))
+        assert neumann_heat_gap(domain) == pytest.approx(oracle, rel=1e-8)
+
+    def test_sparse_gap_repeats_bitwise(self):
+        # ARPACK draws a fresh random start vector unless given one
+        d = build_grid(2, [1.0, 1.0], [72, 72])
+        assert d.cell_count > grid.DENSE_GAP_CELLS
+        op = weighted_heat_operator(ScalarField.constant(d, 1.0))
+        gaps = [op.spectral_gap() for _ in range(3)]
+        assert gaps[0] == gaps[1] == gaps[2]
 
 
 class TestPoisson:

@@ -32,7 +32,7 @@ def test_stepper_config_validation():
 
 
 def test_spectral_gap_sparse_branch():
-    # beyond the dense cap the shifted Lanczos path takes over; it must
+    # above the dense cutoff the shifted Lanczos path takes over; it must
     # stay sparse (a dense n^2 copy at 72x72 cells alone is 215 MB)
     d = build_grid(2, [1.0, 1.0], [72, 72])
     op = weighted_heat_operator(ScalarField.constant(d, 1.0))
