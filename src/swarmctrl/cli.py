@@ -114,6 +114,12 @@ def _stepper_config(sc: Scenario) -> StepperConfig:
     )
 
 
+def _positive(name: str, value):
+    if not value > 0:
+        raise ConfigurationError(f"{name} must be positive, got {value}")
+    return value
+
+
 def _graph_from_config(sc: Scenario) -> ctmc.TransitionGraph:
     cfg = sc.config
     if not cfg.has_section("graph"):
@@ -200,7 +206,7 @@ def _run_stabilize(sc: Scenario, out_dir: Path) -> bool:
     else:
         y = ScalarField.constant(domain, 1.0 / float(np.prod(domain.lengths)))
     t_final = sc.config.getfloat("run", "t_final", fallback=1.0)
-    n_snapshots = sc.config.getint("run", "snapshots", fallback=6)
+    n_snapshots = _positive("[run] snapshots", sc.config.getint("run", "snapshots", fallback=6))
     velocity = ctl.stabilizing_velocity(td, 1.0)
 
     times, errors, snapshots = [], [], []
@@ -277,7 +283,7 @@ def _run_path(sc: Scenario, out_dir: Path) -> bool:
     g0 = _field_from_spec(sc, domain, "path_start").normalized()
     g1 = _field_from_spec(sc, domain, "path_end").normalized()
     t_final = sc.config.getfloat("run", "t_final", fallback=1.0)
-    n_steps = sc.config.getint("run", "steps", fallback=1000)
+    n_steps = _positive("[run] steps", sc.config.getint("run", "steps", fallback=1000))
 
     def gamma(t):
         s = t / t_final
@@ -470,7 +476,7 @@ def _run_particles(sc: Scenario, out_dir: Path) -> bool:
     td = ctl.TargetDensity.create(target)
     velocity = ctl.stabilizing_velocity(td, 1.0)
     count = sc.config.getint("particles", "count", fallback=10000)
-    dt = sc.config.getfloat("particles", "dt", fallback=1e-3)
+    dt = _positive("[particles] dt", sc.config.getfloat("particles", "dt", fallback=1e-3))
     t_final = sc.config.getfloat("run", "t_final", fallback=1.0)
     ens = particles.ParticleEnsemble.uniform(domain, count, state=1, seed=sc.seed)
     n_steps = int(round(t_final / dt))
@@ -575,7 +581,7 @@ def run_scenario(
         ok = _RUNNERS[scenario.controller](scenario, out_path)
     except SwarmCtrlError as exc:
         print(f"error [{type(exc).__module__}.{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
+        return USAGE_ERROR if isinstance(exc, ConfigurationError) else NUMERICAL_ERROR
     if verbose:
         print(f"{scenario.name}: {'pass' if ok else 'FAIL'} (artifacts in {out_path})")
     return 0 if ok else NUMERICAL_ERROR

@@ -13,6 +13,7 @@ synthesized velocities stay bounded.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from typing import Callable
@@ -30,6 +31,7 @@ from .grid import (
     FaceField,
     RectDomain,
     ScalarField,
+    SparseOperator,
     face_difference,
     face_log_difference,
     face_mean,
@@ -42,8 +44,8 @@ from .grid import (
 from .pde import (
     StepperConfig,
     assemble_advection_diffusion,
-    clamped_dt,
     make_stepper,
+    march,
     relaxation_operator,
     weighted_heat_operator,
 )
@@ -72,16 +74,15 @@ MAX_GAIN_INTERVALS = 40
 class TargetDensity:
     """Unit-mass target bounded below by a positive constant.
 
-    Caches ``a = 1/f`` and the measured spectral gap of the weighted-heat
-    generator built from it (used to size steering gains).
+    Caches ``a = 1/f``, the weighted-heat generator built from it (every
+    smoothing and gain phase of a plan scales this one operator) and the
+    measured spectral gaps that size steering gains.
     """
 
     f: ScalarField
     lower_bound: float
     a: ScalarField
     gradient_bound: float
-    _gap: float | None = dataclasses.field(default=None, repr=False)
-    _relax_gap: float | None = dataclasses.field(default=None, repr=False)
 
     @classmethod
     def create(cls, f: ScalarField, lower_bound: float | None = None) -> "TargetDensity":
@@ -109,16 +110,19 @@ class TargetDensity:
     def domain(self) -> RectDomain:
         return self.f.domain
 
+    @functools.cached_property
+    def heat_operator(self) -> SparseOperator:
+        """Weighted-heat generator div(grad(a y)), assembled once."""
+        return weighted_heat_operator(self.a)
+
+    @functools.cached_property
     def spectral_gap(self) -> float:
         """Smallest nonzero eigenvalue of the weighted-heat generator."""
-        if self._gap is None:
-            self._gap = weighted_heat_operator(self.a).spectral_gap()
-        return self._gap
+        return self.heat_operator.spectral_gap()
 
+    @functools.cached_property
     def relaxation_gap(self) -> float:
-        if self._relax_gap is None:
-            self._relax_gap = relaxation_operator(self.f).spectral_gap()
-        return self._relax_gap
+        return relaxation_operator(self.f).spectral_gap()
 
 
 def stabilizing_velocity(target: TargetDensity, diffusion: float = 1.0) -> FaceField:
@@ -146,23 +150,32 @@ def feedback_velocity(
     the forward equation closes the loop into the weighted-heat flow with
     gain alpha*j.
     """
+    beta = _feedback_gain(alpha, j)
+    return FaceField(y.domain, _feedback_faces(y.values, target.a.values, beta, y.domain))
+
+
+def _feedback_gain(alpha: float, j: int) -> float:
     if alpha < 0 or not math.isfinite(alpha):
         raise InputError(f"gain must be non-negative, got {alpha}")
     if j < 1:
         raise InputError(f"interval index must be >= 1, got {j}")
-    if float(np.min(y.values)) < POSITIVITY_FLOOR:
-        raise PositivityLossError(
-            f"state below positivity floor: min = {np.min(y.values):.3e}"
-        )
-    beta = alpha * j
-    g = ScalarField(y.domain, target.a.values * y.values)
+    return alpha * j
+
+
+def _feedback_faces(y: np.ndarray, a: np.ndarray, beta: float, domain: RectDomain) -> tuple:
+    """Per-axis faces of (dy - beta*d(a y)) / max(mean y, floor) on grid-shaped arrays."""
+    if float(np.min(y)) < POSITIVITY_FLOOR:
+        raise PositivityLossError(f"state below positivity floor: min = {np.min(y):.3e}")
+    g = a * y
     comps = []
-    for axis in range(y.domain.dim):
-        dy = face_difference(y, axis)
-        dg = face_difference(g, axis)
-        yb = face_mean(y, axis)
+    for axis, h in enumerate(domain.spacing):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        yb = 0.5 * (y[lo] + y[hi])
+        dy = (y[hi] - y[lo]) / h
+        dg = (g[hi] - g[lo]) / h
         comps.append((dy - beta * dg) / np.maximum(yb, POSITIVITY_FLOOR))
-    return FaceField(y.domain, tuple(comps))
+    return tuple(comps)
 
 
 @dataclasses.dataclass
@@ -275,8 +288,8 @@ def synthesize_steering_plan(
 
     eps = min(0.1 * t_final, 0.3)
     gain_window = t_final - eps
-    gap = target.spectral_gap()
-    relax_gap = target.relaxation_gap()
+    gap = target.spectral_gap
+    relax_gap = target.relaxation_gap
     heat_gap = neumann_heat_gap(target.domain)
 
     err0 = weighted_norm(
@@ -355,23 +368,19 @@ class PlanExecution:
 
 
 def _phase_operator(plan: SteeringPlan, phase: Phase):
-    """Generator matrix and a per-step velocity witness for one phase."""
+    """Generator, feedback gain (None if open loop) and constant velocity bound of a phase."""
     target = plan.target
-    domain = target.domain
     if phase.tag == "zero":
-        matrix = assemble_advection_diffusion(domain, None, 1.0)
-        return matrix, None
+        return assemble_advection_diffusion(target.domain, None, 1.0), None, 0.0
     if phase.tag == "stabilize":
         v = stabilizing_velocity(target, 1.0)
-        matrix = assemble_advection_diffusion(domain, v, 1.0, "exponential")
-        return matrix, v.max_abs()
+        matrix = assemble_advection_diffusion(target.domain, v, 1.0, "exponential")
+        return matrix, None, v.max_abs()
     if phase.tag == "smooth":
-        matrix = weighted_heat_operator(target.a).matrix  # unit gain
-        return matrix, ("feedback", 1.0, 1)
+        return target.heat_operator.matrix, 1.0, 0.0  # unit gain
     if phase.tag == "gain":
-        beta = phase.alpha * phase.j
-        matrix = beta * weighted_heat_operator(target.a).matrix
-        return matrix, ("feedback", phase.alpha, phase.j)
+        beta = _feedback_gain(phase.alpha, phase.j)
+        return beta * target.heat_operator.matrix, beta, 0.0
     raise PlanError(f"unknown phase tag {phase.tag!r}")
 
 
@@ -393,26 +402,18 @@ def execute_plan(
     if y0.domain != domain:
         raise InputError("initial state and plan target live on different grids")
 
-    y = y0.flat.copy()
+    y = y0.flat
     t = 0.0
     snapshots: list[tuple[float, ScalarField]] = [(0.0, y0.copy())]
     records: list[PhaseRecord] = []
-    dt_cap = clamped_dt(domain, cfg)
-
     for phase in plan.phases:
-        matrix, witness = _phase_operator(plan, phase)
-        n_steps = max(1, int(math.ceil(phase.duration / dt_cap)))
-        dt = phase.duration / n_steps
-        step = make_stepper(matrix, dt, cfg.scheme)
-        max_v = 0.0 if witness is None else (witness if isinstance(witness, float) else 0.0)
-        for _ in range(n_steps):
-            y = step(y)
-            if isinstance(witness, tuple):
-                _, alpha, j = witness
-                v = feedback_velocity(ScalarField(domain, y), target, alpha, j)
-                max_v = max(max_v, v.max_abs())
+        matrix, beta, max_v = _phase_operator(plan, phase)
+        for y in march(matrix, y, phase.duration, domain, cfg):
+            if beta is not None:
+                faces = _feedback_faces(y.reshape(domain.shape), target.a.values, beta, domain)
+                max_v = max([max_v] + [float(np.max(np.abs(c))) for c in faces if c.size])
         t += phase.duration
-        state = ScalarField(domain, y.copy())
+        state = ScalarField(domain, y)
         diff = ScalarField(domain, state.values - target.f.values)
         records.append(
             PhaseRecord(
@@ -426,12 +427,11 @@ def execute_plan(
         )
         snapshots.append((t, state))
 
-    final_diff = ScalarField(domain, snapshots[-1][1].values - target.f.values)
     return PlanExecution(
         snapshots=snapshots,
         records=records,
-        final_error_l2=l2_norm(final_diff),
-        final_error_weighted=weighted_norm(final_diff, target.a),
+        final_error_l2=records[-1].end_error_l2,
+        final_error_weighted=records[-1].end_error_weighted,
         max_velocity=max(r.max_velocity for r in records),
     )
 

@@ -150,6 +150,8 @@ def validate_distribution(mu: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1:
         raise InputError("distribution must be a 1D vector")
+    if not np.all(np.isfinite(mu)):
+        raise InputError(f"distribution has non-finite entries: {mu}")
     if np.any(mu < -tol):
         raise InputError(f"distribution has negative entries, min = {np.min(mu):.3e}")
     if abs(float(np.sum(mu)) - 1.0) > max(tol, 1e-12):

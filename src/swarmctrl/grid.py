@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -147,10 +147,6 @@ class ScalarField:
     def constant(cls, domain: RectDomain, value: float) -> "ScalarField":
         return cls(domain, np.full(domain.shape, float(value)))
 
-    @classmethod
-    def from_function(cls, domain: RectDomain, fn: Callable[..., np.ndarray]) -> "ScalarField":
-        return cls(domain, np.asarray(fn(*domain.center_grids()), dtype=float))
-
     @property
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)
@@ -206,10 +202,6 @@ class FaceField:
                 raise CoefficientError("face field contains non-finite values")
             comps.append(c)
         self.components = tuple(comps)
-
-    @classmethod
-    def zero(cls, domain: RectDomain) -> "FaceField":
-        return cls(domain, tuple(np.zeros(domain.face_shape(d)) for d in range(domain.dim)))
 
     def max_abs(self) -> float:
         vals = [float(np.max(np.abs(c))) if c.size else 0.0 for c in self.components]

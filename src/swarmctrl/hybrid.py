@@ -45,13 +45,9 @@ from .grid import (
     divergence_form_operator,
     l2_norm,
     mass,
+    neumann_laplacian,
 )
-from .pde import (
-    StepperConfig,
-    assemble_advection_diffusion,
-    evolve_weighted_heat,
-    make_stepper,
-)
+from .pde import StepperConfig, assemble_advection_diffusion, make_stepper, march
 
 __all__ = [
     "StackedDensity",
@@ -557,16 +553,19 @@ def execute_hybrid_plan(
 ) -> HybridExecution:
     """Stage 1 has unit diffusion, zero velocities and spatially constant
     rates, so transport and reaction commute: it is the heat flow of every
-    state followed by the CTMC transition matrix of the mass control."""
+    state, marched as one (cells, n_states) stack, followed by the CTMC
+    transition matrix of the mass control."""
     cfg = cfg or StepperConfig()
     domain = initial.domain
     n_states = initial.n_states
     if plan.graph.n_vertices != n_states:
         raise InputError("plan graph does not match the number of states")
-    ones = ScalarField.constant(domain, 1.0)
-    t1 = plan.shaping_duration
-    heated = np.stack([evolve_weighted_heat(f, ones, 1.0, t1, cfg).flat for f in initial.fields])
-    switch_state = StackedDensity.from_array(domain, transition_matrix(plan.mass_control) @ heated)
+    heated = initial.as_array().T
+    heat = neumann_laplacian(domain).matrix
+    for heated in march(heat, heated, plan.shaping_duration, domain, cfg):
+        pass
+    transfer = transition_matrix(plan.mass_control)
+    switch_state = StackedDensity.from_array(domain, transfer @ heated.T)
 
     # stage 2: zero rates, per-state steering on normalized fields
     target_masses = plan.target.mass_vector()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +47,7 @@ __all__ = [
     "weighted_heat_operator",
     "relaxation_operator",
     "make_stepper",
+    "march",
     "clamped_dt",
     "bernoulli",
 ]
@@ -164,30 +165,20 @@ def relaxation_operator(f: ScalarField) -> SparseOperator:
 
 
 def make_stepper(matrix: sp.csr_matrix, dt: float, scheme: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Prefactorized single-step map for y' = matrix @ y'."""
-    n = matrix.shape[0]
-    eye = sp.identity(n, format="csr")
-    if scheme == "implicit_euler":
-        lu = spla.splu((eye - dt * matrix).tocsc())
-
-        def step(y: np.ndarray) -> np.ndarray:
-            out = lu.solve(y)
-            if not np.all(np.isfinite(out)):
-                raise NumericalError("implicit step produced non-finite values")
-            return out
-
-    elif scheme == "crank_nicolson":
-        lu = spla.splu((eye - 0.5 * dt * matrix).tocsc())
-        rhs_op = (eye + 0.5 * dt * matrix).tocsr()
-
-        def step(y: np.ndarray) -> np.ndarray:
-            out = lu.solve(rhs_op @ y)
-            if not np.all(np.isfinite(out)):
-                raise NumericalError("Crank-Nicolson step produced non-finite values")
-            return out
-
-    else:
+    """Prefactorized single-step map for y' = matrix @ y (theta = 1 or 1/2)."""
+    if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
+    eye = sp.identity(matrix.shape[0], format="csr")
+    theta = 1.0 if scheme == "implicit_euler" else 0.5
+    lu = spla.splu((eye - theta * dt * matrix).tocsc())
+    rhs_op = None if theta == 1.0 else (eye + 0.5 * dt * matrix).tocsr()
+
+    def step(y: np.ndarray) -> np.ndarray:
+        out = lu.solve(y if rhs_op is None else rhs_op @ y)
+        if not np.all(np.isfinite(out)):
+            raise NumericalError(f"{scheme} step produced non-finite values")
+        return out
+
     return step
 
 
@@ -219,24 +210,23 @@ def step_advection_diffusion(
     return ScalarField(y.domain, step(y.flat))
 
 
-def _march(
-    y0: ScalarField,
+def march(
     matrix: sp.csr_matrix,
+    y: np.ndarray,
     duration: float,
+    domain: RectDomain,
     cfg: StepperConfig,
-) -> ScalarField:
+) -> Iterator[np.ndarray]:
+    """Yield the state after each of max(1, ceil(duration / clamped_dt)) equal
+    steps of y' = matrix @ y; one factorization serves every step and every
+    column of a raw ``(cells,)`` or ``(cells, k)`` array ``y``."""
     if duration < 0:
         raise ConfigurationError(f"duration must be non-negative, got {duration}")
-    if duration == 0:
-        return y0.copy()
-    dt_eff = clamped_dt(y0.domain, cfg)
-    n_steps = max(1, int(math.ceil(duration / dt_eff)))
-    dt = duration / n_steps
-    step = make_stepper(matrix, dt, cfg.scheme)
-    y = y0.flat.copy()
+    n_steps = max(1, int(math.ceil(duration / clamped_dt(domain, cfg))))
+    step = make_stepper(matrix, duration / n_steps, cfg.scheme)
     for _ in range(n_steps):
         y = step(y)
-    return ScalarField(y0.domain, y)
+        yield y
 
 
 def evolve_weighted_heat(
@@ -257,8 +247,9 @@ def evolve_weighted_heat(
         raise CoefficientError(f"gain must be non-negative, got {gain}")
     if gain == 0:
         return y.copy()
-    op = weighted_heat_operator(a)
-    return _march(y, gain * op.matrix, duration, cfg)
+    for state in march(gain * weighted_heat_operator(a).matrix, y.flat, duration, y.domain, cfg):
+        pass
+    return ScalarField(y.domain, state)
 
 
 def evolve_stabilizing(
@@ -281,8 +272,9 @@ def evolve_stabilizing(
     mf, my = mass(f), mass(y)
     if abs(mf - my) > 1e-9 * max(1.0, abs(mf)):
         raise InputError(f"mass mismatch: mass(f) = {mf!r}, mass(y) = {my!r}")
-    op = relaxation_operator(f)
-    return _march(y, diffusion * op.matrix, duration, cfg)
+    for state in march(diffusion * relaxation_operator(f).matrix, y.flat, duration, y.domain, cfg):
+        pass
+    return ScalarField(y.domain, state)
 
 
 def fit_decay_rate(times: Sequence[float], errors: Sequence[float]) -> ConvergenceReport:

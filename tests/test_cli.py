@@ -388,3 +388,28 @@ def test_seed_override(tmp_path):
     assert run_scenario(path, out_dir=out, seed=99) == 0
     metadata = json.loads((out / "metadata.json").read_text())
     assert metadata["seed"] == 99
+
+
+def test_config_error_inside_runner_is_usage_error(tmp_path):
+    # the stabilize runner finds the missing [target] section only once it runs
+    text = STABILIZE_CFG.replace("[target]\nexpr = 1 + 0.3*cos(pi*x)\n", "")
+    path = write_cfg(tmp_path, text)
+    assert run_scenario(path, out_dir=tmp_path / "out") == 2
+
+
+@pytest.mark.parametrize(
+    "text, old, new",
+    [
+        (PATH_CFG, "steps = 200", "steps = 0"),
+        (PATH_CFG, "steps = 200", "steps = -3"),
+        (STABILIZE_CFG, "snapshots = 6", "snapshots = 0"),
+        (PARTICLES_CFG, "dt = 2e-3", "dt = 0"),
+    ],
+    ids=["path-steps-0", "path-steps-negative", "stabilize-snapshots-0", "particles-dt-0"],
+)
+def test_nonpositive_counts_and_steps_rejected(tmp_path, text, old, new):
+    assert old in text
+    path = write_cfg(tmp_path, text.replace(old, new))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 2
+    assert not (out / "summary.json").exists()

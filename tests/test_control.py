@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import cosine_target, random_density
+from swarmctrl import grid, pde
 from swarmctrl.control import (
     Phase,
     SteeringPlan,
@@ -27,6 +30,7 @@ from swarmctrl.errors import (
 from swarmctrl.grid import ScalarField, build_grid, l2_norm, mass
 from swarmctrl.pde import (
     StepperConfig,
+    assemble_advection_diffusion,
     fit_decay_rate,
     make_stepper,
     step_advection_diffusion,
@@ -297,6 +301,77 @@ class TestSteeringPlan:
             tracemalloc.stop()
         assert plan.schedule.gap > 0
         assert peak <= 16 * 2**20
+
+
+def witness_by_phase(plan, y0, cfg):
+    """Per-phase velocity sup-norms from a plain step loop that evaluates
+    the public feedback law after every step."""
+    target = plan.target
+    domain = target.domain
+    heat = weighted_heat_operator(target.a).matrix
+    dt_cap = min(cfg.dt, min(domain.spacing) ** 2)
+    y = y0.flat
+    out = []
+    for phase in plan.phases:
+        law = None
+        if phase.tag == "zero":
+            matrix, sup = assemble_advection_diffusion(domain, None, 1.0), 0.0
+        elif phase.tag == "stabilize":
+            v = stabilizing_velocity(target, 1.0)
+            matrix, sup = assemble_advection_diffusion(domain, v, 1.0), v.max_abs()
+        else:
+            law = (1.0, 1) if phase.tag == "smooth" else (phase.alpha, phase.j)
+            matrix, sup = law[0] * law[1] * heat, 0.0
+        n_steps = max(1, math.ceil(phase.duration / dt_cap))
+        step = make_stepper(matrix, phase.duration / n_steps, cfg.scheme)
+        for _ in range(n_steps):
+            y = step(y)
+            if law is not None:
+                v = feedback_velocity(ScalarField(domain, y), target, *law)
+                sup = max(sup, v.max_abs())
+        out.append(sup)
+    return out
+
+
+class TestExecutePlan:
+    @pytest.mark.parametrize("cells", [[64], [9, 12]])
+    def test_witness_matches_public_feedback_law(self, cells):
+        d = build_grid(len(cells), [1.0] * len(cells), cells)
+        rng = np.random.default_rng(8)
+        target = TargetDensity.create(random_density(d, rng, floor=0.5))
+        y0 = random_density(d, rng)
+        plan = synthesize_steering_plan(y0, target, 0.5, 1e-3)
+        cfg = StepperConfig(dt=2e-3)
+        run = execute_plan(plan, y0, cfg)
+        assert [r.max_velocity for r in run.records] == witness_by_phase(plan, y0, cfg)
+
+    def test_plan_assembles_two_operators(self, unit_grid_64, monkeypatch):
+        # the weighted-heat generator serves the gap and every smoothing
+        # and gain phase; the relaxation generator serves its gap
+        calls = []
+        original = grid.divergence_form_operator
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (grid, pde):
+            monkeypatch.setattr(module, "divergence_form_operator", counting)
+        rng = np.random.default_rng(6)
+        target = TargetDensity.create(cosine_target(unit_grid_64))
+        y0 = random_density(unit_grid_64, rng)
+        plan = synthesize_steering_plan(y0, target, 1.0, 1e-3)
+        assert plan.schedule.truncation > 1
+        execute_plan(plan, y0)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("alpha, j", [(-1.0, 1), (float("nan"), 1), (1.0, 0)])
+    def test_bad_gain_phase_rejected(self, unit_grid_64, alpha, j):
+        f = cosine_target(unit_grid_64)
+        plan = synthesize_steering_plan(f, TargetDensity.create(f), 1.0, 1e-2)
+        phases = plan.phases[:-1] + (Phase("gain", plan.phases[-1].duration, alpha, j),)
+        with pytest.raises(InputError):
+            execute_plan(dataclasses.replace(plan, phases=phases), f)
 
 
 class TestPathFollowing:

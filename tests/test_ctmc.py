@@ -27,6 +27,7 @@ from swarmctrl.ctmc import (
     transfer_control,
     transition_matrix,
     validate_covering_closed_walk,
+    validate_distribution,
 )
 from swarmctrl.errors import (
     CertificateError,
@@ -351,6 +352,15 @@ class TestGlobalTransfer:
         entry = interior_entry_control(CYCLE3, mu0, 0.5, floor=1e-6)
         mu = propagate(mu0, entry)[-1]
         assert mu.min() >= 1e-6
+
+
+class TestValidateDistribution:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(InputError):
+            validate_distribution(np.array([bad, 0.5, 0.5]))
+        with pytest.raises(InputError):
+            transfer_control(CYCLE3, np.array([bad, 0.5, 0.5]), np.array([0.4, 0.3, 0.3]), 1.0)
 
 
 class TestStationaryRates:

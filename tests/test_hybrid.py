@@ -416,8 +416,8 @@ class TestHybridSteering:
         assert np.isfinite(run.max_velocity)
 
     def test_stage_one_builds_no_split_stepper(self, monkeypatch):
-        # stage 1 factors one heat step per state; stage 2 starts at the
-        # first steering synthesis
+        # stage 1 factors one heat step for the whole (cells, n_states)
+        # stack; stage 2 starts at the first steering synthesis
         counts = {"split": 0, "factor": 0, "stage_one_factor": None}
         original_make_stepper = pde.make_stepper
 
@@ -448,4 +448,4 @@ class TestHybridSteering:
         assert plan.mass_control.n_intervals > 2
         execute_hybrid_plan(plan, stack)
         assert counts["split"] == 0
-        assert counts["stage_one_factor"] <= 2
+        assert counts["stage_one_factor"] == 1

@@ -1,10 +1,14 @@
 import tracemalloc
 import warnings
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cosine_target, random_density
+from conftest import cosine_target, random_density, random_grids
 from swarmctrl.control import TargetDensity, stabilizing_velocity
 from swarmctrl.errors import CoefficientError, FitError, InputError, TargetError
 from swarmctrl.grid import FaceField, ScalarField, build_grid, mass
@@ -12,9 +16,11 @@ from swarmctrl.pde import (
     StepperConfig,
     assemble_advection_diffusion,
     bernoulli,
+    clamped_dt,
     evolve_stabilizing,
     evolve_weighted_heat,
     fit_decay_rate,
+    march,
     step_advection_diffusion,
     weighted_heat_operator,
 )
@@ -153,6 +159,49 @@ class TestStepAdvectionDiffusion:
         dt = 1e-3
         y1 = step_advection_diffusion(f, law, 1.0, StepperConfig(dt=dt), source=sink)
         assert mass(y1) == pytest.approx(1.0 / (1.0 + 0.5 * dt), rel=1e-10)
+
+
+class TestMarch:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        random_grids(),
+        st.integers(1, 4),
+        st.sampled_from(["implicit_euler", "crank_nicolson"]),
+        st.floats(1e-3, 0.05),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_march_equals_column_marches(self, domain, k, scheme, duration, seed):
+        # one factorization solving the (cells, k) stack gives every
+        # column bitwise what its own march gives, at every step
+        rng = np.random.default_rng(seed)
+        a = ScalarField(domain, 0.5 + rng.random(domain.shape))
+        matrix = weighted_heat_operator(a).matrix
+        cfg = StepperConfig(dt=2e-3, scheme=scheme)
+        stack = rng.random((domain.cell_count, k))
+        stacked = list(march(matrix, stack, duration, domain, cfg))
+        for col in range(k):
+            single = list(march(matrix, stack[:, col], duration, domain, cfg))
+            assert len(single) == len(stacked)
+            for y_stack, y_col in zip(stacked, single):
+                np.testing.assert_array_equal(y_stack[:, col], y_col)
+
+    def test_step_count_and_zero_duration(self, unit_grid_64):
+        cfg = StepperConfig(dt=1e-3)
+        matrix = weighted_heat_operator(ScalarField.constant(unit_grid_64, 1.0)).matrix
+        y = random_density(unit_grid_64, np.random.default_rng(0)).flat
+        n = math.ceil(0.01 / clamped_dt(unit_grid_64, cfg))
+        assert len(list(march(matrix, y, 0.01, unit_grid_64, cfg))) == n
+        # a zero duration is one identity step: a new array, equal values
+        (same,) = march(matrix, y, 0.0, unit_grid_64, cfg)
+        assert same is not y
+        np.testing.assert_array_equal(same, y)
+
+    def test_negative_duration_rejected(self, unit_grid_64):
+        from swarmctrl.errors import ConfigurationError
+
+        y = ScalarField.constant(unit_grid_64, 1.0)
+        with pytest.raises(ConfigurationError):
+            evolve_weighted_heat(y, y, 1.0, -0.1)
 
 
 class TestWeightedHeat:
