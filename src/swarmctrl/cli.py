@@ -73,13 +73,31 @@ def _load_scenario(path: Path) -> Scenario:
     )
 
 
+def _parse(kind, text: str, where: str):
+    """kind(text); a malformed value is a ConfigurationError, not a ValueError."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: expected {kind.__name__}, got {text!r}") from exc
+
+
+def _number(sc: Scenario, section: str, key: str, fallback, kind=float):
+    raw = sc.config.get(section, key, fallback=None)
+    return fallback if raw is None else _parse(kind, raw, f"[{section}] {key}")
+
+
 def _build_domain(sc: Scenario) -> RectDomain:
     cfg = sc.config
     if not cfg.has_section("domain"):
         raise ConfigurationError("config is missing the [domain] section")
-    dim = cfg.getint("domain", "dim", fallback=1)
-    lengths = [float(v) for v in cfg.get("domain", "lengths", fallback="1.0").split()]
-    cells = [int(v) for v in cfg.get("domain", "cells", fallback="64").split()]
+    dim = _number(sc, "domain", "dim", 1, int)
+    lengths = [
+        _parse(float, v, "[domain] lengths")
+        for v in cfg.get("domain", "lengths", fallback="1.0").split()
+    ]
+    cells = [
+        _parse(int, v, "[domain] cells") for v in cfg.get("domain", "cells", fallback="64").split()
+    ]
     return build_grid(dim, lengths, cells)
 
 
@@ -108,7 +126,7 @@ def _field_from_spec(sc: Scenario, domain: RectDomain, section: str) -> ScalarFi
 def _stepper_config(sc: Scenario) -> StepperConfig:
     cfg = sc.config
     return StepperConfig(
-        dt=cfg.getfloat("pde", "dt", fallback=1e-3),
+        dt=_number(sc, "pde", "dt", 1e-3),
         scheme=cfg.get("pde", "scheme", fallback="implicit_euler"),
         advection_flux=cfg.get("pde", "flux", fallback="exponential"),
     )
@@ -173,8 +191,8 @@ def _declared_checks(sc: Scenario, measured: dict) -> list[dict]:
     checks = []
     if sc.config.has_section("check"):
         for key, raw in sc.config.items("check"):
-            threshold = float(raw)
             name = key.strip()
+            threshold = _parse(float, raw, f"[check] {name}")
             if name not in measured:
                 checks.append(
                     {"name": name, "value": None, "threshold": threshold, "pass": False}
@@ -205,8 +223,8 @@ def _run_stabilize(sc: Scenario, out_dir: Path) -> bool:
         y = _field_from_spec(sc, domain, "initial").normalized()
     else:
         y = ScalarField.constant(domain, 1.0 / float(np.prod(domain.lengths)))
-    t_final = sc.config.getfloat("run", "t_final", fallback=1.0)
-    n_snapshots = _positive("[run] snapshots", sc.config.getint("run", "snapshots", fallback=6))
+    t_final = _number(sc, "run", "t_final", 1.0)
+    n_snapshots = _positive("[run] snapshots", _number(sc, "run", "snapshots", 6, int))
     velocity = ctl.stabilizing_velocity(td, 1.0)
 
     times, errors, snapshots = [], [], []
@@ -250,8 +268,8 @@ def _run_steer(sc: Scenario, out_dir: Path) -> bool:
     cfg = _stepper_config(sc)
     target = ctl.TargetDensity.create(_field_from_spec(sc, domain, "target").normalized())
     y0 = _field_from_spec(sc, domain, "initial").normalized()
-    t_final = sc.config.getfloat("run", "t_final", fallback=1.0)
-    tol = sc.config.getfloat("run", "tolerance", fallback=1e-2)
+    t_final = _number(sc, "run", "t_final", 1.0)
+    tol = _number(sc, "run", "tolerance", 1e-2)
     plan = ctl.synthesize_steering_plan(y0, target, t_final, tol)
     run = ctl.execute_plan(plan, y0, cfg)
 
@@ -282,8 +300,8 @@ def _run_path(sc: Scenario, out_dir: Path) -> bool:
     domain = _build_domain(sc)
     g0 = _field_from_spec(sc, domain, "path_start").normalized()
     g1 = _field_from_spec(sc, domain, "path_end").normalized()
-    t_final = sc.config.getfloat("run", "t_final", fallback=1.0)
-    n_steps = _positive("[run] steps", sc.config.getint("run", "steps", fallback=1000))
+    t_final = _number(sc, "run", "t_final", 1.0)
+    n_steps = _positive("[run] steps", _number(sc, "run", "steps", 1000, int))
 
     def gamma(t):
         s = t / t_final
@@ -311,7 +329,7 @@ def _distribution_option(sc: Scenario, key: str, n: int) -> np.ndarray:
     raw = sc.config.get("run", key, fallback=None)
     if raw is None:
         raise ConfigurationError(f"[run] needs '{key}'")
-    values = np.array([float(v) for v in raw.split()])
+    values = np.array([_parse(float, v, f"[run] {key}") for v in raw.split()])
     if values.size != n:
         raise ConfigurationError(f"'{key}' needs {n} entries")
     return values
@@ -321,7 +339,7 @@ def _run_ctmc_plan(sc: Scenario, out_dir: Path) -> bool:
     graph = _graph_from_config(sc)
     mu0 = _distribution_option(sc, "mu0", graph.n_vertices)
     mu_target = _distribution_option(sc, "mu_target", graph.n_vertices)
-    duration = sc.config.getfloat("run", "t_final", fallback=1.0)
+    duration = _number(sc, "run", "t_final", 1.0)
     ctrl = ctmc.transfer_control(graph, mu0, mu_target, duration)
     traj = ctmc.propagate(mu0, ctrl)
     endpoint_error = float(np.max(np.abs(traj[-1] - mu_target)))
@@ -372,8 +390,8 @@ def _run_hsdp_steer(sc: Scenario, out_dir: Path) -> bool:
     initial = hybrid.StackedDensity(
         tuple(ScalarField(domain, f.values / total) for f in init_fields)
     )
-    t_final = sc.config.getfloat("run", "t_final", fallback=2.0)
-    tol = sc.config.getfloat("run", "tolerance", fallback=1e-2)
+    t_final = _number(sc, "run", "t_final", 2.0)
+    tol = _number(sc, "run", "tolerance", 1e-2)
     plan = hybrid.hybrid_steering_plan(graph, initial, target, t_final, tol)
     run = hybrid.execute_hybrid_plan(plan, initial, cfg)
 
@@ -388,6 +406,7 @@ def _run_hsdp_steer(sc: Scenario, out_dir: Path) -> bool:
         "mass_error_at_switch": float(
             np.max(np.abs(run.switch_state.mass_vector() - target.mass_vector()))
         ),
+        "max_rate": plan.mass_control.max_rate(),
     }
     metadata = {
         "scenario": sc.name,
@@ -397,6 +416,7 @@ def _run_hsdp_steer(sc: Scenario, out_dir: Path) -> bool:
         "edges": [f"{i}->{j}" for i, j in graph.edges],
         "t_final": t_final,
         "tolerance": tol,
+        "intervals": plan.mass_control.n_intervals,
         "measured": {k: float(v) for k, v in measured.items()},
     }
     return _summary(out_dir, _declared_checks(sc, measured), metadata)
@@ -408,7 +428,7 @@ def _run_hsdp_stabilize(sc: Scenario, out_dir: Path) -> bool:
     graph = _graph_from_config(sc)
     n = graph.n_vertices
     target = _state_targets(sc, domain, n)
-    diffusion = [sc.config.getfloat("pde", "diffusion", fallback=1.0)] * n
+    diffusion = [_number(sc, "pde", "diffusion", 1.0)] * n
     if target.full_support():
         rates = ctmc.synthesize_stationary_rates(graph, target.mass_vector())
         gains = hybrid.stabilizing_gains(graph, target, rates)
@@ -421,7 +441,7 @@ def _run_hsdp_stabilize(sc: Scenario, out_dir: Path) -> bool:
     state = hybrid.StackedDensity(
         tuple(ScalarField(domain, a / total) for a in arrays)
     )
-    t_final = sc.config.getfloat("run", "t_final", fallback=10.0)
+    t_final = _number(sc, "run", "t_final", 10.0)
     if t_final <= 0:
         raise ConfigurationError(f"t_final must be positive, got {t_final}")
     n_steps = int(math.ceil(t_final / (cfg.dt * 10)))
@@ -475,9 +495,9 @@ def _run_particles(sc: Scenario, out_dir: Path) -> bool:
     target = _field_from_spec(sc, domain, "target").normalized()
     td = ctl.TargetDensity.create(target)
     velocity = ctl.stabilizing_velocity(td, 1.0)
-    count = sc.config.getint("particles", "count", fallback=10000)
-    dt = _positive("[particles] dt", sc.config.getfloat("particles", "dt", fallback=1e-3))
-    t_final = sc.config.getfloat("run", "t_final", fallback=1.0)
+    count = _number(sc, "particles", "count", 10000, int)
+    dt = _positive("[particles] dt", _number(sc, "particles", "dt", 1e-3))
+    t_final = _number(sc, "run", "t_final", 1.0)
     ens = particles.ParticleEnsemble.uniform(domain, count, state=1, seed=sc.seed)
     n_steps = int(round(t_final / dt))
     for _ in range(n_steps):
@@ -514,7 +534,7 @@ def _run_spectrum(sc: Scenario, out_dir: Path) -> bool:
     graph = _graph_from_config(sc)
     raw = sc.config.get("run", "rates", fallback=None)
     if raw is not None:
-        rates = np.array([float(v) for v in raw.split()])
+        rates = np.array([_parse(float, v, "[run] rates") for v in raw.split()])
         if rates.size != graph.n_edges:
             raise ConfigurationError(f"'rates' needs {graph.n_edges} entries")
     else:

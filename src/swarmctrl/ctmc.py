@@ -625,9 +625,23 @@ def global_transfer_plan(
 ) -> PiecewiseConstantControl:
     """Concatenated local steps along the straight segment mu0 -> target.
 
-    The carried mass is half the smallest coordinate of either endpoint;
-    the segment count ceil(|target - mu0|_1 / rho) keeps every waypoint
-    increment feasible.
+    At each waypoint w the carried mass is rho = min(min(w), m*)/2 and the
+    step moves w by rho in the 1-norm towards the target, or onto it once
+    the rest is at most rho; so min(w) >= 2*rho and |step|_1 <= rho keep
+    every local step feasible.  All segments take equal time.
+
+    Interval bound.  Let L = |target - mu0|_1, m* = min(target) and
+    m0 = min(mu0).  Every waypoint is w = mu0 + t*(target - mu0), t in
+    [0, 1), so min(w) >= (1 - t)*m0 + t*m* >= max(min(m0, m*), t*m*), and
+    since both terms are at most m*, rho >= max(min(m0, m*), t*m*)/2.  A
+    step advances t by rho/L: the first to t >= min(m0, m*)/(2L), and each
+    later one by at least the factor (1 + m*/(2L)).  Every waypoint before
+    the last step has t < 1, so the segment count is at most
+
+        1 + ceil(max(0, log(2L/min(m0, m*)) / log(1 + m*/(2L)))),
+
+    and the interval count is that times the covering walk length.  After
+    an entry stage to min(mu0) >= floor this is O(log(1/floor)) segments.
     """
     mu0 = validate_distribution(mu0)
     mu_target = validate_distribution(mu_target)
@@ -643,26 +657,30 @@ def global_transfer_plan(
             "both endpoints must be interior simplex points; "
             "precondition boundary states with interior_entry_control"
         )
-    rho = 0.5 * float(min(np.min(mu0), np.min(mu_target)))
-    if rho <= 0:
-        raise InteriorityError("endpoints too close to the boundary")
-    l1 = float(np.sum(np.abs(mu_target - mu0)))
-    if l1 == 0.0:
+    if np.array_equal(mu0, mu_target):
         return PiecewiseConstantControl.empty(graph)
-    n_segments = int(math.ceil(l1 / rho))
+    target_min = float(np.min(mu_target))
+    segments = []
+    waypoint = mu0
+    while True:
+        rho = 0.5 * min(float(np.min(waypoint)), target_min)
+        rest = mu_target - waypoint
+        dist = float(np.sum(np.abs(rest)))
+        if dist <= rho:
+            segments.append((waypoint, rest, rho))
+            break
+        # scaled directly: a difference of waypoints can overshoot rho
+        step = rest * (rho / dist)
+        segments.append((waypoint, step, rho))
+        waypoint = waypoint + step
     walk = find_covering_closed_walk(graph, 1)
-    step = (mu_target - mu0) / n_segments
-    # every waypoint on the segment has min coordinate >= 2*rho and the
-    # per-segment increment has 1-norm l1/n_segments <= rho, so each local
-    # step is feasible with the shared carried mass
-    pieces = []
-    for k in range(n_segments):
-        waypoint = mu0 + k * step
-        ctrl, _ = local_step_control(
-            graph, waypoint, step, duration / n_segments, walk=walk, rho=rho
-        )
-        pieces.append(ctrl)
-    return PiecewiseConstantControl.concatenate(pieces)
+    dt = duration / len(segments)
+    return PiecewiseConstantControl.concatenate(
+        [
+            local_step_control(graph, w, step, dt, walk=walk, rho=rho)[0]
+            for w, step, rho in segments
+        ]
+    )
 
 
 def interior_entry_control(

@@ -163,10 +163,9 @@ def sde_step(
             f"requires dt <= {MAX_EXIT_RATE_DT / gains.max_total_exit_rate():.3g}"
         )
 
-    # fixed draw order keeps trajectories seed-reproducible
+    # fixed draw order keeps trajectories seed-reproducible: the noise,
+    # then the two switching uniforms only when switching is on
     noise = rng.standard_normal((n, domain.dim))
-    u_switch = rng.random(n)
-    u_edge = rng.random(n)
 
     drift = np.zeros((n, domain.dim))
     sigma = np.zeros(n)
@@ -183,6 +182,8 @@ def sde_step(
     )
 
     if gains is not None:
+        u_switch = rng.random(n)
+        u_edge = rng.random(n)
         cells = ensemble.cell_indices()
         new_states = ensemble.states.copy()
         for s in range(1, n_states + 1):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from swarmctrl.ctmc import TransitionGraph
 from swarmctrl.grid import ScalarField, build_grid
 
 
@@ -43,3 +44,15 @@ def gap_grids(draw):
     cells = draw(st.lists(st.integers(low, high), min_size=dim, max_size=dim))
     lengths = draw(st.lists(st.floats(0.2, 5.0), min_size=dim, max_size=dim))
     return build_grid(dim, lengths, cells)
+
+
+@st.composite
+def strongly_connected_graphs(draw, max_states=4):
+    """A directed cycle through 2..max_states states in random order, plus
+    random extra edges."""
+    n = draw(st.integers(2, max_states))
+    order = draw(st.permutations(range(1, n + 1)))
+    cycle = {(order[k], order[(k + 1) % n]) for k in range(n)}
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    extra = draw(st.sets(st.sampled_from(pairs)))
+    return TransitionGraph(n, tuple(sorted(cycle | extra)))

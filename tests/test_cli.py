@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +320,11 @@ def test_hsdp_steer_scenario(tmp_path):
     assert_control_csv_numeric(out / "control.csv")
     summary = json.loads((out / "summary.json").read_text())
     assert summary["pass"] is True
+    # stage 1's rate control: interval count and max rate match control.csv
+    metadata = json.loads((out / "metadata.json").read_text())
+    rows = [line.split(",") for line in (out / "control.csv").read_text().splitlines()[1:]]
+    assert metadata["intervals"] * len(metadata["edges"]) == len(rows)
+    assert metadata["measured"]["max_rate"] == max(float(r[3]) for r in rows)
 
 
 def test_hsdp_stabilize_scenario(tmp_path):
@@ -413,3 +419,38 @@ def test_nonpositive_counts_and_steps_rejected(tmp_path, text, old, new):
     out = tmp_path / "out"
     assert run_scenario(path, out_dir=out) == 2
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text, old, new",
+    [
+        (PATH_CFG, "steps = 200", "steps = 1.5"),
+        (STABILIZE_CFG, "t_final = 1.5", "t_final = soon"),
+        (STABILIZE_CFG, "cells = 64", "cells = 6.5"),
+        (STABILIZE_CFG, "final_error = 1e-5", "final_error = tiny"),
+        (PARTICLES_CFG, "count = 20000", "count = 2e4"),
+        (CTMC_CFG, "mu0 = 0.6 0.2 0.2", "mu0 = 0.6 0.2 x"),
+        (HSDP_STAB_CFG, "dt = 1e-3", "dt = 1e-3s"),
+    ],
+    ids=[
+        "path-steps", "stabilize-t_final", "domain-cells", "check-threshold",
+        "particles-count", "ctmc-mu0", "pde-dt",
+    ],
+)
+def test_malformed_number_is_usage_error(tmp_path, capsys, text, old, new):
+    assert old in text
+    path = write_cfg(tmp_path, text.replace(old, new))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 2
+    assert "ConfigurationError" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+EXAMPLES = sorted((Path(__file__).resolve().parents[1] / "docs" / "examples").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("config", EXAMPLES, ids=[p.stem for p in EXAMPLES])
+def test_docs_example_runs(tmp_path, config):
+    out = tmp_path / "out"
+    assert run_scenario(config, out_dir=out) == 0
+    assert json.loads((out / "summary.json").read_text())["pass"] is True

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import strongly_connected_graphs
 from swarmctrl.ctmc import (
     PiecewiseConstantControl,
     TransitionGraph,
@@ -346,6 +348,46 @@ class TestGlobalTransfer:
         traj = propagate(mu0, ctrl)
         assert np.max(np.abs(traj[-1] - mu1)) <= 1e-9
         assert ctrl.total_duration == pytest.approx(1.0, abs=1e-12)
+        assert ctrl.n_intervals <= 300
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_transfer_interval_bound(self, data):
+        graph = data.draw(strongly_connected_graphs(max_states=6))
+        n = graph.n_vertices
+        weights = st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)
+        mu0 = np.array(data.draw(weights))
+        if data.draw(st.booleans()):
+            # boundary start: empty a proper subset of the states
+            empty = data.draw(
+                st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda z: not all(z))
+            )
+            mu0[np.array(empty)] = 0.0
+        mu0 /= mu0.sum()
+        mu1 = np.array(data.draw(weights))
+        mu1 /= mu1.sum()
+        duration = data.draw(st.floats(0.1, 10.0))
+
+        ctrl = transfer_control(graph, mu0, mu1, duration)
+        traj = propagate(mu0, ctrl)
+        assert np.max(np.abs(traj[-1] - mu1)) <= 1e-9
+        assert np.all(ctrl.rates >= 0.0)
+        if ctrl.n_intervals == 0:  # equal interior endpoints need no control
+            assert np.array_equal(mu0, mu1)
+            return
+        assert ctrl.breakpoints[0] == 0.0
+        assert abs(math.fsum(np.diff(ctrl.breakpoints)) - duration) <= 1e-12
+
+        # the bound derived in global_transfer_plan, counted from the state
+        # where the global stage starts (after the entry stage, if any)
+        entry = 1 if mu0.min() <= 1e-6 / 2 else 0
+        start = traj[entry]
+        length = float(np.sum(np.abs(mu1 - start)))
+        low = min(start.min(), mu1.min())
+        ratio = math.log(2 * length / low) / math.log1p(mu1.min() / (2 * length))
+        segments = 1 + math.ceil(max(0.0, ratio))
+        walk = find_covering_closed_walk(graph, 1)
+        assert ctrl.n_intervals <= entry + segments * len(walk)
 
     def test_interior_entry_reaches_floor(self):
         mu0 = np.array([0.0, 0.0, 1.0])

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cosine_target, random_grids
+from conftest import cosine_target, random_grids, strongly_connected_graphs
 from swarmctrl import control, hybrid, pde
 from swarmctrl.ctmc import (
     TransitionGraph,
@@ -49,16 +49,6 @@ def random_stack(domain, n_states, rng):
     arrays = [0.2 + rng.random(domain.shape) for _ in range(n_states)]
     total = sum(a.sum() for a in arrays) * domain.cell_volume
     return StackedDensity(tuple(ScalarField(domain, a / total) for a in arrays))
-
-
-@st.composite
-def strongly_connected_graphs(draw):
-    n = draw(st.integers(2, 4))
-    order = draw(st.permutations(range(1, n + 1)))
-    cycle = {(order[k], order[(k + 1) % n]) for k in range(n)}
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    extra = draw(st.sets(st.sampled_from(pairs)))
-    return TransitionGraph(n, tuple(sorted(cycle | extra)))
 
 
 def stack_error(state, target):
