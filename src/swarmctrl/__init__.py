@@ -38,7 +38,6 @@ from .control import (
 )
 from .ctmc import (
     TransitionGraph,
-    build_rate_matrix,
     global_transfer_plan,
     is_strongly_connected,
     local_step_control,

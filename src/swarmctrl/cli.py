@@ -25,7 +25,13 @@ from . import ctmc, hybrid, particles
 from .errors import SwarmCtrlError, ConfigurationError
 from .expressions import evaluate
 from .grid import RectDomain, ScalarField, build_grid, l2_norm, mass
-from .pde import StepperConfig, evolve_stabilizing, fit_decay_rate
+from .pde import (
+    StepperConfig,
+    evolve_stabilizing,
+    fit_decay_rate,
+    march,
+    relaxation_operator,
+)
 
 CONTROLLERS = (
     "stabilize",
@@ -175,7 +181,29 @@ def _write_stacked_csv(path: Path, snapshots) -> None:
                     handle.write(f"{_fmt(t)},{s},{idx},{_fmt(value)}\n")
 
 
-def _summary(out_dir: Path, checks: list[dict], metadata: dict) -> bool:
+def _finish(
+    sc: Scenario,
+    out_dir: Path,
+    measured: dict,
+    domain: RectDomain | None = None,
+    graph: ctmc.TransitionGraph | None = None,
+    **extra,
+) -> bool:
+    """Write ``metadata.json`` (the common keys, ``cells``/``edges`` when a
+    domain/graph is given, and ``extra``) and ``summary.json`` (the [check]
+    thresholds against ``measured``); True when every check passes."""
+    metadata = {
+        "scenario": sc.name,
+        "controller": sc.controller,
+        "seed": sc.seed,
+        "measured": {k: float(v) for k, v in measured.items()},
+        **extra,
+    }
+    if domain is not None:
+        metadata["cells"] = list(domain.cells)
+    if graph is not None:
+        metadata["edges"] = [f"{i}->{j}" for i, j in graph.edges]
+    checks = _declared_checks(sc, measured)
     ok = all(c["pass"] for c in checks)
     with open(out_dir / "metadata.json", "w", encoding="utf-8") as handle:
         json.dump(metadata, handle, indent=2, sort_keys=True)
@@ -226,6 +254,7 @@ def _run_stabilize(sc: Scenario, out_dir: Path) -> bool:
     t_final = _number(sc, "run", "t_final", 1.0)
     n_snapshots = _positive("[run] snapshots", _number(sc, "run", "snapshots", 6, int))
     velocity = ctl.stabilizing_velocity(td, 1.0)
+    relax = relaxation_operator(target).matrix  # D = 1, assembled once
 
     times, errors, snapshots = [], [], []
     step_t = t_final / n_snapshots
@@ -234,7 +263,9 @@ def _run_stabilize(sc: Scenario, out_dir: Path) -> bool:
     times.append(t)
     errors.append(l2_norm(ScalarField(domain, y.values - target.values)))
     for _ in range(n_snapshots):
-        y = evolve_stabilizing(y, target, 1.0, step_t, cfg)
+        for state in march(relax, y.flat, step_t, domain, cfg):
+            pass
+        y = ScalarField(domain, state)
         t += step_t
         snapshots.append((t, y.copy()))
         times.append(t)
@@ -252,15 +283,7 @@ def _run_stabilize(sc: Scenario, out_dir: Path) -> bool:
     }
     if fit is not None:
         measured["decay_rate"] = fit.rate
-    metadata = {
-        "scenario": sc.name,
-        "controller": sc.controller,
-        "seed": sc.seed,
-        "cells": list(domain.cells),
-        "t_final": t_final,
-        "measured": {k: float(v) for k, v in measured.items()},
-    }
-    return _summary(out_dir, _declared_checks(sc, measured), metadata)
+    return _finish(sc, out_dir, measured, domain=domain, t_final=t_final)
 
 
 def _run_steer(sc: Scenario, out_dir: Path) -> bool:
@@ -281,19 +304,17 @@ def _run_steer(sc: Scenario, out_dir: Path) -> bool:
         "max_velocity": run.max_velocity,
         "predicted_error": plan.predicted_error,
     }
-    metadata = {
-        "scenario": sc.name,
-        "controller": sc.controller,
-        "seed": sc.seed,
-        "cells": list(domain.cells),
-        "t_final": t_final,
-        "tolerance": tol,
-        "gain_intervals": plan.schedule.truncation,
-        "alpha": plan.schedule.alpha,
-        "spectral_gap": plan.schedule.gap,
-        "measured": {k: float(v) for k, v in measured.items()},
-    }
-    return _summary(out_dir, _declared_checks(sc, measured), metadata)
+    return _finish(
+        sc,
+        out_dir,
+        measured,
+        domain=domain,
+        t_final=t_final,
+        tolerance=tol,
+        gain_intervals=plan.schedule.truncation,
+        alpha=plan.schedule.alpha,
+        spectral_gap=plan.schedule.gap,
+    )
 
 
 def _run_path(sc: Scenario, out_dir: Path) -> bool:
@@ -313,16 +334,7 @@ def _run_path(sc: Scenario, out_dir: Path) -> bool:
     res = ctl.follow_path(gamma, dgamma, t_final, n_steps=n_steps)
     _write_density_csv(out_dir / "density.csv", [(t_final, res.final_state)])
     measured = {"tracking_error": res.sup_error, "max_velocity": res.max_velocity}
-    metadata = {
-        "scenario": sc.name,
-        "controller": sc.controller,
-        "seed": sc.seed,
-        "cells": list(domain.cells),
-        "t_final": t_final,
-        "steps": n_steps,
-        "measured": {k: float(v) for k, v in measured.items()},
-    }
-    return _summary(out_dir, _declared_checks(sc, measured), metadata)
+    return _finish(sc, out_dir, measured, domain=domain, t_final=t_final, steps=n_steps)
 
 
 def _distribution_option(sc: Scenario, key: str, n: int) -> np.ndarray:
@@ -350,16 +362,9 @@ def _run_ctmc_plan(sc: Scenario, out_dir: Path) -> bool:
         for t, state in zip(ctrl.breakpoints, traj):
             handle.write(_fmt(t) + "," + ",".join(_fmt(v) for v in state) + "\n")
     measured = {"endpoint_error": endpoint_error, "max_rate": ctrl.max_rate()}
-    metadata = {
-        "scenario": sc.name,
-        "controller": sc.controller,
-        "seed": sc.seed,
-        "edges": [f"{i}->{j}" for i, j in graph.edges],
-        "t_final": duration,
-        "intervals": ctrl.n_intervals,
-        "measured": {k: float(v) for k, v in measured.items()},
-    }
-    return _summary(out_dir, _declared_checks(sc, measured), metadata)
+    return _finish(
+        sc, out_dir, measured, graph=graph, t_final=duration, intervals=ctrl.n_intervals
+    )
 
 
 def _state_targets(sc: Scenario, domain: RectDomain, n: int) -> hybrid.HybridTarget:
@@ -408,18 +413,16 @@ def _run_hsdp_steer(sc: Scenario, out_dir: Path) -> bool:
         ),
         "max_rate": plan.mass_control.max_rate(),
     }
-    metadata = {
-        "scenario": sc.name,
-        "controller": sc.controller,
-        "seed": sc.seed,
-        "cells": list(domain.cells),
-        "edges": [f"{i}->{j}" for i, j in graph.edges],
-        "t_final": t_final,
-        "tolerance": tol,
-        "intervals": plan.mass_control.n_intervals,
-        "measured": {k: float(v) for k, v in measured.items()},
-    }
-    return _summary(out_dir, _declared_checks(sc, measured), metadata)
+    return _finish(
+        sc,
+        out_dir,
+        measured,
+        domain=domain,
+        graph=graph,
+        t_final=t_final,
+        tolerance=tol,
+        intervals=plan.mass_control.n_intervals,
+    )
 
 
 def _run_hsdp_stabilize(sc: Scenario, out_dir: Path) -> bool:
@@ -477,16 +480,7 @@ def _run_hsdp_stabilize(sc: Scenario, out_dir: Path) -> bool:
     }
     if fit is not None:
         measured["decay_rate"] = fit.rate
-    metadata = {
-        "scenario": sc.name,
-        "controller": sc.controller,
-        "seed": sc.seed,
-        "cells": list(domain.cells),
-        "edges": [f"{i}->{j}" for i, j in graph.edges],
-        "t_final": t_final,
-        "measured": {k: float(v) for k, v in measured.items()},
-    }
-    return _summary(out_dir, _declared_checks(sc, measured), metadata)
+    return _finish(sc, out_dir, measured, domain=domain, graph=graph, t_final=t_final)
 
 
 def _run_particles(sc: Scenario, out_dir: Path) -> bool:
@@ -517,17 +511,9 @@ def _run_particles(sc: Scenario, out_dir: Path) -> bool:
             handle.write(f"{pid},{ens.states[pid]},{coords}\n")
     _write_density_csv(out_dir / "empirical.csv", [(t_final, emp.density.fields[0])])
     measured = {"l1_distance": l1}
-    metadata = {
-        "scenario": sc.name,
-        "controller": sc.controller,
-        "seed": sc.seed,
-        "cells": list(domain.cells),
-        "count": count,
-        "dt": dt,
-        "t_final": t_final,
-        "measured": {k: float(v) for k, v in measured.items()},
-    }
-    return _summary(out_dir, _declared_checks(sc, measured), metadata)
+    return _finish(
+        sc, out_dir, measured, domain=domain, count=count, dt=dt, t_final=t_final
+    )
 
 
 def _run_spectrum(sc: Scenario, out_dir: Path) -> bool:
@@ -547,16 +533,14 @@ def _run_spectrum(sc: Scenario, out_dir: Path) -> bool:
         for idx, lam in enumerate(report.eigenvalues):
             handle.write(f"{idx},{_fmt(lam.real)},{_fmt(lam.imag)}\n")
     measured = {"max_real_part": report.max_real_part}
-    metadata = {
-        "scenario": sc.name,
-        "controller": sc.controller,
-        "seed": sc.seed,
-        "edges": [f"{i}->{j}" for i, j in graph.edges],
-        "rates": [float(r) for r in rates],
-        "spectral_gap": float(report.gap),
-        "measured": {k: float(v) for k, v in measured.items()},
-    }
-    return _summary(out_dir, _declared_checks(sc, measured), metadata)
+    return _finish(
+        sc,
+        out_dir,
+        measured,
+        graph=graph,
+        rates=[float(r) for r in rates],
+        spectral_gap=float(report.gap),
+    )
 
 
 _RUNNERS = {

@@ -80,31 +80,17 @@ class TargetDensity:
     """
 
     f: ScalarField
-    lower_bound: float
     a: ScalarField
-    gradient_bound: float
 
     @classmethod
-    def create(cls, f: ScalarField, lower_bound: float | None = None) -> "TargetDensity":
+    def create(cls, f: ScalarField) -> "TargetDensity":
         fmin = float(np.min(f.values))
         if fmin <= 0:
             raise TargetError(f"target must be positive, min = {fmin}")
-        if lower_bound is None:
-            lower_bound = fmin
-        elif lower_bound <= 0 or fmin < lower_bound:
-            raise TargetError(
-                f"lower bound {lower_bound} not satisfied (target min = {fmin})"
-            )
         m = mass(f)
         if abs(m - 1.0) > 1e-12:
             raise TargetError(f"target mass must be 1, got {m!r}")
-        a = ScalarField(f.domain, 1.0 / f.values)
-        grad = 0.0
-        for axis in range(f.domain.dim):
-            d = face_difference(f, axis)
-            if d.size:
-                grad = max(grad, float(np.max(np.abs(d))))
-        return cls(f=f, lower_bound=lower_bound, a=a, gradient_bound=grad)
+        return cls(f=f, a=ScalarField(f.domain, 1.0 / f.values))
 
     @property
     def domain(self) -> RectDomain:
@@ -265,7 +251,6 @@ def synthesize_steering_plan(
     target: TargetDensity,
     t_final: float,
     tol: float,
-    max_intervals: int = MAX_GAIN_INTERVALS,
 ) -> SteeringPlan:
     """Build the three preparation phases plus a truncated gain schedule.
 
@@ -301,7 +286,7 @@ def synthesize_steering_plan(
     prep = math.exp(-(heat_gap + relax_gap + gap) * eps / 3.0)
 
     chosen = None
-    for trunc in range(1, max_intervals + 1):
+    for trunc in range(1, MAX_GAIN_INTERVALS + 1):
         z = math.fsum(1.0 / k**2 for k in range(1, trunc + 1))
         harmonic = math.fsum(1.0 / k for k in range(1, trunc + 1))
         scale = gain_window / z
@@ -314,7 +299,7 @@ def synthesize_steering_plan(
     if predicted > tol:
         warnings.warn(
             TruncationWarning(
-                f"gain schedule capped at {max_intervals} intervals; predicted error "
+                f"gain schedule capped at {MAX_GAIN_INTERVALS} intervals; predicted error "
                 f"{predicted:.3e} above tolerance {tol:.3e}",
                 achievable=predicted,
             )

@@ -1,6 +1,6 @@
-"""Finite-state transfer machinery: per-edge control matrices, strong
-connectivity certificates, exact local and global simplex transfers with
-piecewise-constant non-negative rates, and stationary-rate synthesis.
+"""Finite-state transfer machinery: rate generators, strong connectivity
+and its monotone certificates, exact local and global simplex transfers
+with piecewise-constant non-negative rates, and stationary-rate synthesis.
 
 Vertices are labeled 1..N (matching the edge-list file format); matrices
 and probability vectors are indexed 0-based.
@@ -12,7 +12,7 @@ import dataclasses
 import functools
 import math
 from collections import deque
-from typing import Sequence
+from typing import Container, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -33,9 +33,7 @@ __all__ = [
     "LocalStepCertificate",
     "MonotoneCertificate",
     "SpectrumReport",
-    "build_rate_matrix",
     "generator",
-    "strongly_connected_components",
     "is_strongly_connected",
     "monotone_certificate",
     "find_covering_closed_walk",
@@ -56,6 +54,9 @@ __all__ = [
 ]
 
 Edge = tuple[int, int]
+
+ENTRY_FLOOR = 1e-6  # min coordinate a boundary start is driven to first
+MIN_RATE = 1e-3     # smallest stationary rate on a graph that is not bidirected
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,21 +108,6 @@ class TransitionGraph:
         return all((j, i) in edge_set for i, j in self.edges)
 
 
-def build_rate_matrix(edge: Edge, n: int) -> np.ndarray:
-    """Control matrix for one edge: -1 at (S,S), +1 at (T,S), zeros else."""
-    i, j = edge
-    if i == j:
-        raise GraphError(f"self-loop {edge} not allowed")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise GraphError(f"edge {edge} out of vertex range 1..{n}")
-    if n < 2:
-        raise GraphError("need at least two vertices")
-    q = np.zeros((n, n))
-    q[i - 1, i - 1] = -1.0
-    q[j - 1, i - 1] = 1.0
-    return q
-
-
 def generator(graph: TransitionGraph, rates: Sequence[float]) -> np.ndarray:
     """Sum of per-edge matrices weighted by the given rates.
 
@@ -167,58 +153,38 @@ def is_interior(mu: np.ndarray, tol: float = 0.0) -> bool:
 # connectivity
 
 
-def strongly_connected_components(graph: TransitionGraph) -> list[list[int]]:
-    """Tarjan's algorithm, iterative to avoid recursion limits."""
-    n = graph.n_vertices
-    index = {}
-    low = {}
-    on_stack = set()
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    succ = graph.successors
-    for root in range(1, n + 1):
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(comp))
-    return components
+def _bfs(
+    adjacency: dict[int, list[int]], start: int, goal: Container[int] = frozenset()
+) -> dict[int, int]:
+    """Breadth-first parent map from ``start`` (mapped to 0) over
+    ``graph.successors`` or ``graph.predecessors``; the search stops at the
+    first vertex it finds in ``goal``, which is then the map's last key."""
+    parent = {start: 0}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in adjacency[v]:
+            if w not in parent:
+                parent[w] = v
+                if w in goal:
+                    return parent
+                queue.append(w)
+    return parent
+
+
+def _path(parent: dict[int, int], goal: int) -> list[Edge]:
+    """Edge list from the search start to ``goal`` along a parent map."""
+    path = []
+    while parent[goal]:
+        path.append((parent[goal], goal))
+        goal = parent[goal]
+    return path[::-1]
 
 
 def is_strongly_connected(graph: TransitionGraph) -> bool:
-    return len(strongly_connected_components(graph)) == 1
+    """Every vertex is reachable from vertex 1 and reaches it."""
+    n = graph.n_vertices
+    return len(_bfs(graph.successors, 1)) == n and len(_bfs(graph.predecessors, 1)) == n
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,77 +208,26 @@ class MonotoneCertificate:
         )
 
 
-def _reachable(graph: TransitionGraph, start: int, reverse: bool = False) -> set[int]:
-    adj = graph.predecessors if reverse else graph.successors
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
-
-
 def monotone_certificate(graph: TransitionGraph) -> MonotoneCertificate:
-    """Produce the nondecreasing output functional for a non-SC graph."""
-    comps = strongly_connected_components(graph)
-    if len(comps) == 1:
-        raise CertificateError("graph is strongly connected; no obstruction exists")
-    # condensation is a DAG: order components topologically and pick a
-    # vertex from the first (no path into it from the last) and the last
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    indeg = [0] * len(comps)
-    comp_succ: list[set[int]] = [set() for _ in comps]
-    for i, j in graph.edges:
-        a, b = comp_of[i], comp_of[j]
-        if a != b and b not in comp_succ[a]:
-            comp_succ[a].add(b)
-            indeg[b] += 1
-    order = []
-    queue = deque(ci for ci in range(len(comps)) if indeg[ci] == 0)
-    while queue:
-        c = queue.popleft()
-        order.append(c)
-        for d in comp_succ[c]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                queue.append(d)
-    v1 = comps[order[0]][0]   # no directed path from v2 can reach v1
-    v2 = comps[order[-1]][0]
-    source_set = _reachable(graph, v1, reverse=True)   # can reach v1
-    sink_set = _reachable(graph, v2, reverse=False)    # reachable from v2
-    assert not (source_set & sink_set)
-    return MonotoneCertificate(frozenset(source_set), frozenset(sink_set))
+    """Produce the nondecreasing output functional for a non-SC graph.
 
-
-def _shortest_path_edges(graph: TransitionGraph, start: int, goal: int) -> list[Edge]:
-    """BFS directed path as an edge list; GraphError if none exists."""
-    if start == goal:
-        return []
-    prev: dict[int, int] = {start: 0}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in graph.successors[v]:
-            if w not in prev:
-                prev[w] = v
-                if w == goal:
-                    queue.clear()
-                    break
-                queue.append(w)
-    if goal not in prev:
-        raise GraphError(f"no directed path from {start} to {goal}")
-    path = []
-    v = goal
-    while v != start:
-        path.append((prev[v], v))
-        v = prev[v]
-    return list(reversed(path))
+    Pick v1, v2 with no directed path v2 -> v1: the smallest vertex that
+    vertex 1 cannot reach with v2 = 1, else v1 = 1 with the smallest vertex
+    that cannot reach 1.  The vertices that reach v1 and those reached
+    from v2 are then disjoint, since a common one would join v2 to v1.
+    """
+    vertices = set(range(1, graph.n_vertices + 1))
+    unreached = vertices - _bfs(graph.successors, 1).keys()
+    if unreached:
+        v1, v2 = min(unreached), 1
+    else:
+        unreaching = vertices - _bfs(graph.predecessors, 1).keys()
+        if not unreaching:
+            raise CertificateError("graph is strongly connected; no obstruction exists")
+        v1, v2 = 1, min(unreaching)
+    return MonotoneCertificate(
+        frozenset(_bfs(graph.predecessors, v1)), frozenset(_bfs(graph.successors, v2))
+    )
 
 
 def find_covering_closed_walk(graph: TransitionGraph, v0: int) -> list[Edge]:
@@ -331,32 +246,13 @@ def find_covering_closed_walk(graph: TransitionGraph, v0: int) -> list[Edge]:
     current = v0
     unvisited = set(range(1, graph.n_vertices + 1)) - {v0}
     while unvisited:
-        # BFS tree from current; take the nearest unvisited vertex
-        prev: dict[int, int] = {current: 0}
-        queue = deque([current])
-        found = None
-        while queue and found is None:
-            v = queue.popleft()
-            for w in graph.successors[v]:
-                if w not in prev:
-                    prev[w] = v
-                    if w in unvisited:
-                        found = w
-                        break
-                    queue.append(w)
-        if found is None:
-            raise GraphError("graph is not strongly connected")
-        path = []
-        v = found
-        while v != current:
-            path.append((prev[v], v))
-            v = prev[v]
-        path.reverse()
-        for e in path:
+        parent = _bfs(graph.successors, current, unvisited)
+        found = next(reversed(parent))
+        for e in _path(parent, found):
             walk.append(e)
             unvisited.discard(e[1])
         current = found
-    walk.extend(_shortest_path_edges(graph, current, v0))
+    walk.extend(_path(_bfs(graph.successors, current, {v0}), v0))
     validate_covering_closed_walk(graph, v0, walk)
     return walk
 
@@ -402,7 +298,7 @@ class PiecewiseConstantControl:
         )
         if self.breakpoints.ndim != 1 or self.breakpoints.size != self.rates.shape[0] + 1:
             raise InputError("breakpoints must have one more entry than rate rows")
-        if np.any(np.diff(self.breakpoints) <= 0) and self.rates.shape[0] > 0:
+        if np.any(np.diff(self.breakpoints) <= 0):
             raise InputError("breakpoints must be strictly increasing")
         if np.any(self.rates < 0) or not np.all(np.isfinite(self.rates)):
             raise InputError("rates must be finite and non-negative")
@@ -416,14 +312,9 @@ class PiecewiseConstantControl:
         return float(self.breakpoints[-1] - self.breakpoints[0])
 
     @classmethod
-    def empty(cls, graph: TransitionGraph) -> "PiecewiseConstantControl":
-        return cls(graph, np.zeros(1), np.zeros((0, graph.n_edges)))
-
-    @classmethod
     def concatenate(
         cls, pieces: Sequence["PiecewiseConstantControl"]
     ) -> "PiecewiseConstantControl":
-        pieces = [p for p in pieces if p.n_intervals > 0]
         if not pieces:
             raise InputError("nothing to concatenate")
         graph = pieces[0].graph
@@ -498,7 +389,6 @@ def local_step_control(
     delta_mu: np.ndarray,
     duration: float,
     walk: Sequence[Edge] | None = None,
-    start_vertex: int = 1,
     rho: float | None = None,
 ) -> tuple[PiecewiseConstantControl, LocalStepCertificate]:
     """Steer mu0 to mu0 + delta_mu exactly in the given duration.
@@ -533,7 +423,7 @@ def local_step_control(
             f"increment 1-norm {np.sum(np.abs(delta_mu)):.3e} exceeds carried mass {rho:.3e}"
         )
     if walk is None:
-        walk = find_covering_closed_walk(graph, start_vertex)
+        walk = find_covering_closed_walk(graph, 1)
     else:
         walk = list(walk)
         validate_covering_closed_walk(graph, walk[0][0], walk)
@@ -628,7 +518,9 @@ def global_transfer_plan(
     At each waypoint w the carried mass is rho = min(min(w), m*)/2 and the
     step moves w by rho in the 1-norm towards the target, or onto it once
     the rest is at most rho; so min(w) >= 2*rho and |step|_1 <= rho keep
-    every local step feasible.  All segments take equal time.
+    every local step feasible.  All segments take equal time.  Equal
+    endpoints give one zero-increment step that circulates the carried
+    mass over the whole duration.
 
     Interval bound.  Let L = |target - mu0|_1, m* = min(target) and
     m0 = min(mu0).  Every waypoint is w = mu0 + t*(target - mu0), t in
@@ -641,7 +533,8 @@ def global_transfer_plan(
         1 + ceil(max(0, log(2L/min(m0, m*)) / log(1 + m*/(2L)))),
 
     and the interval count is that times the covering walk length.  After
-    an entry stage to min(mu0) >= floor this is O(log(1/floor)) segments.
+    an entry stage to min(mu0) >= ENTRY_FLOOR this is O(log(1/ENTRY_FLOOR))
+    segments.
     """
     mu0 = validate_distribution(mu0)
     mu_target = validate_distribution(mu_target)
@@ -657,8 +550,6 @@ def global_transfer_plan(
             "both endpoints must be interior simplex points; "
             "precondition boundary states with interior_entry_control"
         )
-    if np.array_equal(mu0, mu_target):
-        return PiecewiseConstantControl.empty(graph)
     target_min = float(np.min(mu_target))
     segments = []
     waypoint = mu0
@@ -687,12 +578,11 @@ def interior_entry_control(
     graph: TransitionGraph,
     mu0: np.ndarray,
     max_duration: float,
-    floor: float = 1e-6,
 ) -> PiecewiseConstantControl:
     """Short uniform-rate stage driving a boundary state into the interior.
 
     Strong connectivity makes every coordinate positive under uniform
-    rates; the duration is grown geometrically until min(mu) >= floor.
+    rates; the duration is grown geometrically until min(mu) >= ENTRY_FLOOR.
     """
     mu0 = validate_distribution(mu0)
     if not is_strongly_connected(graph):
@@ -701,13 +591,13 @@ def interior_entry_control(
     duration = max_duration / 64.0
     while duration <= max_duration * (1 + 1e-12):
         mu = scipy.linalg.expm(duration * q) @ mu0
-        if float(np.min(mu)) >= floor:
+        if float(np.min(mu)) >= ENTRY_FLOOR:
             return PiecewiseConstantControl(
                 graph, np.array([0.0, duration]), np.ones((1, graph.n_edges))
             )
         duration *= 2.0
     raise SynthesisError(
-        f"could not reach min coordinate {floor} within {max_duration} time units"
+        f"could not reach min coordinate {ENTRY_FLOOR} within {max_duration} time units"
     )
 
 
@@ -716,21 +606,18 @@ def transfer_control(
     mu0: np.ndarray,
     mu_target: np.ndarray,
     duration: float,
-    floor: float = 1e-6,
 ) -> PiecewiseConstantControl:
     """Global transfer with automatic preconditioning of boundary starts."""
     mu0 = validate_distribution(mu0)
     mu_target = validate_distribution(mu_target)
     if not is_interior(mu_target, tol=0.0):
         raise InteriorityError("target must be an interior simplex point")
-    if is_interior(mu0, tol=floor / 2):
+    if is_interior(mu0, tol=ENTRY_FLOOR / 2):
         return global_transfer_plan(graph, mu0, mu_target, duration)
-    entry = interior_entry_control(graph, mu0, max_duration=0.5 * duration, floor=floor)
+    entry = interior_entry_control(graph, mu0, max_duration=0.5 * duration)
     mu_entry = propagate(mu0, entry)[-1]
     remaining = duration - entry.total_duration
     rest = global_transfer_plan(graph, mu_entry, mu_target, remaining)
-    if rest.n_intervals == 0:
-        return entry
     return PiecewiseConstantControl.concatenate([entry, rest])
 
 
@@ -747,9 +634,8 @@ def _positive_circulation(graph: TransitionGraph) -> np.ndarray:
     """
     flow = np.zeros(graph.n_edges)
     for k, (i, j) in enumerate(graph.edges):
-        path = _shortest_path_edges(graph, j, i)
         flow[k] += 1.0
-        for e in path:
+        for e in _path(_bfs(graph.successors, j, {i}), i):
             flow[graph.edge_index[e]] += 1.0
     return flow
 
@@ -757,14 +643,13 @@ def _positive_circulation(graph: TransitionGraph) -> np.ndarray:
 def synthesize_stationary_rates(
     graph: TransitionGraph,
     mu_eq: np.ndarray,
-    min_rate: float = 1e-3,
 ) -> np.ndarray:
     """Positive rates whose generator has mu_eq as a stationary state.
 
     Bidirected graphs get detailed-balance rates q_e = mu[T(e)]/min(mu);
     otherwise the minimum-norm-to-1 solution of the stationarity
     constraint is blended with a strictly positive circulation until
-    every rate clears ``min_rate``.  The returned rates satisfy
+    every rate clears ``MIN_RATE``.  The returned rates satisfy
     |generator(q) @ mu_eq|_inf <= 1e-12 and make 0 a simple dominant
     eigenvalue.
     """
@@ -793,14 +678,14 @@ def synthesize_stationary_rates(
         # min ||q - 1|| subject to a q = 0: project 1 onto the nullspace
         z, *_ = np.linalg.lstsq(a @ a.T, a @ ones, rcond=None)
         rates = ones - a.T @ z
-        if float(np.min(rates)) < min_rate:
+        if float(np.min(rates)) < MIN_RATE:
             circ = _positive_circulation(graph) / mu_eq[
                 np.array([i - 1 for (i, _) in graph.edges])
             ]
             circ *= (1.0 + float(np.max(np.abs(rates)))) / float(np.min(circ))
             # affine blend stays inside the stationarity constraint space;
             # the small margin absorbs the final rounding
-            lift = min_rate * (1.0 + 1e-9)
+            lift = MIN_RATE * (1.0 + 1e-9)
             theta = 0.0
             for qe, ce in zip(rates, circ):
                 if qe < lift:

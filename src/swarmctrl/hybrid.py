@@ -116,10 +116,9 @@ class HybridTarget:
 
     fields: tuple[ScalarField, ...]
     support: tuple[int, ...]          # 1-based states with positive mass
-    lower_ratio: float                # c with f_i >= c * mass(f_i) cellwise
 
     @classmethod
-    def create(cls, fields: Sequence[ScalarField], lower_ratio: float | None = None) -> "HybridTarget":
+    def create(cls, fields: Sequence[ScalarField]) -> "HybridTarget":
         fields = tuple(fields)
         if not fields:
             raise TargetError("need at least one state")
@@ -131,24 +130,14 @@ class HybridTarget:
         support = tuple(i + 1 for i, m in enumerate(masses) if m > 0)
         if not support:
             raise TargetError("target has no supported state")
-        ratios = []
         for i in support:
             f = fields[i - 1]
-            m = masses[i - 1]
             if np.min(f.values) <= 0:
                 raise TargetError(
                     f"supported state {i} must be positive cellwise, "
                     f"min = {np.min(f.values):.3e}"
                 )
-            ratios.append(float(np.min(f.values)) / m)
-        c = min(ratios)
-        if lower_ratio is not None:
-            if lower_ratio <= 0 or c < lower_ratio:
-                raise TargetError(
-                    f"lower-bound ratio {lower_ratio} not satisfied (actual {c})"
-                )
-            c = lower_ratio
-        return cls(fields=fields, support=support, lower_ratio=c)
+        return cls(fields=fields, support=support)
 
     @property
     def domain(self) -> RectDomain:
@@ -164,14 +153,14 @@ class HybridTarget:
     def full_support(self) -> bool:
         return len(self.support) == self.n_states
 
-    def weight_fields(self, off_support_constant: float = 1.0) -> list[ScalarField]:
-        """a_i = 1/f_i on supported states, a constant elsewhere."""
+    def weight_fields(self) -> list[ScalarField]:
+        """a_i = 1/f_i on supported states, 1 elsewhere."""
         out = []
         for i, f in enumerate(self.fields, start=1):
             if i in self.support:
                 out.append(ScalarField(self.domain, 1.0 / f.values))
             else:
-                out.append(ScalarField.constant(self.domain, off_support_constant))
+                out.append(ScalarField.constant(self.domain, 1.0))
         return out
 
 
@@ -376,8 +365,6 @@ def stabilizing_gains(
 def zero_mass_stabilizing_gains(
     graph: TransitionGraph,
     target: HybridTarget,
-    off_support_constant: float = 1.0,
-    drain_rate: float = 1.0,
 ) -> SpatialGainSet:
     """Gains for a target supported on a strict subset of the states.
 
@@ -385,8 +372,8 @@ def zero_mass_stabilizing_gains(
     problem.  Edges leaving the support get zero gain: mass may not flow
     from the support into states that must empty, which is exactly the
     block-triangular structure of the induced mass-flow matrix.  All
-    other edges get the constant ``drain_rate`` times the off-support
-    weight, which drives the unsupported states to zero exponentially.
+    other edges get unit gain, which drives the unsupported states to
+    zero exponentially.
     """
     if target.full_support():
         sub_rates = synthesize_stationary_rates(graph, target.mass_vector())
@@ -415,7 +402,7 @@ def zero_mass_stabilizing_gains(
         elif i in support:
             gains.append(np.zeros(target.domain.shape))
         else:
-            gains.append(np.full(target.domain.shape, drain_rate * off_support_constant))
+            gains.append(np.ones(target.domain.shape))
     return SpatialGainSet(graph, target.domain, tuple(gains))
 
 
@@ -432,7 +419,6 @@ def coupled_spectrum(
     weights,
     diffusion: Sequence[float],
     gains: SpatialGainSet | None,
-    graph: TransitionGraph | None = None,
     size_cap: int = 8192,
 ) -> CoupledSpectrumReport:
     """Dense eigenvalue report for the assembled coupled generator.

@@ -164,6 +164,18 @@ def test_ctmc_plan_scenario(tmp_path):
     assert summary["pass"] is True
 
 
+def test_ctmc_plan_equal_endpoints_span_t_final(tmp_path):
+    text = CTMC_CFG.replace("mu_target = 0.2 0.3 0.5", "mu_target = 0.6 0.2 0.2")
+    out = tmp_path / "out"
+    assert run_scenario(write_cfg(tmp_path, text), out_dir=out) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4  # t = 0 and one breakpoint per edge of the 3-cycle walk
+    assert float(rows[-1].split(",")[0]) == 1.0
+    metadata = json.loads((out / "metadata.json").read_text())
+    assert metadata["intervals"] == 3
+    assert metadata["measured"]["endpoint_error"] <= 1e-12
+
+
 def test_steer_scenario(tmp_path):
     path = write_cfg(tmp_path, STEER_CFG)
     out = tmp_path / "out"

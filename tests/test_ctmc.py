@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import strongly_connected_graphs
 from swarmctrl.ctmc import (
+    ENTRY_FLOOR,
     PiecewiseConstantControl,
     TransitionGraph,
     breakpoint_states,
-    build_rate_matrix,
     control_to_csv,
     find_covering_closed_walk,
     generator,
@@ -24,7 +24,6 @@ from swarmctrl.ctmc import (
     propagate,
     read_edge_list,
     spectrum_check,
-    strongly_connected_components,
     synthesize_stationary_rates,
     transfer_control,
     transition_matrix,
@@ -49,6 +48,11 @@ def interior_point(rng, n, floor=0.05):
     return mu / mu.sum()
 
 
+def edge_matrix(edge, n):
+    """Generator of a single edge at unit rate."""
+    return generator(TransitionGraph(n, (edge,)), [1.0])
+
+
 def zero_sum_increment(rng, n, limit):
     d = rng.uniform(-1.0, 1.0, n)
     d -= d.mean()
@@ -58,24 +62,24 @@ def zero_sum_increment(rng, n, limit):
 
 class TestRateMatrices:
     def test_edge_matrix_entries(self):
-        q = build_rate_matrix((1, 2), 3)
+        q = edge_matrix((1, 2), 3)
         expected = np.zeros((3, 3))
         expected[0, 0] = -1.0
         expected[1, 0] = 1.0
         np.testing.assert_array_equal(q, expected)
 
     def test_column_sums_zero(self):
-        q = build_rate_matrix((2, 3), 4)
+        q = edge_matrix((2, 3), 4)
         np.testing.assert_array_equal(q.sum(axis=0), np.zeros(4))
 
     def test_exponential_at_log_two(self):
-        q = build_rate_matrix((1, 2), 2)
+        q = edge_matrix((1, 2), 2)
         p = scipy.linalg.expm(np.log(2.0) * q)
         np.testing.assert_allclose(p, [[0.5, 0.0], [0.5, 1.0]], atol=1e-14)
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError):
-            build_rate_matrix((2, 2), 3)
+            edge_matrix((2, 2), 3)
 
     def test_per_cell_generator_stacks_single_generators(self):
         rng = np.random.default_rng(11)
@@ -91,8 +95,8 @@ class TestRateMatrices:
     def test_two_edge_product_closed_form(self):
         # product exp(t Q_(2,3)) exp(s Q_(1,2)) on three vertices
         s, t = 0.7, 1.3
-        qa = build_rate_matrix((1, 2), 3)
-        qb = build_rate_matrix((2, 3), 3)
+        qa = edge_matrix((1, 2), 3)
+        qb = edge_matrix((2, 3), 3)
         product = scipy.linalg.expm(t * qb) @ scipy.linalg.expm(s * qa)
         es, et = np.exp(-s), np.exp(-t)
         expected = np.array(
@@ -116,10 +120,41 @@ class TestConnectivity:
     def test_single_vertex_vacuous(self):
         assert is_strongly_connected(TransitionGraph(1, ()))
 
-    def test_components_partition(self):
-        g = TransitionGraph(5, ((1, 2), (2, 1), (2, 3), (3, 4), (4, 3)))
-        comps = strongly_connected_components(g)
-        assert sorted(sorted(c) for c in comps) == [[1, 2], [3, 4], [5]]
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_digraph_connectivity_and_certificates(self, data):
+        n = data.draw(st.integers(1, 7))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        g = TransitionGraph(n, tuple(edges))
+        # transitive-closure oracle: reach[i, j] when j is reachable from i
+        reach = np.eye(n, dtype=bool)
+        for i, j in edges:
+            reach[i - 1, j - 1] = True
+        for k in range(n):
+            reach |= reach[:, [k]] & reach[[k], :]
+        assert is_strongly_connected(g) == bool(reach.all())
+        if reach.all():
+            return
+        cert = monotone_certificate(g)
+        source, sink = cert.source_set, cert.sink_set
+        assert source and sink and not (source & sink)
+        assert all(j in sink for i, j in edges if i in sink)        # closed forward
+        assert all(i in source for i, j in edges if j in source)    # closed backward
+        if not edges:
+            return
+        weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+        mu = np.array(weights) / sum(weights)
+        rates = data.draw(
+            st.lists(
+                st.lists(st.floats(0.0, 3.0), min_size=len(edges), max_size=len(edges)),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        ctrl = PiecewiseConstantControl(g, np.linspace(0.0, 1.0, len(rates) + 1), rates)
+        values = [cert.value(state) for state in propagate(mu, ctrl)]
+        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
 class TestMonotoneCertificate:
@@ -301,10 +336,16 @@ class TestPropagate:
 
 
 class TestGlobalTransfer:
-    def test_identical_endpoints_empty_plan(self):
+    def test_identical_endpoints_full_duration(self):
+        # one zero-increment local step: the carried mass circulates once
         mu = np.array([0.25, 0.25, 0.5])
-        ctrl = global_transfer_plan(CYCLE3, mu, mu, 1.0)
-        assert ctrl.n_intervals == 0
+        for graph, duration in ((CYCLE3, 1.0), (CYCLE3, 0.3), (BIPATH3, 7.0)):
+            ctrl = transfer_control(graph, mu, mu, duration)
+            assert ctrl.n_intervals == len(find_covering_closed_walk(graph, 1))
+            assert ctrl.breakpoints[0] == 0.0
+            assert abs(math.fsum(np.diff(ctrl.breakpoints)) - duration) <= 1e-12
+            assert np.max(np.abs(propagate(mu, ctrl)[-1] - mu)) <= 1e-12
+            assert ctrl.max_rate() > 0
 
     def test_two_state_segment_count(self):
         g = TransitionGraph(2, ((1, 2), (2, 1)))
@@ -372,28 +413,27 @@ class TestGlobalTransfer:
         traj = propagate(mu0, ctrl)
         assert np.max(np.abs(traj[-1] - mu1)) <= 1e-9
         assert np.all(ctrl.rates >= 0.0)
-        if ctrl.n_intervals == 0:  # equal interior endpoints need no control
-            assert np.array_equal(mu0, mu1)
-            return
         assert ctrl.breakpoints[0] == 0.0
         assert abs(math.fsum(np.diff(ctrl.breakpoints)) - duration) <= 1e-12
 
         # the bound derived in global_transfer_plan, counted from the state
         # where the global stage starts (after the entry stage, if any)
-        entry = 1 if mu0.min() <= 1e-6 / 2 else 0
+        entry = 1 if mu0.min() <= ENTRY_FLOOR / 2 else 0
         start = traj[entry]
         length = float(np.sum(np.abs(mu1 - start)))
-        low = min(start.min(), mu1.min())
-        ratio = math.log(2 * length / low) / math.log1p(mu1.min() / (2 * length))
-        segments = 1 + math.ceil(max(0.0, ratio))
+        segments = 1  # L = 0: one zero-increment step
+        if length > 0:
+            low = min(start.min(), mu1.min())
+            ratio = math.log(2 * length / low) / math.log1p(mu1.min() / (2 * length))
+            segments += math.ceil(max(0.0, ratio))
         walk = find_covering_closed_walk(graph, 1)
         assert ctrl.n_intervals <= entry + segments * len(walk)
 
     def test_interior_entry_reaches_floor(self):
         mu0 = np.array([0.0, 0.0, 1.0])
-        entry = interior_entry_control(CYCLE3, mu0, 0.5, floor=1e-6)
+        entry = interior_entry_control(CYCLE3, mu0, 0.5)
         mu = propagate(mu0, entry)[-1]
-        assert mu.min() >= 1e-6
+        assert mu.min() >= ENTRY_FLOOR
 
 
 class TestValidateDistribution:
