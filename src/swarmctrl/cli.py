@@ -160,6 +160,9 @@ def _graph_from_config(sc: Scenario) -> ctmc.TransitionGraph:
     raise ConfigurationError("[graph] needs either 'edges' or 'file'")
 
 
+_CSV_BLOCK_ROWS = 4096  # particles.csv rows formatted per write
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -179,6 +182,28 @@ def _write_stacked_csv(path: Path, snapshots) -> None:
             for s, field in enumerate(stacked.fields, start=1):
                 for idx, value in enumerate(field.flat):
                     handle.write(f"{_fmt(t)},{s},{idx},{_fmt(value)}\n")
+
+
+def _write_particles_csv(path: Path, ens: particles.ParticleEnsemble) -> None:
+    """One row per particle: id, state, coordinates (``_fmt`` numbers).
+
+    Rows are formatted from Python lists a block at a time, so memory
+    stays at one block of rows whatever the ensemble size.
+    """
+    cols = ",".join(f"x{d}" for d in range(ens.domain.dim))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f"id,state,{cols}\n")
+        for start in range(0, ens.count, _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            rows = zip(
+                range(start, ens.count),
+                ens.states[block].tolist(),
+                ens.positions[block].tolist(),
+            )
+            handle.write("".join(
+                f"{pid},{state},{','.join(map(repr, coords))}\n"
+                for pid, state, coords in rows
+            ))
 
 
 def _finish(
@@ -503,12 +528,7 @@ def _run_particles(sc: Scenario, out_dir: Path) -> bool:
         np.sum(np.abs(emp.density.fields[0].values - ypde.values)) * domain.cell_volume
     )
 
-    with open(out_dir / "particles.csv", "w", encoding="utf-8") as handle:
-        cols = ",".join(f"x{d}" for d in range(domain.dim))
-        handle.write(f"id,state,{cols}\n")
-        for pid in range(ens.count):
-            coords = ",".join(_fmt(c) for c in ens.positions[pid])
-            handle.write(f"{pid},{ens.states[pid]},{coords}\n")
+    _write_particles_csv(out_dir / "particles.csv", ens)
     _write_density_csv(out_dir / "empirical.csv", [(t_final, emp.density.fields[0])])
     measured = {"l1_distance": l1}
     return _finish(

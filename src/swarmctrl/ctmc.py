@@ -56,6 +56,7 @@ __all__ = [
 Edge = tuple[int, int]
 
 ENTRY_FLOOR = 1e-6  # min coordinate a boundary start is driven to first
+ENTRY_DOUBLINGS = 64  # rate-time products tried by interior_entry_control
 MIN_RATE = 1e-3     # smallest stationary rate on a graph that is not bidirected
 
 
@@ -582,22 +583,29 @@ def interior_entry_control(
     """Short uniform-rate stage driving a boundary state into the interior.
 
     Strong connectivity makes every coordinate positive under uniform
-    rates; the duration is grown geometrically until min(mu) >= ENTRY_FLOOR.
+    rates.  Uniform rate r over a duration T gives exp(r T Q_1) mu0, so
+    only the product s = r T matters: s starts at max_duration / 64 and
+    doubles until min(mu) >= ENTRY_FLOOR, with T = min(s, max_duration)
+    and r = s / T.  Up to s = max_duration the rate stays 1; beyond it
+    the stage keeps the full max_duration and raises the rate, so short
+    horizons reach the floor as long ones do.
     """
     mu0 = validate_distribution(mu0)
     if not is_strongly_connected(graph):
         raise GraphError("interior entry requires a strongly connected graph")
-    q = generator(graph, np.ones(graph.n_edges))
-    duration = max_duration / 64.0
-    while duration <= max_duration * (1 + 1e-12):
-        mu = scipy.linalg.expm(duration * q) @ mu0
+    s = max_duration / 64.0
+    for _ in range(ENTRY_DOUBLINGS):
+        duration = min(s, max_duration)
+        rates = np.full(graph.n_edges, s / duration)
+        mu = scipy.linalg.expm(duration * generator(graph, rates)) @ mu0
         if float(np.min(mu)) >= ENTRY_FLOOR:
             return PiecewiseConstantControl(
-                graph, np.array([0.0, duration]), np.ones((1, graph.n_edges))
+                graph, np.array([0.0, duration]), rates[None, :]
             )
-        duration *= 2.0
+        s *= 2.0
     raise SynthesisError(
-        f"could not reach min coordinate {ENTRY_FLOOR} within {max_duration} time units"
+        f"could not reach min coordinate {ENTRY_FLOOR} within {max_duration} time units "
+        f"at uniform rates up to {s / 2.0 / max_duration:.3g}"
     )
 
 

@@ -196,14 +196,6 @@ class SpatialGainSet:
     def is_spatially_constant(self) -> bool:
         return all(np.ptp(g) == 0.0 for g in self.gains)
 
-    def max_total_exit_rate(self) -> float:
-        """Largest over states and cells of the summed outgoing gains."""
-        n = self.graph.n_vertices
-        total = np.zeros((n,) + self.domain.shape)
-        for g, (i, _) in zip(self.gains, self.graph.edges):
-            total[i - 1] += g
-        return float(np.max(total)) if total.size else 0.0
-
 
 def _reaction_propagators(
     gains: SpatialGainSet | None,

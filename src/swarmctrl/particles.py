@@ -71,67 +71,84 @@ class ParticleEnsemble:
     def count(self) -> int:
         return self.positions.shape[0]
 
-    def cell_indices(self) -> np.ndarray:
-        """Flat grid cell index of each particle."""
-        return _flat_cell_index(self.domain, self.positions)
 
-
-def _cell_coordinates(domain: RectDomain, positions: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-axis index of the grid cell holding each position; points on
-    the upper boundary belong to the last cell."""
-    return tuple(
-        np.clip((positions[:, d] / h).astype(np.int64), 0, n - 1)
-        for d, (h, n) in enumerate(zip(domain.spacing, domain.cells))
+def _cell_coordinates(
+    domain: RectDomain, positions: np.ndarray
+) -> tuple[list[np.ndarray], tuple[np.ndarray, ...]]:
+    """Per-axis positions in units of the cell width, and the index of the
+    grid cell holding each position; points on the upper boundary belong
+    to the last cell."""
+    scaled = [positions[:, d] / h for d, h in enumerate(domain.spacing)]
+    cells = tuple(
+        np.clip(x.astype(np.int64), 0, n - 1) for x, n in zip(scaled, domain.cells)
     )
+    return scaled, cells
 
 
 def _flat_cell_index(domain: RectDomain, positions: np.ndarray) -> np.ndarray:
     """C-order flat index of the grid cell holding each position."""
     idx = 0
-    for k, n in zip(_cell_coordinates(domain, positions), domain.cells):
+    for k, n in zip(_cell_coordinates(domain, positions)[1], domain.cells):
         idx = idx * n + k
     return idx
 
 
-def _padded_faces(domain: RectDomain, field: FaceField, axis: int) -> np.ndarray:
-    """Face values with zero boundary faces appended along the axis."""
-    comp = field.components[axis]
-    pad = [(0, 0)] * domain.dim
-    pad[axis] = (1, 1)
-    return np.pad(comp, pad)
-
-
-def _velocity_at(
-    domain: RectDomain, field: FaceField, positions: np.ndarray
-) -> np.ndarray:
-    """Linear interpolation of face velocities within each cell."""
-    out = np.zeros_like(positions)
-    cell = _cell_coordinates(domain, positions)
-    frac = [positions[:, d] / h - cell[d] for d, h in enumerate(domain.spacing)]
+def _face_tables(
+    domain: RectDomain, velocities: Sequence[FaceField | None], n_states: int
+) -> list[np.ndarray]:
+    """Per axis, the face velocities of every state with zero boundary
+    faces appended along the axis, stacked state-major and flattened;
+    ``None`` reads as zero velocity."""
+    tables = []
     for d in range(domain.dim):
-        faces = _padded_faces(domain, field, d)
-        lo_idx = list(cell)
-        hi_idx = list(cell)
-        hi_idx[d] = cell[d] + 1
-        v_lo = faces[tuple(lo_idx)]
-        v_hi = faces[tuple(hi_idx)]
-        out[:, d] = (1.0 - frac[d]) * v_lo + frac[d] * v_hi
-    return out
+        shape = list(domain.cells)
+        shape[d] += 1
+        table = np.zeros([n_states] + shape)
+        interior = tuple(slice(1, -1) if k == d else slice(None) for k in range(domain.dim))
+        for s in range(n_states):
+            if velocities[s] is not None:
+                table[s][interior] = velocities[s].components[d]
+        tables.append(table.reshape(-1))
+    return tables
 
 
-def _reflect(domain: RectDomain, positions: np.ndarray) -> np.ndarray:
-    """Coordinatewise mirror reflection, repeated until inside."""
-    for d, length in enumerate(domain.lengths):
-        x = positions[:, d]
-        while True:
-            below = x < 0.0
-            above = x > length
-            if not (below.any() or above.any()):
-                break
-            x = np.where(below, -x, x)
-            x = np.where(above, 2.0 * length - x, x)
-        positions[:, d] = x
-    return positions
+def _switch_tables(
+    gains: SpatialGainSet, n_states: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per state, the cumulative outgoing gains in edge order, shape
+    (n_states, width, cells), and the destination of each row.
+
+    States with fewer than ``width`` out-edges repeat their last row and
+    destination, so row ``width - 1`` is every state's total exit rate.
+    """
+    out = [[(k, j) for k, (i, j) in enumerate(gains.graph.edges) if i == s]
+           for s in range(1, n_states + 1)]
+    width = max(1, max(len(edges) for edges in out))
+    cum = np.zeros((n_states, width, gains.domain.cell_count))
+    dest = np.zeros((n_states, width), dtype=np.int64)
+    for s, edges in enumerate(out):
+        if edges:
+            rows = np.cumsum([gains.gains[k].reshape(-1) for k, _ in edges], axis=0)
+            cum[s, : len(edges)] = rows
+            cum[s, len(edges):] = rows[-1]
+            dest[s, : len(edges)] = [j for _, j in edges]
+            dest[s, len(edges):] = edges[-1][1]
+    return cum, dest
+
+
+def _reflect(x: np.ndarray, length: float) -> None:
+    """Mirror reflection into [0, length] in place, repeated until inside;
+    only the coordinates that left the interval are touched."""
+    out = np.flatnonzero((x < 0.0) | (x > length))
+    y = x[out]
+    while True:
+        below = y < 0.0
+        above = y > length
+        if not (below.any() or above.any()):
+            break
+        y = np.where(below, -y, y)
+        y = np.where(above, 2.0 * length - y, y)
+    x[out] = y
 
 
 def sde_step(
@@ -148,6 +165,11 @@ def sde_step(
     the destination edge drawn proportionally to its gain at the particle
     position.  The guard R*dt <= 0.1 keeps the single-switch error below
     Monte Carlo noise.
+
+    Per-state data (padded face velocities, noise scales, cumulative
+    gains) go into small tables of size states x cells; each particle
+    reads its entries with one flat gather on (state - 1) * stride + cell,
+    so a step costs O(particles) whatever the number of states.
     """
     if dt <= 0:
         raise InputError(f"dt must be positive, got {dt}")
@@ -157,58 +179,52 @@ def sde_step(
     n_states = len(diffusion)
     if np.any(ensemble.states < 1) or np.any(ensemble.states > n_states):
         raise InputError("particle states out of range")
-    if gains is not None and gains.max_total_exit_rate() * dt > MAX_EXIT_RATE_DT:
-        raise StepSizeError(
-            f"dt {dt} too large: max exit rate {gains.max_total_exit_rate():.3g} "
-            f"requires dt <= {MAX_EXIT_RATE_DT / gains.max_total_exit_rate():.3g}"
-        )
+    if gains is not None:
+        if gains.graph.n_vertices != n_states or gains.domain.shape != domain.shape:
+            raise InputError("gains do not match the states or the grid")
+        cum, dest = _switch_tables(gains, n_states)
+        totals = cum[:, -1].reshape(-1)
+        max_rate = float(totals.max())
+        if max_rate * dt > MAX_EXIT_RATE_DT:
+            raise StepSizeError(
+                f"dt {dt} too large: max exit rate {max_rate:.3g} "
+                f"requires dt <= {MAX_EXIT_RATE_DT / max_rate:.3g}"
+            )
+    sigma_table = np.array([math.sqrt(2.0 * float(D) * dt) for D in diffusion])
+    faces = _face_tables(domain, velocities, n_states)
 
     # fixed draw order keeps trajectories seed-reproducible: the noise,
     # then the two switching uniforms only when switching is on
     noise = rng.standard_normal((n, domain.dim))
 
-    drift = np.zeros((n, domain.dim))
-    sigma = np.zeros(n)
-    for s in range(1, n_states + 1):
-        sel = ensemble.states == s
-        if not sel.any():
-            continue
-        v = velocities[s - 1]
-        if v is not None:
-            drift[sel] = _velocity_at(domain, v, ensemble.positions[sel])
-        sigma[sel] = math.sqrt(2.0 * float(diffusion[s - 1]) * dt)
-    ensemble.positions = _reflect(
-        domain, ensemble.positions + drift * dt + sigma[:, None] * noise
-    )
+    state0 = ensemble.states - 1
+    sigma = sigma_table.take(state0)
+    scaled, cells = _cell_coordinates(domain, ensemble.positions)
+    positions = np.empty_like(ensemble.positions)
+    for d, length in enumerate(domain.lengths):
+        # flat index of the cell's lower face in the stacked padded table
+        lo = state0
+        for k, (c, m) in enumerate(zip(cells, domain.cells)):
+            lo = lo * (m + (k == d)) + c
+        upper = math.prod(domain.cells[d + 1:])
+        frac = scaled[d] - cells[d]
+        drift = (1.0 - frac) * faces[d].take(lo) + frac * faces[d].take(lo + upper)
+        x = ensemble.positions[:, d] + drift * dt + sigma * noise[:, d]
+        _reflect(x, length)
+        positions[:, d] = x
+    ensemble.positions = positions
 
     if gains is not None:
         u_switch = rng.random(n)
         u_edge = rng.random(n)
-        cells = ensemble.cell_indices()
+        cell = _flat_cell_index(domain, positions)
+        total = totals.take(state0 * domain.cell_count + cell)
+        fire = np.flatnonzero(u_switch < -np.expm1(-total * dt))
+        s = state0[fire]
+        pick = u_edge[fire] * total[fire]
+        choice = (pick[:, None] >= cum[s, :, cell[fire]]).sum(axis=1)
         new_states = ensemble.states.copy()
-        for s in range(1, n_states + 1):
-            sel = np.flatnonzero(ensemble.states == s)
-            if sel.size == 0:
-                continue
-            out_edges = [
-                (k, j) for k, (i, j) in enumerate(gains.graph.edges) if i == s
-            ]
-            if not out_edges:
-                continue
-            rate_rows = np.stack(
-                [gains.gains[k].reshape(-1)[cells[sel]] for k, _ in out_edges]
-            )
-            total = rate_rows.sum(axis=0)
-            p_switch = -np.expm1(-total * dt)
-            fire = u_switch[sel] < p_switch
-            if not fire.any():
-                continue
-            cum = np.cumsum(rate_rows, axis=0)
-            pick = u_edge[sel][None, :] * total[None, :]
-            choice = (pick >= cum).sum(axis=0)
-            choice = np.minimum(choice, len(out_edges) - 1)
-            targets = np.array([j for _, j in out_edges], dtype=np.int64)
-            new_states[sel[fire]] = targets[choice[fire]]
+        new_states[fire] = dest[s, np.minimum(choice, dest.shape[1] - 1)]
         ensemble.states = new_states
     return ensemble
 

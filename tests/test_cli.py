@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from swarmctrl.cli import main, run_scenario
+from swarmctrl.cli import _CSV_BLOCK_ROWS, _fmt, _write_particles_csv, main, run_scenario
 from swarmctrl.ctmc import TransitionGraph, generator, synthesize_stationary_rates
+from swarmctrl.grid import build_grid
+from swarmctrl.particles import ParticleEnsemble, sde_step
 
 STABILIZE_CFG = """
 [scenario]
@@ -389,6 +391,25 @@ def test_particles_scenario(tmp_path):
     assert (out / "empirical.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["pass"] is True
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_particles_csv_matches_row_by_row_format(tmp_path, dim):
+    domain = build_grid(dim, [1.0, 2.5][:dim], [16, 5][:dim])
+    # more than one block of rows, the last one partial
+    ens = ParticleEnsemble.uniform(domain, _CSV_BLOCK_ROWS + 500, seed=7)
+    ens.states = np.random.default_rng(3).integers(1, 4, ens.count)
+    ens.positions[0] = 0.0
+    ens.positions[1] = domain.lengths
+    ens.positions[2] = 1e-300
+    sde_step(ens, [None] * 3, [0.5] * 3, None, 1e-3)
+    _write_particles_csv(tmp_path / "particles.csv", ens)
+    # reference: one write per row, every number through _fmt
+    lines = ["id,state," + ",".join(f"x{d}" for d in range(dim)) + "\n"]
+    for pid in range(ens.count):
+        coords = ",".join(_fmt(c) for c in ens.positions[pid])
+        lines.append(f"{pid},{ens.states[pid]},{coords}\n")
+    assert (tmp_path / "particles.csv").read_bytes() == "".join(lines).encode("utf-8")
 
 
 def test_failed_check_gives_nonzero_exit(tmp_path):

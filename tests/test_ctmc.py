@@ -407,7 +407,7 @@ class TestGlobalTransfer:
         mu0 /= mu0.sum()
         mu1 = np.array(data.draw(weights))
         mu1 /= mu1.sum()
-        duration = data.draw(st.floats(0.1, 10.0))
+        duration = data.draw(st.floats(0.05, 10.0))
 
         ctrl = transfer_control(graph, mu0, mu1, duration)
         traj = propagate(mu0, ctrl)
@@ -428,6 +428,21 @@ class TestGlobalTransfer:
             segments += math.ceil(max(0.0, ratio))
         walk = find_covering_closed_walk(graph, 1)
         assert ctrl.n_intervals <= entry + segments * len(walk)
+
+    @pytest.mark.parametrize("t_final", [0.5, 0.1])
+    def test_boundary_start_on_short_horizon(self, t_final):
+        # the entry stage on a directed 7-cycle needs a rate-time product
+        # above half of these horizons, so it raises the uniform rate
+        cycle7 = TransitionGraph(7, tuple((i, i % 7 + 1) for i in range(1, 8)))
+        mu0 = np.zeros(7)
+        mu0[0] = 1.0
+        mu1 = np.full(7, 1.0 / 7.0)
+        ctrl = transfer_control(cycle7, mu0, mu1, t_final)
+        traj = propagate(mu0, ctrl)
+        assert np.max(np.abs(traj[-1] - mu1)) <= 1e-9
+        assert traj[1].min() >= ENTRY_FLOOR
+        assert ctrl.rates[0, 0] > 1.0
+        assert abs(math.fsum(np.diff(ctrl.breakpoints)) - t_final) <= 1e-12
 
     def test_interior_entry_reaches_floor(self):
         mu0 = np.array([0.0, 0.0, 1.0])

@@ -1,16 +1,158 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cosine_target
+from conftest import cosine_target, random_grids, strongly_connected_graphs
 from swarmctrl.control import TargetDensity, stabilizing_velocity
 from swarmctrl.ctmc import TransitionGraph, generator
 from swarmctrl.errors import InputError, StepSizeError
 from swarmctrl.grid import FaceField, build_grid
 from swarmctrl.hybrid import SpatialGainSet
-from swarmctrl.particles import ParticleEnsemble, empirical_density, sde_step
+from swarmctrl.particles import (
+    MAX_EXIT_RATE_DT,
+    ParticleEnsemble,
+    empirical_density,
+    sde_step,
+)
 
 G2 = TransitionGraph(2, ((1, 2), (2, 1)))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-state particle step that sde_step replaced (boolean
+# selection per state, face padding per call, full-array reflection)
+
+
+def _oracle_cells(domain, positions):
+    return tuple(
+        np.clip((positions[:, d] / h).astype(np.int64), 0, n - 1)
+        for d, (h, n) in enumerate(zip(domain.spacing, domain.cells))
+    )
+
+
+def _oracle_velocity_at(domain, field, positions):
+    out = np.zeros_like(positions)
+    cell = _oracle_cells(domain, positions)
+    frac = [positions[:, d] / h - cell[d] for d, h in enumerate(domain.spacing)]
+    for d in range(domain.dim):
+        pad = [(0, 0)] * domain.dim
+        pad[d] = (1, 1)
+        faces = np.pad(field.components[d], pad)
+        hi_idx = list(cell)
+        hi_idx[d] = cell[d] + 1
+        out[:, d] = (1.0 - frac[d]) * faces[cell] + frac[d] * faces[tuple(hi_idx)]
+    return out
+
+
+def _oracle_reflect(domain, positions):
+    for d, length in enumerate(domain.lengths):
+        x = positions[:, d]
+        while True:
+            below = x < 0.0
+            above = x > length
+            if not (below.any() or above.any()):
+                break
+            x = np.where(below, -x, x)
+            x = np.where(above, 2.0 * length - x, x)
+        positions[:, d] = x
+    return positions
+
+
+def _oracle_sde_step(ensemble, velocities, diffusion, gains, dt):
+    domain = ensemble.domain
+    n = ensemble.count
+    rng = ensemble.rng
+    n_states = len(diffusion)
+    noise = rng.standard_normal((n, domain.dim))
+    drift = np.zeros((n, domain.dim))
+    sigma = np.zeros(n)
+    for s in range(1, n_states + 1):
+        sel = ensemble.states == s
+        if not sel.any():
+            continue
+        v = velocities[s - 1]
+        if v is not None:
+            drift[sel] = _oracle_velocity_at(domain, v, ensemble.positions[sel])
+        sigma[sel] = math.sqrt(2.0 * float(diffusion[s - 1]) * dt)
+    ensemble.positions = _oracle_reflect(
+        domain, ensemble.positions + drift * dt + sigma[:, None] * noise
+    )
+    if gains is not None:
+        u_switch = rng.random(n)
+        u_edge = rng.random(n)
+        cell = 0
+        for k, m in zip(_oracle_cells(domain, ensemble.positions), domain.cells):
+            cell = cell * m + k
+        new_states = ensemble.states.copy()
+        for s in range(1, n_states + 1):
+            sel = np.flatnonzero(ensemble.states == s)
+            out_edges = [(k, j) for k, (i, j) in enumerate(gains.graph.edges) if i == s]
+            if sel.size == 0 or not out_edges:
+                continue
+            rate_rows = np.stack([gains.gains[k].reshape(-1)[cell[sel]] for k, _ in out_edges])
+            total = rate_rows.sum(axis=0)
+            fire = u_switch[sel] < -np.expm1(-total * dt)
+            if not fire.any():
+                continue
+            cum = np.cumsum(rate_rows, axis=0)
+            pick = u_edge[sel][None, :] * total[None, :]
+            choice = np.minimum((pick >= cum).sum(axis=0), len(out_edges) - 1)
+            targets = np.array([j for _, j in out_edges], dtype=np.int64)
+            new_states[sel[fire]] = targets[choice[fire]]
+        ensemble.states = new_states
+    return ensemble
+
+
+@st.composite
+def switching_setups(draw):
+    """A grid, a graph with 2-4 states (sometimes with one state stripped
+    of its out-edges), per-edge gains with zeros, per-state velocities
+    (some None), diffusions (some zero) and an ensemble that leaves some
+    states empty; dt respects the exit-rate guard."""
+    domain = draw(random_grids())
+    graph = draw(strongly_connected_graphs())
+    n = graph.n_vertices
+    if draw(st.booleans()):
+        sink = draw(st.integers(1, n))
+        graph = TransitionGraph(n, tuple(e for e in graph.edges if e[0] != sink))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fields = []
+    for _ in graph.edges:
+        kind = draw(st.sampled_from(["zero", "constant", "sparse"]))
+        g = rng.uniform(0.0, 20.0, domain.shape)
+        if kind == "zero":
+            g[:] = 0.0
+        elif kind == "constant":
+            g[:] = g.flat[0]
+        else:
+            g[rng.random(domain.shape) < 0.4] = 0.0
+        fields.append(g)
+    gains = SpatialGainSet(graph, domain, tuple(fields)) if draw(st.booleans()) else None
+    velocities = [
+        FaceField(domain, tuple(
+            rng.uniform(-30.0, 30.0, domain.face_shape(d)) for d in range(domain.dim)
+        )) if draw(st.booleans()) else None
+        for _ in range(n)
+    ]
+    diffusion = [draw(st.sampled_from([0.0, 0.3, 4.0])) for _ in range(n)]
+    count = draw(st.integers(1, 300))
+    occupied = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    states = rng.choice(occupied, size=count)
+    positions = rng.uniform(0.0, 1.0, (count, domain.dim)) * domain.lengths
+    positions[: count // 10] = np.asarray(domain.lengths)  # on the upper faces
+    seed = draw(st.integers(0, 2**32 - 1))
+    dt = 0.02
+    if gains is not None:
+        exit_rate = np.zeros((n,) + domain.shape)
+        for g, (i, _) in zip(fields, graph.edges):
+            exit_rate[i - 1] += g
+        if exit_rate.max() > 0:
+            dt = min(dt, 0.9 * MAX_EXIT_RATE_DT / exit_rate.max())
+    return domain, velocities, diffusion, gains, dt, positions, states, seed
 
 
 class TestEnsemble:
@@ -96,6 +238,24 @@ class TestSdeStep:
         ens = ParticleEnsemble.uniform(d, 10, seed=6)
         with pytest.raises(StepSizeError):
             sde_step(ens, [None, None], [0.1, 0.1], gains, 0.01)
+        # just below the limit the step runs
+        sde_step(ens, [None, None], [0.1, 0.1], gains, (1 - 1e-12) * MAX_EXIT_RATE_DT / 50.0)
+
+    def test_rate_guard_sums_outgoing_gains(self):
+        d = build_grid(1, [1.0], [4])
+        g = TransitionGraph(3, ((1, 2), (1, 3), (2, 1), (3, 1)))
+        # each edge alone stays below the limit; their sum in cell 0 does not
+        first = np.array([40.0, 0.0, 0.0, 0.0])
+        second = np.array([25.0, 40.0, 0.0, 0.0])
+        gains = SpatialGainSet(g, d, (first, second, np.zeros(4), np.zeros(4)))
+        ens = ParticleEnsemble.uniform(d, 10, seed=6)
+        dt = 0.002  # 40 * dt = 0.08, (40 + 25) * dt = 0.13
+        with pytest.raises(StepSizeError):
+            sde_step(ens, [None] * 3, [0.1] * 3, gains, dt)
+        # disjoint supports: the per-cell sum, not the sum of maxima, counts
+        disjoint = np.array([0.0, 40.0, 0.0, 0.0])
+        gains = SpatialGainSet(g, d, (first, disjoint, np.zeros(4), np.zeros(4)))
+        sde_step(ens, [None] * 3, [0.1] * 3, gains, dt)
 
     def test_occupancy_tracks_rate_ode(self):
         d = build_grid(1, [1.0], [8])
@@ -123,6 +283,24 @@ class TestSdeStep:
             runs.append((ens.positions.copy(), ens.states.copy()))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(setup=switching_setups())
+    def test_matches_per_state_oracle(self, setup):
+        domain, velocities, diffusion, gains, dt, positions, states, seed = setup
+        runs = []
+        for step in (sde_step, _oracle_sde_step):
+            ens = ParticleEnsemble(
+                domain, positions.copy(), states.copy(),
+                np.random.Generator(np.random.Philox(seed)),
+            )
+            for _ in range(4):
+                step(ens, velocities, diffusion, gains, dt)
+            runs.append(ens)
+        new, oracle = runs
+        assert new.positions.tobytes() == oracle.positions.tobytes()
+        assert new.states.tobytes() == oracle.states.tobytes()
+        assert new.rng.random() == oracle.rng.random()
 
 
 class TestEmpiricalDensity:
