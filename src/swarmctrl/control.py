@@ -465,6 +465,8 @@ def follow_path(
     (second order in dt) and the centered advective flux that the law's
     discrete identity is built on.
     """
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1 or not 0 < t_final < math.inf:
+        raise InputError(f"need integer n_steps >= 1, finite t_final > 0: {n_steps!r}, {t_final!r}")
     start = gamma(0.0)
     domain = start.domain
     dt = t_final / n_steps

@@ -11,6 +11,7 @@ sums vanish identically.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import math
@@ -280,8 +281,48 @@ class SparseOperator:
         return float(np.sort(vals)[1])
 
 
+@functools.lru_cache(maxsize=16)
+def _pattern(n: int, dtype: np.dtype, indptr: bytes, indices: bytes):
+    """Columns and builder of the ``csr_matrix`` or ``csc_matrix`` on a CSR structure (raw
+    bytes) plus the diagonal: weights per entry, then per diagonal, sum into slots, exact
+    zeros drop, and the canonical arrays fill a copy of an empty matrix (no re-check)."""
+    rows = np.repeat(np.arange(n), np.diff(np.frombuffer(indptr, dtype)))
+    keys = np.append(rows * n + np.frombuffer(indices, dtype), np.arange(n) * (n + 1))
+    order = np.argsort(keys, kind="stable")  # np.unique's quicksort costs ~0.4 MB more RSS
+    first = np.diff(keys[order], prepend=-1) != 0
+    slots = (np.cumsum(first, dtype=np.int32) - 1)[np.argsort(order, kind="stable")]
+    r, c = (a.astype(np.int32) for a in np.divmod(keys[order][first], n))
+    to_csc = np.lexsort((r, c)).astype(np.int32)
+    layouts = {sp.csr_matrix: (slice(None), r, c), sp.csc_matrix: (to_csc, c[to_csc], r[to_csc])}
+    empty = {container: container((n, n)) for container in layouts}
+
+    def build(weights: np.ndarray, container=sp.csr_matrix):
+        order, major, minor = layouts[container]
+        data = np.bincount(slots, weights, c.size)[order]
+        keep = data != 0
+        out = copy.copy(empty[container])
+        out.data, out.indices = data[keep], minor[keep]
+        out.indptr = np.searchsorted(major[keep], np.arange(n + 1)).astype(np.int32)
+        return out
+
+    return c, build
+
+
+@functools.lru_cache(maxsize=16)
+def _flux_pattern(domain: RectDomain):
+    """CSR position of each face rate (in ``face_rates`` order), columns and builder of the
+    structure shared by every two-point-flux matrix on the grid: faces both ways, diagonal."""
+    n = domain.cell_count
+    pairs = [domain.face_pairs(axis) for axis in range(domain.dim)]
+    rows = np.concatenate([np.arange(n)] + [p for left, right in pairs for p in (right, left)])
+    cols = np.concatenate([np.arange(n)] + [p for left, right in pairs for p in (left, right)])
+    full = sp.csr_matrix((np.arange(1.0, rows.size + 1), (rows, cols)), shape=(n, n))
+    cols, build = _pattern(n, full.indices.dtype, full.indptr.tobytes(), full.indices.tobytes())
+    return np.argsort(full.data, kind="stable")[n:].astype(np.int32), cols, build
+
+
 def two_point_flux_matrix(
-    domain: RectDomain, face_rates: Sequence[tuple[np.ndarray, np.ndarray]]
+    domain: RectDomain, face_rates: Sequence[tuple[np.ndarray, np.ndarray]], source=None
 ) -> sp.csr_matrix:
     """Conservative generator from per-axis face transfer rates.
 
@@ -291,22 +332,12 @@ def two_point_flux_matrix(
     rates become the off-diagonal entries and the diagonal cancels each
     column sum, so ``1^T L = 0`` holds in floating point (mass is
     conserved) and non-negative rates give an M-matrix sign pattern.
+    A per-cell ``source`` joins the diagonal; column sums add in CSR order.
     """
-    n = domain.cell_count
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    for axis, (to_right, to_left) in enumerate(face_rates):
-        left, right = domain.face_pairs(axis)
-        rows += [right, left]
-        cols += [left, right]
-        data += [to_right, to_left]
-    off_diag = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    diagonal = -np.asarray(off_diag.sum(axis=0)).ravel()
-    return (off_diag + sp.diags(diagonal)).tocsr()
+    position, cols, build = _flux_pattern(domain)
+    off_diag = np.bincount(position, np.concatenate(face_rates, axis=None), cols.size)
+    diagonal = -np.bincount(cols, off_diag, domain.cell_count)
+    return build(np.append(off_diag, diagonal if source is None else diagonal + source))
 
 
 def divergence_form_operator(a: ScalarField, w: ScalarField | None = None) -> SparseOperator:

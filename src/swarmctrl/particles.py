@@ -179,6 +179,10 @@ def sde_step(
     n_states = len(diffusion)
     if np.any(ensemble.states < 1) or np.any(ensemble.states > n_states):
         raise InputError("particle states out of range")
+    if len(velocities) != n_states or any(v is not None and v.domain != domain for v in velocities):
+        raise InputError("need one velocity field (or None) per state, on the ensemble's grid")
+    if not all(0 <= D < math.inf for D in diffusion):
+        raise InputError(f"diffusions must be finite and non-negative, got {list(diffusion)}")
     if gains is not None:
         if gains.graph.n_vertices != n_states or gains.domain.shape != domain.shape:
             raise InputError("gains do not match the states or the grid")

@@ -31,6 +31,7 @@ from .grid import (
     RectDomain,
     ScalarField,
     SparseOperator,
+    _pattern,
     divergence_form_operator,
     mass,
     two_point_flux_matrix,
@@ -145,10 +146,7 @@ def assemble_advection_diffusion(
             c_right = -np.minimum(vf, 0.0)
         # face flux out of the left cell: F = c_left*u_L - c_right*u_R
         face_rates.append((c_left / h, c_right / h))
-    matrix = two_point_flux_matrix(domain, face_rates)
-    if source is not None:
-        matrix = matrix + sp.diags(source.flat)
-    return matrix
+    return two_point_flux_matrix(domain, face_rates, None if source is None else source.flat)
 
 
 def weighted_heat_operator(a: ScalarField) -> SparseOperator:
@@ -165,13 +163,18 @@ def relaxation_operator(f: ScalarField) -> SparseOperator:
 
 
 def make_stepper(matrix: sp.csr_matrix, dt: float, scheme: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Prefactorized single-step map for y' = matrix @ y (theta = 1 or 1/2)."""
+    """Prefactorized single-step map for y' = matrix @ y (theta = 1 or 1/2);
+    ``dt = 0`` is the identity.  I - theta*dt*matrix and I + dt/2*matrix fill the
+    cached pattern of the canonical CSR ``matrix`` plus its diagonal."""
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
-    eye = sp.identity(matrix.shape[0], format="csr")
+    if not (dt >= 0 and math.isfinite(dt)):
+        raise ConfigurationError(f"dt must be finite and non-negative, got {dt}")
+    n = matrix.shape[0]
+    _, build = _pattern(n, matrix.indices.dtype, matrix.indptr.tobytes(), matrix.indices.tobytes())
     theta = 1.0 if scheme == "implicit_euler" else 0.5
-    lu = spla.splu((eye - theta * dt * matrix).tocsc())
-    rhs_op = None if theta == 1.0 else (eye + 0.5 * dt * matrix).tocsr()
+    lu = spla.splu(build(np.append(-theta * dt * matrix.data, np.ones(n)), sp.csc_matrix))
+    rhs_op = None if theta == 1.0 else build(np.append(0.5 * dt * matrix.data, np.ones(n)))
 
     def step(y: np.ndarray) -> np.ndarray:
         out = lu.solve(y if rhs_op is None else rhs_op @ y)

@@ -393,6 +393,18 @@ class TestPathFollowing:
         with pytest.raises(TargetError):
             path_following_velocity(g, ScalarField.constant(unit_grid_64, 0.0))
 
+    @pytest.mark.parametrize(
+        "t_final, n_steps",
+        [(1.0, 0), (1.0, -3), (1.0, 2.5), (-1.0, 10), (math.nan, 10), (math.inf, 10)],
+        ids=["zero-steps", "negative-steps", "fractional-steps", "negative-t_final",
+             "nan-t_final", "inf-t_final"],
+    )
+    def test_bad_horizon_rejected(self, unit_grid_64, t_final, n_steps):
+        f = cosine_target(unit_grid_64)
+        zero = ScalarField.constant(unit_grid_64, 0.0)
+        with pytest.raises(InputError):
+            follow_path(lambda t: f, lambda t: zero, t_final, n_steps=n_steps)
+
     def test_linear_interpolation_tracking(self):
         d = build_grid(1, [1.0], [128])
         x = d.axis_centers(0)

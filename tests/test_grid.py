@@ -190,6 +190,78 @@ class TestDivergenceFormOperator:
         assert np.max(np.abs(op.apply(u).values)) <= 1e-14 * scale
 
 
+# ---------------------------------------------------------------------------
+# oracle: the scipy-arithmetic assembly that the cached-pattern builder
+# replaced (COO to CSR, column sums through scipy, sparse sum with the
+# diagonal, then the source as one more sparse sum)
+
+
+def scipy_two_point_flux_matrix(domain, face_rates, source=None):
+    n = domain.cell_count
+    rows, cols, data = [], [], []
+    for axis, (to_right, to_left) in enumerate(face_rates):
+        left, right = domain.face_pairs(axis)
+        rows += [right, left]
+        cols += [left, right]
+        data += [to_right, to_left]
+    off_diag = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
+    diagonal = -np.asarray(off_diag.sum(axis=0)).ravel()
+    matrix = (off_diag + sp.diags(diagonal)).tocsr()
+    return matrix if source is None else matrix + sp.diags(source)
+
+
+def assert_bitwise_equal(a, b):
+    """Same format, and the same dtypes and bytes in data, indices and indptr."""
+    assert a.format == b.format
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+@st.composite
+def flux_cases(draw):
+    """A random grid, face rates of both signs over six decades with a
+    drawn share of exact zeros, and no source, a random one with zeros, or
+    one that cancels every diagonal entry."""
+    domain = draw(random_grids())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+
+    def values(size):
+        x = rng.standard_normal(size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+        x[rng.random(size) < zero_share] = 0.0
+        return x
+
+    sizes = [math.prod(domain.face_shape(axis)) for axis in range(domain.dim)]
+    rates = [(values(m), values(m)) for m in sizes]
+    source = draw(st.sampled_from(["none", "random", "cancel"]))
+    if source == "none":
+        return domain, rates, None
+    if source == "random":
+        return domain, rates, values(domain.cell_count)
+    return domain, rates, -scipy_two_point_flux_matrix(domain, rates).diagonal()
+
+
+class TestTwoPointFluxMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(flux_cases())
+    def test_matches_scipy_oracle(self, case):
+        # the cached pattern gives scipy's arrays bit for bit: column sums
+        # in the same order, exact zeros (rates, diagonals) pruned the same
+        domain, rates, source = case
+        assert_bitwise_equal(
+            grid.two_point_flux_matrix(domain, rates, source),
+            scipy_two_point_flux_matrix(domain, rates, source),
+        )
+
+    def test_pattern_built_once_per_grid(self):
+        d = build_grid(2, [1.0, 2.0], [5, 4])
+        assert grid._flux_pattern(d) is grid._flux_pattern(build_grid(2, [1.0, 2.0], [5, 4]))
+
+
 def dense_gap(op):
     return float(np.linalg.eigvalsh(-op.symmetrized().toarray())[1])
 

@@ -174,6 +174,24 @@ class TestEnsemble:
 
 
 class TestSdeStep:
+    @pytest.mark.parametrize(
+        "case", ["fewer-velocities", "negative-diffusion", "nan-diffusion", "velocity-grid"]
+    )
+    def test_per_state_inputs_checked(self, case):
+        d = build_grid(1, [1.0], [8])
+        velocities, diffusion = [None], [1.0]
+        if case == "fewer-velocities":
+            velocities, diffusion = [], [1.0, 1.0]
+        elif case == "negative-diffusion":
+            diffusion = [-1.0]
+        elif case == "nan-diffusion":
+            diffusion = [math.nan]
+        else:
+            velocities = [FaceField(build_grid(1, [2.0], [8]), (np.zeros(7),))]
+        ens = ParticleEnsemble.uniform(d, 10, seed=0)
+        with pytest.raises(InputError):
+            sde_step(ens, velocities, diffusion, None, 1e-3)
+
     def test_no_motion_without_inputs(self):
         d = build_grid(1, [1.0], [16])
         ens = ParticleEnsemble.uniform(d, 100, seed=1)

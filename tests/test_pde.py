@@ -1,16 +1,27 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cosine_target, random_density, random_grids
+from test_grid import assert_bitwise_equal, scipy_two_point_flux_matrix
+from swarmctrl import pde
 from swarmctrl.control import TargetDensity, stabilizing_velocity
-from swarmctrl.errors import CoefficientError, FitError, InputError, TargetError
+from swarmctrl.errors import (
+    CoefficientError,
+    ConfigurationError,
+    FitError,
+    InputError,
+    TargetError,
+)
 from swarmctrl.grid import FaceField, ScalarField, build_grid, mass
 from swarmctrl.pde import (
     StepperConfig,
@@ -20,10 +31,25 @@ from swarmctrl.pde import (
     evolve_stabilizing,
     evolve_weighted_heat,
     fit_decay_rate,
+    make_stepper,
     march,
     step_advection_diffusion,
     weighted_heat_operator,
 )
+
+SCHEMES = ["implicit_euler", "crank_nicolson"]
+
+
+def scipy_make_stepper(matrix, dt, scheme):
+    """The scipy-arithmetic stepper that the cached-pattern one replaced
+    (identity minus the scaled matrix, then ``tocsc``), kept as the bitwise
+    oracle: returns the matrix handed to ``splu`` and the step."""
+    eye = sp.identity(matrix.shape[0], format="csr")
+    theta = 1.0 if scheme == "implicit_euler" else 0.5
+    system = (eye - theta * dt * matrix).tocsc()
+    lu = spla.splu(system)
+    rhs_op = None if theta == 1.0 else (eye + 0.5 * dt * matrix).tocsr()
+    return system, lambda y: lu.solve(y if rhs_op is None else rhs_op @ y)
 
 
 def test_stepper_config_validation():
@@ -159,6 +185,69 @@ class TestStepAdvectionDiffusion:
         dt = 1e-3
         y1 = step_advection_diffusion(f, law, 1.0, StepperConfig(dt=dt), source=sink)
         assert mass(y1) == pytest.approx(1.0 / (1.0 + 0.5 * dt), rel=1e-10)
+
+
+class TestFixedPatternOperators:
+    @settings(max_examples=150, deadline=None)
+    @given(random_grids(), st.data())
+    def test_operators_and_steps_match_scipy_oracle(self, domain, data):
+        # assembly, the matrix handed to splu and four steps are bitwise the
+        # scipy-arithmetic ones; upwind (zero diffusion) with zero velocities
+        # prunes exact-zero rates and diagonals, dt = 0 prunes every
+        # off-diagonal of the system
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        diffusion = data.draw(st.sampled_from([0.0, 0.05, 1.0]))
+        flux = data.draw(st.sampled_from(["exponential", "centered"]))
+        scheme = data.draw(st.sampled_from(SCHEMES))
+        dt = data.draw(st.sampled_from([0.0, 1e-3, 0.05]))
+        velocity = None
+        if data.draw(st.booleans()):
+            comps = [5.0 * rng.standard_normal(domain.face_shape(k)) for k in range(domain.dim)]
+            for c in comps:
+                c[rng.random(c.shape) < 0.4] = 0.0
+            velocity = FaceField(domain, tuple(comps))
+        source = None
+        if data.draw(st.booleans()):  # a sink, zero in about half the cells
+            sink = np.where(rng.random(domain.shape) < 0.5, 0.0, -rng.random(domain.shape))
+            source = ScalarField(domain, sink)
+
+        matrix = assemble_advection_diffusion(domain, velocity, diffusion, flux, source)
+        with mock.patch.object(pde, "two_point_flux_matrix", scipy_two_point_flux_matrix):
+            expected = assemble_advection_diffusion(domain, velocity, diffusion, flux, source)
+        assert_bitwise_equal(matrix, expected)
+
+        with mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
+            step = make_stepper(matrix, dt, scheme)
+        system, oracle_step = scipy_make_stepper(expected, dt, scheme)
+        assert_bitwise_equal(splu.call_args.args[0], system)
+        y = y_oracle = rng.random(domain.cell_count)
+        for _ in range(4):
+            y, y_oracle = step(y), oracle_step(y_oracle)
+            assert y.tobytes() == y_oracle.tobytes()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_pruned_diagonal_steps_like_the_oracle(self, scheme):
+        # upwind transport out of cell 0 only: cells 1-3 lose no mass, so
+        # their diagonal entries are exact zeros and get pruned
+        d = build_grid(1, [1.0], [4])
+        matrix = assemble_advection_diffusion(d, FaceField(d, (np.array([1.0, 0.0, 0.0]),)), 0.0)
+        assert matrix.nnz == 2
+        y = np.array([1.0, 2.0, 3.0, 4.0])
+        out = make_stepper(matrix, 0.1, scheme)(y)
+        assert out.tobytes() == scipy_make_stepper(matrix, 0.1, scheme)[1](y).tobytes()
+        assert out.sum() == pytest.approx(y.sum(), rel=1e-15)
+
+    @pytest.mark.parametrize("dt", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_bad_dt_rejected(self, unit_grid_64, dt):
+        matrix = weighted_heat_operator(ScalarField.constant(unit_grid_64, 1.0)).matrix
+        with pytest.raises(ConfigurationError):
+            make_stepper(matrix, dt, "implicit_euler")
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_zero_dt_is_identity(self, unit_grid_64, scheme):
+        matrix = weighted_heat_operator(ScalarField.constant(unit_grid_64, 1.0)).matrix
+        y = random_density(unit_grid_64, np.random.default_rng(0)).flat
+        np.testing.assert_array_equal(make_stepper(matrix, 0.0, scheme)(y), y)
 
 
 class TestMarch:
