@@ -139,8 +139,8 @@ def _stepper_config(sc: Scenario) -> StepperConfig:
 
 
 def _positive(name: str, value):
-    if not value > 0:
-        raise ConfigurationError(f"{name} must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be finite and positive, got {value}")
     return value
 
 
@@ -288,9 +288,9 @@ def _run_stabilize(sc: Scenario, out_dir: Path) -> bool:
     times.append(t)
     errors.append(l2_norm(ScalarField(domain, y.values - target.values)))
     for _ in range(n_snapshots):
-        for state in march(relax, y.flat, step_t, domain, cfg):
+        for block in march(relax, y.flat, step_t, domain, cfg):
             pass
-        y = ScalarField(domain, state)
+        y = ScalarField(domain, block[-1].copy())
         t += step_t
         snapshots.append((t, y.copy()))
         times.append(t)
@@ -346,7 +346,7 @@ def _run_path(sc: Scenario, out_dir: Path) -> bool:
     domain = _build_domain(sc)
     g0 = _field_from_spec(sc, domain, "path_start").normalized()
     g1 = _field_from_spec(sc, domain, "path_end").normalized()
-    t_final = _number(sc, "run", "t_final", 1.0)
+    t_final = _positive("[run] t_final", _number(sc, "run", "t_final", 1.0))
     n_steps = _positive("[run] steps", _number(sc, "run", "steps", 1000, int))
 
     def gamma(t):

@@ -47,7 +47,7 @@ from .grid import (
     mass,
     neumann_laplacian,
 )
-from .pde import StepperConfig, assemble_advection_diffusion, make_stepper, march
+from .pde import StepperConfig, _require_finite, assemble_advection_diffusion, make_stepper, march
 
 __all__ = [
     "StackedDensity",
@@ -238,6 +238,7 @@ class SplitStepper:
             raise ConfigurationError(f"dt must be positive, got {dt}")
         self.domain = domain
         self.dt = dt
+        self.scheme = cfg.scheme
         self.n_states = len(diffusion)
         if len(velocities) != self.n_states:
             raise InputError("one velocity field per state required")
@@ -259,6 +260,7 @@ class SplitStepper:
         arr = state.as_array()
         arr = self._react(arr)
         arr = np.stack([self._transport[k](arr[k]) for k in range(self.n_states)])
+        _require_finite(arr, self.scheme)
         arr = self._react(arr)
         return StackedDensity.from_array(self.domain, arr)
 
@@ -540,10 +542,10 @@ def execute_hybrid_plan(
         raise InputError("plan graph does not match the number of states")
     heated = initial.as_array().T
     heat = neumann_laplacian(domain).matrix
-    for heated in march(heat, heated, plan.shaping_duration, domain, cfg):
+    for block in march(heat, heated, plan.shaping_duration, domain, cfg):
         pass
     transfer = transition_matrix(plan.mass_control)
-    switch_state = StackedDensity.from_array(domain, transfer @ heated.T)
+    switch_state = StackedDensity.from_array(domain, transfer @ block[-1].T)
 
     # stage 2: zero rates, per-state steering on normalized fields
     target_masses = plan.target.mass_vector()

@@ -55,6 +55,8 @@ __all__ = [
 
 SCHEMES = ("implicit_euler", "crank_nicolson")
 FLUXES = ("exponential", "centered")
+# byte budget of one block of step states yielded by :func:`march`
+BLOCK_BYTES = 32 * 1024
 
 
 @dataclasses.dataclass
@@ -71,8 +73,8 @@ class StepperConfig:
     advection_flux: str = "exponential"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ConfigurationError(f"dt must be finite and positive, got {self.dt}")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}, options {SCHEMES}")
         if self.advection_flux not in FLUXES:
@@ -165,7 +167,10 @@ def relaxation_operator(f: ScalarField) -> SparseOperator:
 def make_stepper(matrix: sp.csr_matrix, dt: float, scheme: str) -> Callable[[np.ndarray], np.ndarray]:
     """Prefactorized single-step map for y' = matrix @ y (theta = 1 or 1/2);
     ``dt = 0`` is the identity.  I - theta*dt*matrix and I + dt/2*matrix fill the
-    cached pattern of the canonical CSR ``matrix`` plus its diagonal."""
+    cached pattern of the canonical CSR ``matrix`` plus its diagonal.
+
+    The step does not scan its output: the caller checks finiteness where it
+    holds the states (see :func:`_require_finite`)."""
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     if not (dt >= 0 and math.isfinite(dt)):
@@ -176,13 +181,17 @@ def make_stepper(matrix: sp.csr_matrix, dt: float, scheme: str) -> Callable[[np.
     lu = spla.splu(build(np.append(-theta * dt * matrix.data, np.ones(n)), sp.csc_matrix))
     rhs_op = None if theta == 1.0 else build(np.append(0.5 * dt * matrix.data, np.ones(n)))
 
-    def step(y: np.ndarray) -> np.ndarray:
-        out = lu.solve(y if rhs_op is None else rhs_op @ y)
-        if not np.all(np.isfinite(out)):
-            raise NumericalError(f"{scheme} step produced non-finite values")
-        return out
+    if rhs_op is None:
+        return lu.solve
+    return lambda y: lu.solve(rhs_op @ y)
 
-    return step
+
+def _require_finite(states: np.ndarray, scheme: str) -> None:
+    """Raise NumericalError unless every value of ``states`` is finite; a NaN
+    or Inf carries through the linear solves, so one scan covers the steps
+    before it."""
+    if not np.all(np.isfinite(states)):
+        raise NumericalError(f"{scheme} step produced non-finite values")
 
 
 def clamped_dt(domain: RectDomain, cfg: StepperConfig) -> float:
@@ -209,8 +218,9 @@ def step_advection_diffusion(
     matrix = assemble_advection_diffusion(
         y.domain, velocity, diffusion, cfg.advection_flux, source
     )
-    step = make_stepper(matrix, cfg.dt, cfg.scheme)
-    return ScalarField(y.domain, step(y.flat))
+    out = make_stepper(matrix, cfg.dt, cfg.scheme)(y.flat)
+    _require_finite(out, cfg.scheme)
+    return ScalarField(y.domain, out)
 
 
 def march(
@@ -220,16 +230,27 @@ def march(
     domain: RectDomain,
     cfg: StepperConfig,
 ) -> Iterator[np.ndarray]:
-    """Yield the state after each of max(1, ceil(duration / clamped_dt)) equal
-    steps of y' = matrix @ y; one factorization serves every step and every
-    column of a raw ``(cells,)`` or ``(cells, k)`` array ``y``."""
+    """Yield the states after max(1, ceil(duration / clamped_dt)) equal steps
+    of y' = matrix @ y, in blocks of consecutive steps.
+
+    One factorization serves every step and every column of a raw
+    ``(cells,)`` or ``(cells, k)`` array ``y``.  Each block is a new
+    C-ordered array of shape ``(rows, *y.shape)``, holding the states
+    after the next ``rows`` steps, with rows <= max(1, BLOCK_BYTES //
+    y.nbytes); only the last block may be shorter.  Finiteness is checked
+    once per block, so a NumericalError comes at most one block late."""
     if duration < 0:
         raise ConfigurationError(f"duration must be non-negative, got {duration}")
     n_steps = max(1, int(math.ceil(duration / clamped_dt(domain, cfg))))
     step = make_stepper(matrix, duration / n_steps, cfg.scheme)
-    for _ in range(n_steps):
-        y = step(y)
-        yield y
+    rows = max(1, BLOCK_BYTES // y.nbytes)
+    for start in range(0, n_steps, rows):
+        block = np.empty((min(rows, n_steps - start),) + y.shape)
+        for row in block:
+            y = step(y)
+            row[...] = y
+        _require_finite(block, cfg.scheme)
+        yield block
 
 
 def evolve_weighted_heat(
@@ -250,9 +271,9 @@ def evolve_weighted_heat(
         raise CoefficientError(f"gain must be non-negative, got {gain}")
     if gain == 0:
         return y.copy()
-    for state in march(gain * weighted_heat_operator(a).matrix, y.flat, duration, y.domain, cfg):
+    for block in march(gain * weighted_heat_operator(a).matrix, y.flat, duration, y.domain, cfg):
         pass
-    return ScalarField(y.domain, state)
+    return ScalarField(y.domain, block[-1].copy())
 
 
 def evolve_stabilizing(
@@ -275,9 +296,9 @@ def evolve_stabilizing(
     mf, my = mass(f), mass(y)
     if abs(mf - my) > 1e-9 * max(1.0, abs(mf)):
         raise InputError(f"mass mismatch: mass(f) = {mf!r}, mass(y) = {my!r}")
-    for state in march(diffusion * relaxation_operator(f).matrix, y.flat, duration, y.domain, cfg):
+    for block in march(diffusion * relaxation_operator(f).matrix, y.flat, duration, y.domain, cfg):
         pass
-    return ScalarField(y.domain, state)
+    return ScalarField(y.domain, block[-1].copy())
 
 
 def fit_decay_rate(times: Sequence[float], errors: Sequence[float]) -> ConvergenceReport:

@@ -443,8 +443,13 @@ def test_config_error_inside_runner_is_usage_error(tmp_path):
         (PATH_CFG, "steps = 200", "steps = -3"),
         (STABILIZE_CFG, "snapshots = 6", "snapshots = 0"),
         (PARTICLES_CFG, "dt = 2e-3", "dt = 0"),
+        (PATH_CFG, "t_final = 1.0", "t_final = -1"),
+        (PATH_CFG, "t_final = 1.0", "t_final = inf"),
     ],
-    ids=["path-steps-0", "path-steps-negative", "stabilize-snapshots-0", "particles-dt-0"],
+    ids=[
+        "path-steps-0", "path-steps-negative", "stabilize-snapshots-0", "particles-dt-0",
+        "path-t_final-negative", "path-t_final-inf",
+    ],
 )
 def test_nonpositive_counts_and_steps_rejected(tmp_path, text, old, new):
     assert old in text

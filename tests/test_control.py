@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import cosine_target, random_density
-from swarmctrl import grid, pde
+from swarmctrl import control, grid, pde
 from swarmctrl.control import (
     Phase,
     SteeringPlan,
@@ -31,6 +31,7 @@ from swarmctrl.grid import ScalarField, build_grid, l2_norm, mass
 from swarmctrl.pde import (
     StepperConfig,
     assemble_advection_diffusion,
+    clamped_dt,
     fit_decay_rate,
     make_stepper,
     step_advection_diffusion,
@@ -137,6 +138,24 @@ class TestFeedbackVelocity:
         y = ScalarField(unit_grid_64, np.zeros(64))
         with pytest.raises(PositivityLossError):
             feedback_velocity(y, target, 1.0, 1)
+
+    @pytest.mark.parametrize("cells", [[64], [6, 5]])
+    def test_batched_faces_check_every_state(self, cells):
+        # a batch of states gives each state's faces bitwise, and one state
+        # below the floor anywhere in the batch fails the whole batch
+        d = build_grid(len(cells), [1.0] * len(cells), cells)
+        rng = np.random.default_rng(3)
+        target = TargetDensity.create(random_density(d, rng, floor=0.5))
+        states = np.stack([random_density(d, rng).values for _ in range(4)])
+        a = target.a.values
+        batched = control._feedback_faces(states, a, 2.5, d)
+        for k, state in enumerate(states):
+            for axis, comp in enumerate(control._feedback_faces(state, a, 2.5, d)):
+                assert batched[axis][k].tobytes() == comp.tobytes()
+        states[3].flat[7] = 0.0
+        control._feedback_faces(states[:3], a, 2.5, d)
+        with pytest.raises(PositivityLossError):
+            control._feedback_faces(states, a, 2.5, d)
 
 
 class TestSteeringPlan:
@@ -334,7 +353,7 @@ def witness_by_phase(plan, y0, cfg):
 
 
 class TestExecutePlan:
-    @pytest.mark.parametrize("cells", [[64], [9, 12]])
+    @pytest.mark.parametrize("cells", [[64], [9, 12], [128]])
     def test_witness_matches_public_feedback_law(self, cells):
         d = build_grid(len(cells), [1.0] * len(cells), cells)
         rng = np.random.default_rng(8)
@@ -342,8 +361,42 @@ class TestExecutePlan:
         y0 = random_density(d, rng)
         plan = synthesize_steering_plan(y0, target, 0.5, 1e-3)
         cfg = StepperConfig(dt=2e-3)
+        if len(cells) == 1:
+            # the witness phases span several blocks of march and end on
+            # a ragged one
+            rows = pde.BLOCK_BYTES // y0.flat.nbytes
+            n_steps = [math.ceil(p.duration / clamped_dt(d, cfg)) for p in plan.phases[2:]]
+            assert any(n > rows and n % rows for n in n_steps)
         run = execute_plan(plan, y0, cfg)
         assert [r.max_velocity for r in run.records] == witness_by_phase(plan, y0, cfg)
+
+    def test_one_factorization_per_phase_one_step_call_per_step(self, unit_grid_64, monkeypatch):
+        # pins the work the benchmark traces as pde.factor_calls and
+        # pde.solve_calls: march factors once per phase and calls the step
+        # once per time step, whatever the block size
+        counts = {"factor": 0, "step": 0}
+        original = pde.make_stepper
+
+        def counting_make_stepper(*args, **kwargs):
+            counts["factor"] += 1
+            step = original(*args, **kwargs)
+
+            def counting_step(y):
+                counts["step"] += 1
+                return step(y)
+
+            return counting_step
+
+        monkeypatch.setattr(pde, "make_stepper", counting_make_stepper)
+        rng = np.random.default_rng(9)
+        target = TargetDensity.create(random_density(unit_grid_64, rng, floor=0.5))
+        y0 = random_density(unit_grid_64, rng)
+        plan = synthesize_steering_plan(y0, target, 0.5, 1e-3)
+        cfg = StepperConfig(dt=2e-3)
+        execute_plan(plan, y0, cfg)
+        dt = clamped_dt(unit_grid_64, cfg)
+        assert counts["factor"] == len(plan.phases)
+        assert counts["step"] == sum(max(1, math.ceil(p.duration / dt)) for p in plan.phases)
 
     def test_plan_assembles_two_operators(self, unit_grid_64, monkeypatch):
         # the weighted-heat generator serves the gap and every smoothing

@@ -20,6 +20,7 @@ from swarmctrl.errors import (
     ConfigurationError,
     FitError,
     InputError,
+    NumericalError,
     TargetError,
 )
 from swarmctrl.grid import FaceField, ScalarField, build_grid, mass
@@ -61,6 +62,12 @@ def test_stepper_config_validation():
         StepperConfig(scheme="leapfrog")
     with pytest.raises(ConfigurationError):
         StepperConfig(advection_flux="quick")
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf], ids=["nan", "inf"])
+def test_stepper_config_rejects_non_finite_dt(dt):
+    with pytest.raises(ConfigurationError):
+        StepperConfig(dt=dt)
 
 
 def test_spectral_gap_sparse_branch():
@@ -250,6 +257,17 @@ class TestFixedPatternOperators:
         np.testing.assert_array_equal(make_stepper(matrix, 0.0, scheme)(y), y)
 
 
+def plain_march(matrix, y, duration, domain, cfg):
+    """The states after each step of a plain ``make_stepper`` loop."""
+    n_steps = max(1, math.ceil(duration / clamped_dt(domain, cfg)))
+    step = make_stepper(matrix, duration / n_steps, cfg.scheme)
+    states = []
+    for _ in range(n_steps):
+        y = step(y)
+        states.append(y)
+    return states
+
+
 class TestMarch:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -267,23 +285,62 @@ class TestMarch:
         matrix = weighted_heat_operator(a).matrix
         cfg = StepperConfig(dt=2e-3, scheme=scheme)
         stack = rng.random((domain.cell_count, k))
-        stacked = list(march(matrix, stack, duration, domain, cfg))
+        stacked = np.concatenate(list(march(matrix, stack, duration, domain, cfg)))
         for col in range(k):
-            single = list(march(matrix, stack[:, col], duration, domain, cfg))
-            assert len(single) == len(stacked)
-            for y_stack, y_col in zip(stacked, single):
-                np.testing.assert_array_equal(y_stack[:, col], y_col)
+            single = np.concatenate(list(march(matrix, stack[:, col], duration, domain, cfg)))
+            np.testing.assert_array_equal(stacked[:, :, col], single)
 
-    def test_step_count_and_zero_duration(self, unit_grid_64):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        random_grids(),
+        st.sampled_from([None, 1, 3]),
+        st.sampled_from(SCHEMES),
+        st.sampled_from([0.0, 1e-3, 0.02, 0.3]),
+        st.floats(2e-4, 5e-3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_match_plain_step_loop(self, domain, k, scheme, duration, dt, seed):
+        rng = np.random.default_rng(seed)
+        a = ScalarField(domain, 0.5 + rng.random(domain.shape))
+        matrix = weighted_heat_operator(a).matrix
+        cfg = StepperConfig(dt=dt, scheme=scheme)
+        y = rng.random(domain.cell_count if k is None else (domain.cell_count, k))
+        blocks = list(march(matrix, y, duration, domain, cfg))
+        expected = plain_march(matrix, y, duration, domain, cfg)
+        n_steps = max(1, math.ceil(duration / clamped_dt(domain, cfg)))
+        assert len(expected) == n_steps
+        # every block is full but the last, and within the byte budget
+        # unless one state alone exceeds it
+        rows = max(1, pde.BLOCK_BYTES // y.nbytes)
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= rows
+        assert sum(len(b) for b in blocks) == n_steps
+        for block in blocks:
+            assert block.flags.c_contiguous and block.shape[1:] == y.shape
+            assert block.nbytes <= pde.BLOCK_BYTES or len(block) == 1
+        assert np.concatenate(blocks).tobytes() == np.stack(expected).tobytes()
+        if duration == 0.0:
+            # one identity step: a new array, equal values
+            (block,) = blocks
+            assert len(block) == 1 and not np.shares_memory(block, y)
+            np.testing.assert_array_equal(block[0], y)
+
+    def test_block_budget_on_large_state(self):
+        # 48x48 cells is 18 KiB per state, so each block holds one state
+        d = build_grid(2, [1.0, 1.0], [48, 48])
+        matrix = weighted_heat_operator(ScalarField.constant(d, 1.0)).matrix
+        y = random_density(d, np.random.default_rng(1)).flat
         cfg = StepperConfig(dt=1e-3)
+        blocks = list(march(matrix, y, 4.5 * clamped_dt(d, cfg), d, cfg))
+        assert [b.shape for b in blocks] == [(1, d.cell_count)] * 5
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_non_finite_state_raises(self, unit_grid_64, scheme):
         matrix = weighted_heat_operator(ScalarField.constant(unit_grid_64, 1.0)).matrix
-        y = random_density(unit_grid_64, np.random.default_rng(0)).flat
-        n = math.ceil(0.01 / clamped_dt(unit_grid_64, cfg))
-        assert len(list(march(matrix, y, 0.01, unit_grid_64, cfg))) == n
-        # a zero duration is one identity step: a new array, equal values
-        (same,) = march(matrix, y, 0.0, unit_grid_64, cfg)
-        assert same is not y
-        np.testing.assert_array_equal(same, y)
+        y = random_density(unit_grid_64, np.random.default_rng(0)).flat.copy()
+        y[5] = np.inf
+        with pytest.raises(NumericalError, match="non-finite"):
+            list(march(matrix, y, 0.01, unit_grid_64, StepperConfig(dt=1e-3, scheme=scheme)))
 
     def test_negative_duration_rejected(self, unit_grid_64):
         from swarmctrl.errors import ConfigurationError
