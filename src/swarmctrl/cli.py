@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import io
+import itertools
 import json
 import math
 import sys
@@ -87,9 +89,24 @@ def _parse(kind, text: str, where: str):
         raise ConfigurationError(f"{where}: expected {kind.__name__}, got {text!r}") from exc
 
 
-def _number(sc: Scenario, section: str, key: str, fallback, kind=float):
+def _number(sc: Scenario, section: str, key: str, fallback, kind=float, positive=False):
+    """[section] key as ``kind``; with ``positive``, also finite and > 0."""
     raw = sc.config.get(section, key, fallback=None)
-    return fallback if raw is None else _parse(kind, raw, f"[{section}] {key}")
+    value = fallback if raw is None else _parse(kind, raw, f"[{section}] {key}")
+    if positive and not 0 < value < math.inf:
+        raise ConfigurationError(f"[{section}] {key} must be finite and positive, got {value}")
+    return value
+
+
+def _distribution_option(sc: Scenario, key: str, n: int) -> np.ndarray:
+    """[run] key: exactly ``n`` whitespace-separated numbers."""
+    raw = sc.config.get("run", key, fallback=None)
+    if raw is None:
+        raise ConfigurationError(f"[run] needs '{key}'")
+    values = np.array([_parse(float, v, f"[run] {key}") for v in raw.split()])
+    if values.size != n:
+        raise ConfigurationError(f"'{key}' needs {n} entries")
+    return values
 
 
 def _build_domain(sc: Scenario) -> RectDomain:
@@ -129,6 +146,23 @@ def _field_from_spec(sc: Scenario, domain: RectDomain, section: str) -> ScalarFi
     raise ConfigurationError(f"[{section}] needs either 'expr' or 'table'")
 
 
+def _stacked_fields(
+    sc: Scenario, domain: RectDomain, prefix: str, n: int, optional: bool = False
+) -> tuple[ScalarField, ...]:
+    """[prefix.1] .. [prefix.n] scaled to unit total mass; a missing section
+    is a zero field when ``optional`` and an error otherwise."""
+    fields = [
+        _field_from_spec(sc, domain, f"{prefix}.{k}")
+        if not optional or sc.config.has_section(f"{prefix}.{k}")
+        else ScalarField.constant(domain, 0.0)
+        for k in range(1, n + 1)
+    ]
+    total = sum(mass(f) for f in fields)
+    if not 0 < total < math.inf:
+        raise ConfigurationError(f"{prefix} stack has no finite positive mass, got {total}")
+    return tuple(ScalarField(domain, f.values / total) for f in fields)
+
+
 def _stepper_config(sc: Scenario) -> StepperConfig:
     cfg = sc.config
     return StepperConfig(
@@ -136,12 +170,6 @@ def _stepper_config(sc: Scenario) -> StepperConfig:
         scheme=cfg.get("pde", "scheme", fallback="implicit_euler"),
         advection_flux=cfg.get("pde", "flux", fallback="exponential"),
     )
-
-
-def _positive(name: str, value):
-    if not 0 < value < math.inf:
-        raise ConfigurationError(f"{name} must be finite and positive, got {value}")
-    return value
 
 
 def _graph_from_config(sc: Scenario) -> ctmc.TransitionGraph:
@@ -154,56 +182,73 @@ def _graph_from_config(sc: Scenario) -> ctmc.TransitionGraph:
             raise ConfigurationError(f"edge list not found: {path}")
         return ctmc.read_edge_list(path)
     if cfg.has_option("graph", "edges"):
-        import io
-
         return ctmc.read_edge_list(io.StringIO(cfg.get("graph", "edges")))
     raise ConfigurationError("[graph] needs either 'edges' or 'file'")
 
 
-_CSV_BLOCK_ROWS = 4096  # particles.csv rows formatted per write
+_CSV_BLOCK_ROWS = 4096  # CSV lines formatted per write
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_density_csv(path: Path, snapshots) -> None:
+def _write_csv(path: Path, header: str, lines) -> None:
+    """``header`` and then ``lines`` (formatted, without newlines), joined and
+    written ``_CSV_BLOCK_ROWS`` at a time, so a lazy ``lines`` keeps memory
+    at one block whatever the row count."""
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("t,cell,value\n")
-        for t, field in snapshots:
-            for idx, value in enumerate(field.flat):
-                handle.write(f"{_fmt(t)},{idx},{_fmt(value)}\n")
+        handle.write(header + "\n")
+        while block := list(itertools.islice(lines, _CSV_BLOCK_ROWS)):
+            handle.write("\n".join(block))
+            handle.write("\n")
 
 
-def _write_stacked_csv(path: Path, snapshots) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("t,state,cell,value\n")
-        for t, stacked in snapshots:
-            for s, field in enumerate(stacked.fields, start=1):
-                for idx, value in enumerate(field.flat):
-                    handle.write(f"{_fmt(t)},{s},{idx},{_fmt(value)}\n")
+def _cell_lines(blocks):
+    """``prefix,cell,value`` for each ``(prefix, array)`` of ``blocks``, one
+    line per entry of the flattened array."""
+    for prefix, values in blocks:
+        for idx, value in enumerate(np.ravel(values).tolist()):
+            yield f"{prefix},{idx},{_fmt(value)}"
+
+
+def _snapshot_lines(snapshots):
+    """``t,cell,value`` lines of ``(t, ScalarField)`` snapshots."""
+    return _cell_lines((_fmt(t), field.values) for t, field in snapshots)
+
+
+def _stacked_lines(snapshots):
+    """``t,state,cell,value`` lines of ``(t, StackedDensity)`` snapshots."""
+    return _cell_lines(
+        (f"{_fmt(t)},{s}", field.values)
+        for t, stacked in snapshots
+        for s, field in enumerate(stacked.fields, start=1)
+    )
 
 
 def _write_particles_csv(path: Path, ens: particles.ParticleEnsemble) -> None:
-    """One row per particle: id, state, coordinates (``_fmt`` numbers).
+    """One row per particle: id, state, coordinates (``_fmt`` numbers); the
+    arrays become Python lists one block of rows at a time."""
+    lines = (
+        f"{pid},{state},{','.join(map(repr, coords))}"
+        for start in range(0, ens.count, _CSV_BLOCK_ROWS)
+        for pid, state, coords in zip(
+            range(start, ens.count),
+            ens.states[start:start + _CSV_BLOCK_ROWS].tolist(),
+            ens.positions[start:start + _CSV_BLOCK_ROWS].tolist(),
+        )
+    )
+    _write_csv(path, "id,state," + ",".join(f"x{d}" for d in range(ens.domain.dim)), lines)
 
-    Rows are formatted from Python lists a block at a time, so memory
-    stays at one block of rows whatever the ensemble size.
-    """
-    cols = ",".join(f"x{d}" for d in range(ens.domain.dim))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"id,state,{cols}\n")
-        for start in range(0, ens.count, _CSV_BLOCK_ROWS):
-            block = slice(start, start + _CSV_BLOCK_ROWS)
-            rows = zip(
-                range(start, ens.count),
-                ens.states[block].tolist(),
-                ens.positions[block].tolist(),
-            )
-            handle.write("".join(
-                f"{pid},{state},{','.join(map(repr, coords))}\n"
-                for pid, state, coords in rows
-            ))
+
+def _decay_rate(times, errors, floor: float) -> dict:
+    """``{"decay_rate": ...}`` fitted to the errors above ``floor``, or ``{}``
+    when fewer than three are."""
+    kept = [(t, e) for t, e in zip(times, errors) if e > floor]
+    if len(kept) < 3:
+        return {}
+    return {"decay_rate": fit_decay_rate([t for t, _ in kept], [e for _, e in kept]).rate}
 
 
 def _finish(
@@ -246,20 +291,9 @@ def _declared_checks(sc: Scenario, measured: dict) -> list[dict]:
         for key, raw in sc.config.items("check"):
             name = key.strip()
             threshold = _parse(float, raw, f"[check] {name}")
-            if name not in measured:
-                checks.append(
-                    {"name": name, "value": None, "threshold": threshold, "pass": False}
-                )
-                continue
-            value = float(measured[name])
-            checks.append(
-                {
-                    "name": name,
-                    "value": value,
-                    "threshold": threshold,
-                    "pass": bool(value <= threshold),
-                }
-            )
+            value = float(measured[name]) if name in measured else None
+            passed = value is not None and bool(value <= threshold)
+            checks.append({"name": name, "value": value, "threshold": threshold, "pass": passed})
     return checks
 
 
@@ -276,38 +310,28 @@ def _run_stabilize(sc: Scenario, out_dir: Path) -> bool:
         y = _field_from_spec(sc, domain, "initial").normalized()
     else:
         y = ScalarField.constant(domain, 1.0 / float(np.prod(domain.lengths)))
-    t_final = _number(sc, "run", "t_final", 1.0)
-    n_snapshots = _positive("[run] snapshots", _number(sc, "run", "snapshots", 6, int))
+    t_final = _number(sc, "run", "t_final", 1.0, positive=True)
+    n_snapshots = _number(sc, "run", "snapshots", 6, int, positive=True)
     velocity = ctl.stabilizing_velocity(td, 1.0)
     relax = relaxation_operator(target).matrix  # D = 1, assembled once
 
-    times, errors, snapshots = [], [], []
     step_t = t_final / n_snapshots
-    t = 0.0
-    snapshots.append((t, y.copy()))
-    times.append(t)
-    errors.append(l2_norm(ScalarField(domain, y.values - target.values)))
+    snapshots = [(0.0, y)]
     for _ in range(n_snapshots):
+        t, y = snapshots[-1]
         for block in march(relax, y.flat, step_t, domain, cfg):
             pass
-        y = ScalarField(domain, block[-1].copy())
-        t += step_t
-        snapshots.append((t, y.copy()))
-        times.append(t)
-        errors.append(l2_norm(ScalarField(domain, y.values - target.values)))
-    fit = None
-    positive = [(tt, e) for tt, e in zip(times, errors) if e > 1e-14]
-    if len(positive) >= 3:
-        fit = fit_decay_rate([p[0] for p in positive], [p[1] for p in positive])
+        snapshots.append((t + step_t, ScalarField(domain, block[-1].copy())))
+    y = snapshots[-1][1]
+    errors = [l2_norm(ScalarField(domain, s.values - target.values)) for _, s in snapshots]
 
-    _write_density_csv(out_dir / "density.csv", snapshots)
+    _write_csv(out_dir / "density.csv", "t,cell,value", _snapshot_lines(snapshots))
     measured = {
         "final_error": errors[-1],
         "mass_drift": abs(mass(y) - 1.0),
         "max_velocity": velocity.max_abs(),
+        **_decay_rate([t for t, _ in snapshots], errors, 1e-14),
     }
-    if fit is not None:
-        measured["decay_rate"] = fit.rate
     return _finish(sc, out_dir, measured, domain=domain, t_final=t_final)
 
 
@@ -316,28 +340,22 @@ def _run_steer(sc: Scenario, out_dir: Path) -> bool:
     cfg = _stepper_config(sc)
     target = ctl.TargetDensity.create(_field_from_spec(sc, domain, "target").normalized())
     y0 = _field_from_spec(sc, domain, "initial").normalized()
-    t_final = _number(sc, "run", "t_final", 1.0)
-    tol = _number(sc, "run", "tolerance", 1e-2)
+    t_final = _number(sc, "run", "t_final", 1.0, positive=True)
+    tol = _number(sc, "run", "tolerance", 1e-2, positive=True)
     plan = ctl.synthesize_steering_plan(y0, target, t_final, tol)
     run = ctl.execute_plan(plan, y0, cfg)
 
     with open(out_dir / "plan.txt", "w", encoding="utf-8") as handle:
         handle.write(plan.to_text())
-    _write_density_csv(out_dir / "density.csv", run.snapshots)
+    _write_csv(out_dir / "density.csv", "t,cell,value", _snapshot_lines(run.snapshots))
     measured = {
         "final_error": run.final_error_l2,
         "max_velocity": run.max_velocity,
         "predicted_error": plan.predicted_error,
     }
     return _finish(
-        sc,
-        out_dir,
-        measured,
-        domain=domain,
-        t_final=t_final,
-        tolerance=tol,
-        gain_intervals=plan.schedule.truncation,
-        alpha=plan.schedule.alpha,
+        sc, out_dir, measured, domain=domain, t_final=t_final, tolerance=tol,
+        gain_intervals=plan.schedule.truncation, alpha=plan.schedule.alpha,
         spectral_gap=plan.schedule.gap,
     )
 
@@ -346,8 +364,8 @@ def _run_path(sc: Scenario, out_dir: Path) -> bool:
     domain = _build_domain(sc)
     g0 = _field_from_spec(sc, domain, "path_start").normalized()
     g1 = _field_from_spec(sc, domain, "path_end").normalized()
-    t_final = _positive("[run] t_final", _number(sc, "run", "t_final", 1.0))
-    n_steps = _positive("[run] steps", _number(sc, "run", "steps", 1000, int))
+    t_final = _number(sc, "run", "t_final", 1.0, positive=True)
+    n_steps = _number(sc, "run", "steps", 1000, int, positive=True)
 
     def gamma(t):
         s = t / t_final
@@ -357,48 +375,32 @@ def _run_path(sc: Scenario, out_dir: Path) -> bool:
         return ScalarField(domain, (g1.values - g0.values) / t_final)
 
     res = ctl.follow_path(gamma, dgamma, t_final, n_steps=n_steps)
-    _write_density_csv(out_dir / "density.csv", [(t_final, res.final_state)])
+    _write_csv(
+        out_dir / "density.csv", "t,cell,value", _snapshot_lines([(t_final, res.final_state)])
+    )
     measured = {"tracking_error": res.sup_error, "max_velocity": res.max_velocity}
     return _finish(sc, out_dir, measured, domain=domain, t_final=t_final, steps=n_steps)
-
-
-def _distribution_option(sc: Scenario, key: str, n: int) -> np.ndarray:
-    raw = sc.config.get("run", key, fallback=None)
-    if raw is None:
-        raise ConfigurationError(f"[run] needs '{key}'")
-    values = np.array([_parse(float, v, f"[run] {key}") for v in raw.split()])
-    if values.size != n:
-        raise ConfigurationError(f"'{key}' needs {n} entries")
-    return values
 
 
 def _run_ctmc_plan(sc: Scenario, out_dir: Path) -> bool:
     graph = _graph_from_config(sc)
     mu0 = _distribution_option(sc, "mu0", graph.n_vertices)
     mu_target = _distribution_option(sc, "mu_target", graph.n_vertices)
-    duration = _number(sc, "run", "t_final", 1.0)
+    duration = _number(sc, "run", "t_final", 1.0, positive=True)
     ctrl = ctmc.transfer_control(graph, mu0, mu_target, duration)
     traj = ctmc.propagate(mu0, ctrl)
     endpoint_error = float(np.max(np.abs(traj[-1] - mu_target)))
 
     ctmc.control_to_csv(ctrl, out_dir / "control.csv")
-    with open(out_dir / "trajectory.csv", "w", encoding="utf-8") as handle:
-        handle.write("t," + ",".join(f"mu{v}" for v in range(1, graph.n_vertices + 1)) + "\n")
-        for t, state in zip(ctrl.breakpoints, traj):
-            handle.write(_fmt(t) + "," + ",".join(_fmt(v) for v in state) + "\n")
+    _write_csv(
+        out_dir / "trajectory.csv",
+        "t," + ",".join(f"mu{v}" for v in range(1, graph.n_vertices + 1)),
+        (",".join(map(_fmt, (t, *state))) for t, state in zip(ctrl.breakpoints, traj)),
+    )
     measured = {"endpoint_error": endpoint_error, "max_rate": ctrl.max_rate()}
     return _finish(
         sc, out_dir, measured, graph=graph, t_final=duration, intervals=ctrl.n_intervals
     )
-
-
-def _state_targets(sc: Scenario, domain: RectDomain, n: int) -> hybrid.HybridTarget:
-    fields = []
-    for k in range(1, n + 1):
-        fields.append(_field_from_spec(sc, domain, f"target.{k}"))
-    total = sum(mass(f) for f in fields)
-    fields = [ScalarField(domain, f.values / total) for f in fields]
-    return hybrid.HybridTarget.create(fields)
 
 
 def _run_hsdp_steer(sc: Scenario, out_dir: Path) -> bool:
@@ -406,28 +408,19 @@ def _run_hsdp_steer(sc: Scenario, out_dir: Path) -> bool:
     cfg = _stepper_config(sc)
     graph = _graph_from_config(sc)
     n = graph.n_vertices
-    target = _state_targets(sc, domain, n)
-    init_fields = []
-    for k in range(1, n + 1):
-        section = f"initial.{k}"
-        if sc.config.has_section(section):
-            init_fields.append(_field_from_spec(sc, domain, section))
-        else:
-            init_fields.append(ScalarField.constant(domain, 0.0))
-    total = sum(mass(f) for f in init_fields)
-    if total <= 0:
-        raise ConfigurationError("initial stack has no mass")
-    initial = hybrid.StackedDensity(
-        tuple(ScalarField(domain, f.values / total) for f in init_fields)
-    )
-    t_final = _number(sc, "run", "t_final", 2.0)
-    tol = _number(sc, "run", "tolerance", 1e-2)
+    target = hybrid.HybridTarget.create(_stacked_fields(sc, domain, "target", n))
+    initial = hybrid.StackedDensity(_stacked_fields(sc, domain, "initial", n, optional=True))
+    t_final = _number(sc, "run", "t_final", 2.0, positive=True)
+    tol = _number(sc, "run", "tolerance", 1e-2, positive=True)
     plan = hybrid.hybrid_steering_plan(graph, initial, target, t_final, tol)
     run = hybrid.execute_hybrid_plan(plan, initial, cfg)
 
-    _write_stacked_csv(
+    _write_csv(
         out_dir / "stacked.csv",
-        [(0.0, initial), (t_final / 2.0, run.switch_state), (t_final, run.final_state)],
+        "t,state,cell,value",
+        _stacked_lines(
+            [(0.0, initial), (t_final / 2.0, run.switch_state), (t_final, run.final_state)]
+        ),
     )
     ctmc.control_to_csv(plan.mass_control, out_dir / "control.csv")
     measured = {
@@ -439,13 +432,7 @@ def _run_hsdp_steer(sc: Scenario, out_dir: Path) -> bool:
         "max_rate": plan.mass_control.max_rate(),
     }
     return _finish(
-        sc,
-        out_dir,
-        measured,
-        domain=domain,
-        graph=graph,
-        t_final=t_final,
-        tolerance=tol,
+        sc, out_dir, measured, domain=domain, graph=graph, t_final=t_final, tolerance=tol,
         intervals=plan.mass_control.n_intervals,
     )
 
@@ -455,23 +442,15 @@ def _run_hsdp_stabilize(sc: Scenario, out_dir: Path) -> bool:
     cfg = _stepper_config(sc)
     graph = _graph_from_config(sc)
     n = graph.n_vertices
-    target = _state_targets(sc, domain, n)
+    target = hybrid.HybridTarget.create(_stacked_fields(sc, domain, "target", n))
     diffusion = [_number(sc, "pde", "diffusion", 1.0)] * n
-    if target.full_support():
-        rates = ctmc.synthesize_stationary_rates(graph, target.mass_vector())
-        gains = hybrid.stabilizing_gains(graph, target, rates)
-    else:
-        gains = hybrid.zero_mass_stabilizing_gains(graph, target)
+    gains = hybrid.zero_mass_stabilizing_gains(graph, target)
     velocities = hybrid.stabilizing_velocities(target, diffusion)
     rng = np.random.Generator(np.random.Philox(sc.seed))
     arrays = [0.2 + rng.random(domain.shape) for _ in range(n)]
     total = sum(a.sum() for a in arrays) * domain.cell_volume
-    state = hybrid.StackedDensity(
-        tuple(ScalarField(domain, a / total) for a in arrays)
-    )
-    t_final = _number(sc, "run", "t_final", 10.0)
-    if t_final <= 0:
-        raise ConfigurationError(f"t_final must be positive, got {t_final}")
+    state = hybrid.StackedDensity(tuple(ScalarField(domain, a / total) for a in arrays))
+    t_final = _number(sc, "run", "t_final", 10.0, positive=True)
     n_steps = int(math.ceil(t_final / (cfg.dt * 10)))
     dt = t_final / n_steps
     stepper = hybrid.SplitStepper(domain, velocities, diffusion, gains, dt, cfg)
@@ -490,21 +469,18 @@ def _run_hsdp_stabilize(sc: Scenario, out_dir: Path) -> bool:
             )
             times.append(t)
             errors.append(err)
-    positive = [(tt, e) for tt, e in zip(times, errors) if e > 1e-13]
-    fit = fit_decay_rate([p[0] for p in positive], [p[1] for p in positive]) if len(positive) >= 3 else None
 
-    with open(out_dir / "gains.csv", "w", encoding="utf-8") as handle:
-        handle.write("edge,cell,value\n")
-        for (i, j), gain in zip(graph.edges, gains.gains):
-            for idx, value in enumerate(gain.reshape(-1)):
-                handle.write(f"{i}->{j},{idx},{_fmt(value)}\n")
-    _write_stacked_csv(out_dir / "stacked.csv", [(t_final, state)])
+    _write_csv(
+        out_dir / "gains.csv",
+        "edge,cell,value",
+        _cell_lines((f"{i}->{j}", gain) for (i, j), gain in zip(graph.edges, gains.gains)),
+    )
+    _write_csv(out_dir / "stacked.csv", "t,state,cell,value", _stacked_lines([(t_final, state)]))
     measured = {
         "final_error": errors[-1],
         "total_mass_drift": abs(state.total_mass() - 1.0),
+        **_decay_rate(times, errors, 1e-13),
     }
-    if fit is not None:
-        measured["decay_rate"] = fit.rate
     return _finish(sc, out_dir, measured, domain=domain, graph=graph, t_final=t_final)
 
 
@@ -514,11 +490,15 @@ def _run_particles(sc: Scenario, out_dir: Path) -> bool:
     target = _field_from_spec(sc, domain, "target").normalized()
     td = ctl.TargetDensity.create(target)
     velocity = ctl.stabilizing_velocity(td, 1.0)
-    count = _number(sc, "particles", "count", 10000, int)
-    dt = _positive("[particles] dt", _number(sc, "particles", "dt", 1e-3))
-    t_final = _number(sc, "run", "t_final", 1.0)
+    count = _number(sc, "particles", "count", 10000, int, positive=True)
+    dt = _number(sc, "particles", "dt", 1e-3, positive=True)
+    t_final = _number(sc, "run", "t_final", 1.0, positive=True)
+    n_steps = round(t_final / dt)
+    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * t_final:
+        raise ConfigurationError(
+            f"[run] t_final = {t_final} is not a whole number of [particles] dt = {dt} steps"
+        )
     ens = particles.ParticleEnsemble.uniform(domain, count, state=1, seed=sc.seed)
-    n_steps = int(round(t_final / dt))
     for _ in range(n_steps):
         particles.sde_step(ens, [velocity], [1.0], None, dt)
     emp = particles.empirical_density(ens, domain, 1)
@@ -529,7 +509,11 @@ def _run_particles(sc: Scenario, out_dir: Path) -> bool:
     )
 
     _write_particles_csv(out_dir / "particles.csv", ens)
-    _write_density_csv(out_dir / "empirical.csv", [(t_final, emp.density.fields[0])])
+    _write_csv(
+        out_dir / "empirical.csv",
+        "t,cell,value",
+        _snapshot_lines([(t_final, emp.density.fields[0])]),
+    )
     measured = {"l1_distance": l1}
     return _finish(
         sc, out_dir, measured, domain=domain, count=count, dt=dt, t_final=t_final
@@ -538,27 +522,21 @@ def _run_particles(sc: Scenario, out_dir: Path) -> bool:
 
 def _run_spectrum(sc: Scenario, out_dir: Path) -> bool:
     graph = _graph_from_config(sc)
-    raw = sc.config.get("run", "rates", fallback=None)
-    if raw is not None:
-        rates = np.array([_parse(float, v, "[run] rates") for v in raw.split()])
-        if rates.size != graph.n_edges:
-            raise ConfigurationError(f"'rates' needs {graph.n_edges} entries")
+    if sc.config.has_option("run", "rates"):
+        rates = _distribution_option(sc, "rates", graph.n_edges)
     else:
         mu_eq = _distribution_option(sc, "mu_eq", graph.n_vertices)
         rates = ctmc.synthesize_stationary_rates(graph, mu_eq)
     report = ctmc.spectrum_check(graph, rates)
 
-    with open(out_dir / "spectrum.csv", "w", encoding="utf-8") as handle:
-        handle.write("index,real,imag\n")
-        for idx, lam in enumerate(report.eigenvalues):
-            handle.write(f"{idx},{_fmt(lam.real)},{_fmt(lam.imag)}\n")
+    _write_csv(
+        out_dir / "spectrum.csv",
+        "index,real,imag",
+        (f"{idx},{_fmt(lam.real)},{_fmt(lam.imag)}" for idx, lam in enumerate(report.eigenvalues)),
+    )
     measured = {"max_real_part": report.max_real_part}
     return _finish(
-        sc,
-        out_dir,
-        measured,
-        graph=graph,
-        rates=[float(r) for r in rates],
+        sc, out_dir, measured, graph=graph, rates=[float(r) for r in rates],
         spectral_gap=float(report.gap),
     )
 

@@ -272,10 +272,10 @@ def synthesize_steering_plan(
     insufficient a :class:`TruncationWarning` carrying the achievable
     error is issued and the capped schedule returned.
     """
-    if t_final <= 0:
-        raise InputError(f"final time must be positive, got {t_final}")
-    if tol <= 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
+    if not 0 < t_final < math.inf:
+        raise InputError(f"final time must be finite and positive, got {t_final}")
+    if not 0 < tol < math.inf:
+        raise InputError(f"tolerance must be finite and positive, got {tol}")
     if y0.domain != target.domain:
         raise InputError("initial state and target live on different grids")
     m0 = mass(y0)

@@ -299,6 +299,8 @@ class PiecewiseConstantControl:
         )
         if self.breakpoints.ndim != 1 or self.breakpoints.size != self.rates.shape[0] + 1:
             raise InputError("breakpoints must have one more entry than rate rows")
+        if not np.all(np.isfinite(self.breakpoints)):
+            raise InputError("breakpoints must be finite")
         if np.any(np.diff(self.breakpoints) <= 0):
             raise InputError("breakpoints must be strictly increasing")
         if np.any(self.rates < 0) or not np.all(np.isfinite(self.rates)):
@@ -409,8 +411,8 @@ def local_step_control(
         raise InputError(f"increment must have shape ({n},)")
     if abs(float(np.sum(delta_mu))) > 1e-12:
         raise InputError(f"increment must sum to zero, got {np.sum(delta_mu)!r}")
-    if duration <= 0:
-        raise InputError(f"duration must be positive, got {duration}")
+    if not 0 < duration < math.inf:
+        raise InputError(f"duration must be finite and positive, got {duration}")
     if not is_interior(mu0):
         raise InteriorityError(f"need an interior point, min coordinate {np.min(mu0)!r}")
     if rho is None:
@@ -544,8 +546,8 @@ def global_transfer_plan(
             "global transfer requires a strongly connected graph",
             certificate=monotone_certificate(graph),
         )
-    if duration <= 0:
-        raise InputError(f"duration must be positive, got {duration}")
+    if not 0 < duration < math.inf:
+        raise InputError(f"duration must be finite and positive, got {duration}")
     if not (is_interior(mu0) and is_interior(mu_target)):
         raise InteriorityError(
             "both endpoints must be interior simplex points; "
@@ -616,6 +618,8 @@ def transfer_control(
     duration: float,
 ) -> PiecewiseConstantControl:
     """Global transfer with automatic preconditioning of boundary starts."""
+    if not 0 < duration < math.inf:
+        raise InputError(f"duration must be finite and positive, got {duration}")
     mu0 = validate_distribution(mu0)
     mu_target = validate_distribution(mu_target)
     if not is_interior(mu_target, tol=0.0):

@@ -171,8 +171,8 @@ def sde_step(
     reads its entries with one flat gather on (state - 1) * stride + cell,
     so a step costs O(particles) whatever the number of states.
     """
-    if dt <= 0:
-        raise InputError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise InputError(f"dt must be finite and positive, got {dt}")
     domain = ensemble.domain
     n = ensemble.count
     rng = ensemble.rng

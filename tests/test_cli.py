@@ -393,6 +393,20 @@ def test_particles_scenario(tmp_path):
     assert summary["pass"] is True
 
 
+@pytest.mark.parametrize(
+    "t_final, dt",
+    [("1.0", "0.3"), ("0.5", "3e-3"), ("1e-3", "2e-3")],
+    ids=["stops-short", "overshoots", "under-one-step"],
+)
+def test_particles_horizon_is_whole_steps(tmp_path, capsys, t_final, dt):
+    text = PARTICLES_CFG.replace("t_final = 0.5", f"t_final = {t_final}")
+    text = text.replace("dt = 2e-3", f"dt = {dt}")
+    out = tmp_path / "out"
+    assert run_scenario(write_cfg(tmp_path, text), out_dir=out) == 2
+    assert "whole number" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_particles_csv_matches_row_by_row_format(tmp_path, dim):
     domain = build_grid(dim, [1.0, 2.5][:dim], [16, 5][:dim])
@@ -445,10 +459,21 @@ def test_config_error_inside_runner_is_usage_error(tmp_path):
         (PARTICLES_CFG, "dt = 2e-3", "dt = 0"),
         (PATH_CFG, "t_final = 1.0", "t_final = -1"),
         (PATH_CFG, "t_final = 1.0", "t_final = inf"),
+        (STABILIZE_CFG, "t_final = 1.5", "t_final = nan"),
+        (STABILIZE_CFG, "t_final = 1.5", "t_final = inf"),
+        (HSDP_STAB_CFG, "t_final = 8.0", "t_final = nan"),
+        (STEER_CFG, "t_final = 1.0", "t_final = -1"),
+        (STEER_CFG, "tolerance = 1e-2", "tolerance = nan"),
+        (CTMC_CFG, "t_final = 1.0", "t_final = 0"),
+        (HSDP_STEER_CFG, "tolerance = 5e-2", "tolerance = inf"),
+        (PARTICLES_CFG, "count = 20000", "count = -5"),
     ],
     ids=[
         "path-steps-0", "path-steps-negative", "stabilize-snapshots-0", "particles-dt-0",
-        "path-t_final-negative", "path-t_final-inf",
+        "path-t_final-negative", "path-t_final-inf", "stabilize-t_final-nan",
+        "stabilize-t_final-inf", "hsdp-stabilize-t_final-nan", "steer-t_final-negative",
+        "steer-tolerance-nan", "ctmc-t_final-0", "hsdp-steer-tolerance-inf",
+        "particles-count-negative",
     ],
 )
 def test_nonpositive_counts_and_steps_rejected(tmp_path, text, old, new):

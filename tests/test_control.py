@@ -166,6 +166,18 @@ class TestSteeringPlan:
         with pytest.raises(InputError):
             synthesize_steering_plan(y0, target, 1.0, 1e-2)
 
+    @pytest.mark.parametrize(
+        "t_final, tol",
+        [(math.nan, 1e-2), (math.inf, 1e-2), (0.0, 1e-2), (1.0, math.nan), (1.0, math.inf),
+         (1.0, 0.0)],
+        ids=["nan-t_final", "inf-t_final", "zero-t_final", "nan-tol", "inf-tol", "zero-tol"],
+    )
+    def test_bad_horizon_or_tolerance_rejected(self, unit_grid_64, t_final, tol):
+        target = TargetDensity.create(cosine_target(unit_grid_64))
+        y0 = ScalarField.constant(unit_grid_64, 1.0)
+        with pytest.raises(InputError):
+            synthesize_steering_plan(y0, target, t_final, tol)
+
     def test_plan_structure_and_budget(self, unit_grid_64):
         rng = np.random.default_rng(3)
         f = cosine_target(unit_grid_64)

@@ -460,6 +460,21 @@ class TestValidateDistribution:
             transfer_control(CYCLE3, np.array([bad, 0.5, 0.5]), np.array([0.4, 0.3, 0.3]), 1.0)
 
 
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
+def test_non_finite_or_nonpositive_duration_rejected(duration):
+    mu0, mu1 = np.array([0.6, 0.2, 0.2]), np.array([0.2, 0.3, 0.5])
+    with pytest.raises(InputError):
+        transfer_control(CYCLE3, mu0, mu1, duration)
+    with pytest.raises(InputError):
+        transfer_control(CYCLE3, np.array([1.0, 0.0, 0.0]), mu1, duration)
+    with pytest.raises(InputError):
+        global_transfer_plan(CYCLE3, mu0, mu1, duration)
+    with pytest.raises(InputError):
+        local_step_control(CYCLE3, mu0, np.zeros(3), duration)
+    with pytest.raises(InputError):
+        PiecewiseConstantControl(CYCLE3, np.array([0.0, duration]), np.zeros((1, 3)))
+
+
 class TestStationaryRates:
     def test_two_state_detailed_balance_values(self):
         g = TransitionGraph(2, ((1, 2), (2, 1)))

@@ -7,6 +7,7 @@ A change that is meant to alter artifact bytes regenerates the manifest with
 ``PYTHONPATH=src python tests/test_example_digests.py`` and says why.
 """
 
+import configparser
 import hashlib
 import json
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from swarmctrl.cli import run_scenario
+from swarmctrl.cli import CONTROLLERS, run_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = sorted((ROOT / "docs" / "examples").glob("*.cfg"))
@@ -33,6 +34,13 @@ def artifact_digests(config: Path, out_dir: Path) -> dict[str, str]:
 
 def test_manifest_covers_every_example():
     assert sorted(json.loads(MANIFEST.read_text())) == [p.stem for p in EXAMPLES]
+    # every controller is pinned by at least one example
+    declared = set()
+    for path in EXAMPLES:
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser.read(path, encoding="utf-8")
+        declared.add(parser.get("scenario", "controller"))
+    assert declared == set(CONTROLLERS)
 
 
 @pytest.mark.parametrize("config", EXAMPLES, ids=[p.stem for p in EXAMPLES])

@@ -192,6 +192,14 @@ class TestSdeStep:
         with pytest.raises(InputError):
             sde_step(ens, velocities, diffusion, None, 1e-3)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_non_finite_or_nonpositive_dt_rejected(self, dt):
+        ens = ParticleEnsemble.uniform(build_grid(1, [1.0], [8]), 10, seed=0)
+        before = ens.positions.copy()
+        with pytest.raises(InputError):
+            sde_step(ens, [None], [1.0], None, dt)
+        np.testing.assert_array_equal(ens.positions, before)
+
     def test_no_motion_without_inputs(self):
         d = build_grid(1, [1.0], [16])
         ens = ParticleEnsemble.uniform(d, 100, seed=1)
