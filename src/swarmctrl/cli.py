@@ -89,23 +89,31 @@ def _parse(kind, text: str, where: str):
         raise ConfigurationError(f"{where}: expected {kind.__name__}, got {text!r}") from exc
 
 
-def _number(sc: Scenario, section: str, key: str, fallback, kind=float, positive=False):
-    """[section] key as ``kind``; with ``positive``, also finite and > 0."""
+def _number(
+    sc: Scenario, section: str, key: str, fallback, kind=float, positive=False, nonnegative=False
+):
+    """[section] key as ``kind``; with ``positive``, also finite and > 0; with
+    ``nonnegative``, also finite and >= 0."""
     raw = sc.config.get(section, key, fallback=None)
     value = fallback if raw is None else _parse(kind, raw, f"[{section}] {key}")
     if positive and not 0 < value < math.inf:
         raise ConfigurationError(f"[{section}] {key} must be finite and positive, got {value}")
+    if nonnegative and not 0 <= value < math.inf:
+        raise ConfigurationError(f"[{section}] {key} must be finite and non-negative, got {value}")
     return value
 
 
 def _distribution_option(sc: Scenario, key: str, n: int) -> np.ndarray:
-    """[run] key: exactly ``n`` whitespace-separated numbers."""
+    """[run] key: exactly ``n`` whitespace-separated finite, non-negative numbers
+    (zeros allowed: boundary starts need them)."""
     raw = sc.config.get("run", key, fallback=None)
     if raw is None:
         raise ConfigurationError(f"[run] needs '{key}'")
     values = np.array([_parse(float, v, f"[run] {key}") for v in raw.split()])
     if values.size != n:
         raise ConfigurationError(f"'{key}' needs {n} entries")
+    if not np.all((0 <= values) & (values < math.inf)):
+        raise ConfigurationError(f"[run] {key} entries must be finite and non-negative, got {raw}")
     return values
 
 
@@ -443,7 +451,7 @@ def _run_hsdp_stabilize(sc: Scenario, out_dir: Path) -> bool:
     graph = _graph_from_config(sc)
     n = graph.n_vertices
     target = hybrid.HybridTarget.create(_stacked_fields(sc, domain, "target", n))
-    diffusion = [_number(sc, "pde", "diffusion", 1.0)] * n
+    diffusion = [_number(sc, "pde", "diffusion", 1.0, nonnegative=True)] * n
     gains = hybrid.zero_mass_stabilizing_gains(graph, target)
     velocities = hybrid.stabilizing_velocities(target, diffusion)
     rng = np.random.Generator(np.random.Philox(sc.seed))

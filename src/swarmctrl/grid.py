@@ -283,9 +283,11 @@ class SparseOperator:
 
 @functools.lru_cache(maxsize=16)
 def _pattern(n: int, dtype: np.dtype, indptr: bytes, indices: bytes):
-    """Columns and builder of the ``csr_matrix`` or ``csc_matrix`` on a CSR structure (raw
-    bytes) plus the diagonal: weights per entry, then per diagonal, sum into slots, exact
-    zeros drop, and the canonical arrays fill a copy of an empty matrix (no re-check)."""
+    """Columns, builder and tridiagonality of the ``csr_matrix`` or ``csc_matrix`` on a CSR
+    structure (raw bytes) plus the diagonal: weights per entry, then per diagonal, sum into
+    slots, exact zeros drop, and the canonical arrays fill a copy of an empty matrix (no
+    re-check).  The structure is tridiagonal when no entry lies off the three central
+    diagonals (every 1D grid)."""
     rows = np.repeat(np.arange(n), np.diff(np.frombuffer(indptr, dtype)))
     keys = np.append(rows * n + np.frombuffer(indices, dtype), np.arange(n) * (n + 1))
     order = np.argsort(keys, kind="stable")  # np.unique's quicksort costs ~0.4 MB more RSS
@@ -305,7 +307,7 @@ def _pattern(n: int, dtype: np.dtype, indptr: bytes, indices: bytes):
         out.indptr = np.searchsorted(major[keep], np.arange(n + 1)).astype(np.int32)
         return out
 
-    return c, build
+    return c, build, bool(np.all(np.abs(r - c) <= 1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -317,7 +319,7 @@ def _flux_pattern(domain: RectDomain):
     rows = np.concatenate([np.arange(n)] + [p for left, right in pairs for p in (right, left)])
     cols = np.concatenate([np.arange(n)] + [p for left, right in pairs for p in (left, right)])
     full = sp.csr_matrix((np.arange(1.0, rows.size + 1), (rows, cols)), shape=(n, n))
-    cols, build = _pattern(n, full.indices.dtype, full.indptr.tobytes(), full.indices.tobytes())
+    cols, build, _ = _pattern(n, full.indices.dtype, full.indptr.tobytes(), full.indices.tobytes())
     return np.argsort(full.data, kind="stable")[n:].astype(np.int32), cols, build
 
 

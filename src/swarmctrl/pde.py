@@ -55,8 +55,9 @@ __all__ = [
 
 SCHEMES = ("implicit_euler", "crank_nicolson")
 FLUXES = ("exponential", "centered")
-# byte budget of one block of step states yielded by :func:`march`
-BLOCK_BYTES = 32 * 1024
+# byte budget of one block of step states yielded by :func:`march`: 7 states of
+# 48x48 cells, so the per-block witness and finiteness scan amortize in 2D too
+BLOCK_BYTES = 128 * 1024
 
 
 @dataclasses.dataclass
@@ -169,6 +170,13 @@ def make_stepper(matrix: sp.csr_matrix, dt: float, scheme: str) -> Callable[[np.
     ``dt = 0`` is the identity.  I - theta*dt*matrix and I + dt/2*matrix fill the
     cached pattern of the canonical CSR ``matrix`` plus its diagonal.
 
+    SuperLU orders columns with COLAMD (an ordering for A^T A) on tridiagonal
+    patterns, where no ordering gives fill, and with the minimum degree ordering
+    of A^T + A on every other pattern: two-point-flux patterns are structurally
+    symmetric, and on 48x48 cells that ordering gives L+U about 40 % fewer
+    nonzeros.  Partial pivoting stays on (centered fluxes at high Peclet number
+    are not diagonally dominant).
+
     The step does not scan its output: the caller checks finiteness where it
     holds the states (see :func:`_require_finite`)."""
     if scheme not in SCHEMES:
@@ -176,9 +184,14 @@ def make_stepper(matrix: sp.csr_matrix, dt: float, scheme: str) -> Callable[[np.
     if not (dt >= 0 and math.isfinite(dt)):
         raise ConfigurationError(f"dt must be finite and non-negative, got {dt}")
     n = matrix.shape[0]
-    _, build = _pattern(n, matrix.indices.dtype, matrix.indptr.tobytes(), matrix.indices.tobytes())
+    _, build, tridiagonal = _pattern(
+        n, matrix.indices.dtype, matrix.indptr.tobytes(), matrix.indices.tobytes()
+    )
     theta = 1.0 if scheme == "implicit_euler" else 0.5
-    lu = spla.splu(build(np.append(-theta * dt * matrix.data, np.ones(n)), sp.csc_matrix))
+    lu = spla.splu(
+        build(np.append(-theta * dt * matrix.data, np.ones(n)), sp.csc_matrix),
+        permc_spec="COLAMD" if tridiagonal else "MMD_AT_PLUS_A",
+    )
     rhs_op = None if theta == 1.0 else build(np.append(0.5 * dt * matrix.data, np.ones(n)))
 
     if rhs_op is None:

@@ -467,13 +467,17 @@ def test_config_error_inside_runner_is_usage_error(tmp_path):
         (CTMC_CFG, "t_final = 1.0", "t_final = 0"),
         (HSDP_STEER_CFG, "tolerance = 5e-2", "tolerance = inf"),
         (PARTICLES_CFG, "count = 20000", "count = -5"),
+        (HSDP_STAB_CFG, "diffusion = 1.0", "diffusion = -1"),
+        (HSDP_STAB_CFG, "diffusion = 1.0", "diffusion = nan"),
+        (HSDP_STAB_CFG, "diffusion = 1.0", "diffusion = inf"),
     ],
     ids=[
         "path-steps-0", "path-steps-negative", "stabilize-snapshots-0", "particles-dt-0",
         "path-t_final-negative", "path-t_final-inf", "stabilize-t_final-nan",
         "stabilize-t_final-inf", "hsdp-stabilize-t_final-nan", "steer-t_final-negative",
         "steer-tolerance-nan", "ctmc-t_final-0", "hsdp-steer-tolerance-inf",
-        "particles-count-negative",
+        "particles-count-negative", "hsdp-stabilize-diffusion-negative",
+        "hsdp-stabilize-diffusion-nan", "hsdp-stabilize-diffusion-inf",
     ],
 )
 def test_nonpositive_counts_and_steps_rejected(tmp_path, text, old, new):
@@ -482,6 +486,45 @@ def test_nonpositive_counts_and_steps_rejected(tmp_path, text, old, new):
     out = tmp_path / "out"
     assert run_scenario(path, out_dir=out) == 2
     assert not (out / "summary.json").exists()
+
+
+def test_zero_hsdp_diffusion_accepted(tmp_path):
+    # the library allows pure reaction: the value reaches the run, which
+    # writes its summary (the 1e-4 final_error check then fails, exit 1)
+    path = write_cfg(tmp_path, HSDP_STAB_CFG.replace("diffusion = 1.0", "diffusion = 0"))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) != 2
+    assert (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text, old, new",
+    [
+        (CTMC_CFG, "mu0 = 0.6 0.2 0.2", "mu0 = nan 0.2 0.2"),
+        (CTMC_CFG, "mu0 = 0.6 0.2 0.2", "mu0 = 0.6 -0.2 0.2"),
+        (CTMC_CFG, "mu_target = 0.2 0.3 0.5", "mu_target = 0.2 0.3 inf"),
+        (SPECTRUM_CFG, "mu_eq = 0.3333333333333333 0.6666666666666666", "mu_eq = -1 2"),
+        (SPECTRUM_CFG, "mu_eq = 0.3333333333333333 0.6666666666666666", "rates = 1 nan"),
+        (SPECTRUM_CFG, "mu_eq = 0.3333333333333333 0.6666666666666666", "rates = -1 1"),
+    ],
+    ids=[
+        "ctmc-mu0-nan", "ctmc-mu0-negative", "ctmc-mu_target-inf", "spectrum-mu_eq-negative",
+        "spectrum-rates-nan", "spectrum-rates-negative",
+    ],
+)
+def test_bad_distribution_entries_rejected(tmp_path, text, old, new):
+    assert old in text
+    path = write_cfg(tmp_path, text.replace(old, new))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 2
+    assert not (out / "summary.json").exists()
+
+
+def test_zero_distribution_entry_accepted(tmp_path):
+    # boundary starts: a zero entry of mu0 reaches the transfer
+    path = write_cfg(tmp_path, CTMC_CFG.replace("mu0 = 0.6 0.2 0.2", "mu0 = 0.8 0.2 0"))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 0
 
 
 @pytest.mark.parametrize(

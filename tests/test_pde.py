@@ -41,16 +41,26 @@ from swarmctrl.pde import (
 SCHEMES = ["implicit_euler", "crank_nicolson"]
 
 
+def stepper_ordering(matrix):
+    """The column ordering rule: COLAMD when no entry of ``matrix`` lies off
+    the three central diagonals, the minimum degree ordering of A^T + A
+    otherwise."""
+    coo = matrix.tocoo()
+    return "COLAMD" if np.all(np.abs(coo.row - coo.col) <= 1) else "MMD_AT_PLUS_A"
+
+
 def scipy_make_stepper(matrix, dt, scheme):
     """The scipy-arithmetic stepper that the cached-pattern one replaced
-    (identity minus the scaled matrix, then ``tocsc``), kept as the bitwise
-    oracle: returns the matrix handed to ``splu`` and the step."""
+    (identity minus the scaled matrix, then ``tocsc``, factored with the
+    ordering of :func:`stepper_ordering`), kept as the bitwise oracle:
+    returns the matrix handed to ``splu``, its ordering and the step."""
     eye = sp.identity(matrix.shape[0], format="csr")
     theta = 1.0 if scheme == "implicit_euler" else 0.5
     system = (eye - theta * dt * matrix).tocsc()
-    lu = spla.splu(system)
+    permc_spec = stepper_ordering(matrix)
+    lu = spla.splu(system, permc_spec=permc_spec)
     rhs_op = None if theta == 1.0 else (eye + 0.5 * dt * matrix).tocsr()
-    return system, lambda y: lu.solve(y if rhs_op is None else rhs_op @ y)
+    return system, permc_spec, lambda y: lu.solve(y if rhs_op is None else rhs_op @ y)
 
 
 def test_stepper_config_validation():
@@ -225,8 +235,9 @@ class TestFixedPatternOperators:
 
         with mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
             step = make_stepper(matrix, dt, scheme)
-        system, oracle_step = scipy_make_stepper(expected, dt, scheme)
+        system, permc_spec, oracle_step = scipy_make_stepper(expected, dt, scheme)
         assert_bitwise_equal(splu.call_args.args[0], system)
+        assert splu.call_args.kwargs["permc_spec"] == permc_spec
         y = y_oracle = rng.random(domain.cell_count)
         for _ in range(4):
             y, y_oracle = step(y), oracle_step(y_oracle)
@@ -241,8 +252,27 @@ class TestFixedPatternOperators:
         assert matrix.nnz == 2
         y = np.array([1.0, 2.0, 3.0, 4.0])
         out = make_stepper(matrix, 0.1, scheme)(y)
-        assert out.tobytes() == scipy_make_stepper(matrix, 0.1, scheme)[1](y).tobytes()
+        assert out.tobytes() == scipy_make_stepper(matrix, 0.1, scheme)[2](y).tobytes()
         assert out.sum() == pytest.approx(y.sum(), rel=1e-15)
+
+    def test_2d_stepper_orders_for_low_fill(self):
+        # the minimum degree ordering of A^T + A suits the structurally
+        # symmetric 2D pattern: 62,670 L+U nonzeros on 48x48, 106,036 under COLAMD
+        d = build_grid(2, [1.0, 1.0], [48, 48])
+        matrix = weighted_heat_operator(ScalarField.constant(d, 1.0)).matrix
+        lu = make_stepper(matrix, 1e-3, "implicit_euler").__self__
+        assert lu.L.nnz + lu.U.nnz <= 70_000
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_1d_stepper_keeps_colamd(self, unit_grid_128, scheme):
+        # tridiagonal patterns keep scipy's default ordering, bit for bit
+        rng = np.random.default_rng(3)
+        velocity = FaceField(unit_grid_128, (rng.standard_normal(127),))
+        matrix = assemble_advection_diffusion(unit_grid_128, velocity, 0.05, "centered")
+        _, permc_spec, oracle_step = scipy_make_stepper(matrix, 1e-2, scheme)
+        assert permc_spec == "COLAMD"
+        y = rng.random(128)
+        assert make_stepper(matrix, 1e-2, scheme)(y).tobytes() == oracle_step(y).tobytes()
 
     @pytest.mark.parametrize("dt", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
     def test_bad_dt_rejected(self, unit_grid_64, dt):
@@ -326,8 +356,11 @@ class TestMarch:
             np.testing.assert_array_equal(block[0], y)
 
     def test_block_budget_on_large_state(self):
-        # 48x48 cells is 18 KiB per state, so each block holds one state
-        d = build_grid(2, [1.0, 1.0], [48, 48])
+        # a square grid with one cell more per side than fits the budget in
+        # one state, so each block holds one state
+        side = math.isqrt(pde.BLOCK_BYTES // 8) + 1
+        d = build_grid(2, [1.0, 1.0], [side, side])
+        assert d.cell_count * 8 > pde.BLOCK_BYTES
         matrix = weighted_heat_operator(ScalarField.constant(d, 1.0)).matrix
         y = random_density(d, np.random.default_rng(1)).flat
         cfg = StepperConfig(dt=1e-3)
