@@ -149,7 +149,10 @@ def _field_from_spec(sc: Scenario, domain: RectDomain, section: str) -> ScalarFi
         table = sc.base_dir / cfg.get(section, "table")
         if not table.is_file():
             raise ConfigurationError(f"tabulated density not found: {table}")
-        values = np.loadtxt(table, delimiter=",", ndmin=1)
+        try:
+            values = np.loadtxt(table, delimiter=",", ndmin=1)
+        except ValueError as exc:
+            raise ConfigurationError(f"[{section}] table {table}: {exc}") from exc
         return ScalarField(domain, values)
     raise ConfigurationError(f"[{section}] needs either 'expr' or 'table'")
 
@@ -172,12 +175,16 @@ def _stacked_fields(
 
 
 def _stepper_config(sc: Scenario) -> StepperConfig:
-    cfg = sc.config
-    return StepperConfig(
-        dt=_number(sc, "pde", "dt", 1e-3),
-        scheme=cfg.get("pde", "scheme", fallback="implicit_euler"),
-        advection_flux=cfg.get("pde", "flux", fallback="exponential"),
-    )
+    """[pde] dt.  A ``scheme`` or ``flux`` key is an error, not ignored: every
+    evolution has one scheme, so ignoring it would run another method than
+    the config asks for."""
+    for key in ("scheme", "flux"):
+        if sc.config.has_option("pde", key):
+            raise ConfigurationError(
+                f"[pde] {key} is not supported: every evolution uses implicit Euler"
+                " with the exponential-fitted flux"
+            )
+    return StepperConfig(dt=_number(sc, "pde", "dt", 1e-3))
 
 
 def _graph_from_config(sc: Scenario) -> ctmc.TransitionGraph:
@@ -461,7 +468,7 @@ def _run_hsdp_stabilize(sc: Scenario, out_dir: Path) -> bool:
     t_final = _number(sc, "run", "t_final", 10.0, positive=True)
     n_steps = int(math.ceil(t_final / (cfg.dt * 10)))
     dt = t_final / n_steps
-    stepper = hybrid.SplitStepper(domain, velocities, diffusion, gains, dt, cfg)
+    stepper = hybrid.SplitStepper(domain, velocities, diffusion, gains, dt)
     times, errors = [], []
     t = 0.0
     for k in range(n_steps):
@@ -573,6 +580,8 @@ def run_scenario(
         scenario = _load_scenario(Path(config_path))
         if seed is not None:
             scenario.seed = int(seed)
+        if scenario.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {scenario.seed}")
         if expected_controller is not None and scenario.controller != expected_controller:
             raise ConfigurationError(
                 f"config declares controller {scenario.controller!r}, "

@@ -246,7 +246,6 @@ class SparseOperator:
     domain: RectDomain
     matrix: sp.csr_matrix
     a_values: np.ndarray
-    w_values: np.ndarray
 
     @property
     def n(self) -> int:
@@ -324,7 +323,7 @@ def _flux_pattern(domain: RectDomain):
 
 
 def two_point_flux_matrix(
-    domain: RectDomain, face_rates: Sequence[tuple[np.ndarray, np.ndarray]], source=None
+    domain: RectDomain, face_rates: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> sp.csr_matrix:
     """Conservative generator from per-axis face transfer rates.
 
@@ -334,12 +333,11 @@ def two_point_flux_matrix(
     rates become the off-diagonal entries and the diagonal cancels each
     column sum, so ``1^T L = 0`` holds in floating point (mass is
     conserved) and non-negative rates give an M-matrix sign pattern.
-    A per-cell ``source`` joins the diagonal; column sums add in CSR order.
     """
     position, cols, build = _flux_pattern(domain)
     off_diag = np.bincount(position, np.concatenate(face_rates, axis=None), cols.size)
     diagonal = -np.bincount(cols, off_diag, domain.cell_count)
-    return build(np.append(off_diag, diagonal if source is None else diagonal + source))
+    return build(np.append(off_diag, diagonal))
 
 
 def divergence_form_operator(a: ScalarField, w: ScalarField | None = None) -> SparseOperator:
@@ -372,7 +370,7 @@ def divergence_form_operator(a: ScalarField, w: ScalarField | None = None) -> Sp
         # flux = wf * (a_R u_R - a_L u_L)/h leaving the left cell
         face_rates.append((coef * a_flat[left], coef * a_flat[right]))
     matrix = two_point_flux_matrix(domain, face_rates)
-    return SparseOperator(domain, matrix, a.values.copy(), w.values.copy())
+    return SparseOperator(domain, matrix, a.values.copy())
 
 
 def neumann_laplacian(domain: RectDomain) -> SparseOperator:

@@ -212,14 +212,12 @@ def _reaction_propagators(
         q = generator(gains.graph, rates)
         return scipy.linalg.expm(dt_half * q)
     mats = generator(gains.graph, np.stack([g.reshape(-1) for g in gains.gains]))
-    out = np.empty_like(mats)
-    for c in range(mats.shape[0]):
-        out[c] = scipy.linalg.expm(dt_half * mats[c])
-    return out
+    return scipy.linalg.expm(dt_half * mats)
 
 
 class SplitStepper:
-    """Prefactorized symmetric splitting step for the coupled system.
+    """Prefactorized symmetric splitting step for the coupled system; the
+    transport substep is implicit Euler with the exponential-fitted flux.
 
     Reuse across steps requires fixed velocities, gains, and dt.
     """
@@ -231,21 +229,18 @@ class SplitStepper:
         diffusion: Sequence[float],
         gains: SpatialGainSet | None,
         dt: float,
-        cfg: StepperConfig | None = None,
     ):
-        cfg = cfg or StepperConfig()
         if dt <= 0:
             raise ConfigurationError(f"dt must be positive, got {dt}")
         self.domain = domain
         self.dt = dt
-        self.scheme = cfg.scheme
         self.n_states = len(diffusion)
         if len(velocities) != self.n_states:
             raise InputError("one velocity field per state required")
         self._transport = []
         for v, d in zip(velocities, diffusion):
-            matrix = assemble_advection_diffusion(domain, v, float(d), cfg.advection_flux)
-            self._transport.append(make_stepper(matrix, dt, cfg.scheme))
+            matrix = assemble_advection_diffusion(domain, v, float(d))
+            self._transport.append(make_stepper(matrix, dt, "implicit_euler"))
         self._reaction = _reaction_propagators(gains, 0.5 * dt, self.n_states)
 
     def _react(self, arr: np.ndarray) -> np.ndarray:
@@ -260,7 +255,7 @@ class SplitStepper:
         arr = state.as_array()
         arr = self._react(arr)
         arr = np.stack([self._transport[k](arr[k]) for k in range(self.n_states)])
-        _require_finite(arr, self.scheme)
+        _require_finite(arr, "implicit_euler")
         arr = self._react(arr)
         return StackedDensity.from_array(self.domain, arr)
 
@@ -271,10 +266,9 @@ def split_step(
     diffusion: Sequence[float],
     gains: SpatialGainSet | None,
     dt: float,
-    cfg: StepperConfig | None = None,
 ) -> StackedDensity:
     """One symmetric splitting step; conserves total mass and positivity."""
-    stepper = SplitStepper(state.domain, velocities, diffusion, gains, dt, cfg)
+    stepper = SplitStepper(state.domain, velocities, diffusion, gains, dt)
     return stepper.step(state)
 
 

@@ -5,7 +5,9 @@ form), so a density whose face velocity is the log-gradient of a positive
 profile is an exact discrete steady state.  Implicit Euler with this flux
 is an M-matrix method: it conserves mass exactly (conservative flux,
 columns of the generator sum to zero) and maps non-negative states to
-non-negative states for every step size.
+non-negative states for every step size.  It is the only scheme of the
+fixed-operator evolutions here; Crank-Nicolson with the centered flux
+serves only path following (``control.follow_path``).
 """
 
 from __future__ import annotations
@@ -62,26 +64,18 @@ BLOCK_BYTES = 128 * 1024
 
 @dataclasses.dataclass
 class StepperConfig:
-    """Time-stepping knobs.
+    """Time-stepping knob of every fixed-operator evolution (implicit Euler).
 
     ``dt`` is an upper bound; evolution helpers additionally clamp it to
     the squared grid spacing for accuracy (never needed for stability:
-    both schemes are unconditionally stable).
+    implicit Euler is unconditionally stable).
     """
 
     dt: float = 1e-3
-    scheme: str = "implicit_euler"
-    advection_flux: str = "exponential"
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ConfigurationError(f"dt must be finite and positive, got {self.dt}")
-        if self.scheme not in SCHEMES:
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}, options {SCHEMES}")
-        if self.advection_flux not in FLUXES:
-            raise ConfigurationError(
-                f"unknown advection flux {self.advection_flux!r}, options {FLUXES}"
-            )
 
 
 @dataclasses.dataclass
@@ -115,7 +109,6 @@ def assemble_advection_diffusion(
     velocity: FaceField | None,
     diffusion: float,
     flux: str = "exponential",
-    source: ScalarField | None = None,
 ) -> sp.csr_matrix:
     """Generator L with y' = L y discretizing D*lap(y) - div(v y).
 
@@ -149,7 +142,7 @@ def assemble_advection_diffusion(
             c_right = -np.minimum(vf, 0.0)
         # face flux out of the left cell: F = c_left*u_L - c_right*u_R
         face_rates.append((c_left / h, c_right / h))
-    return two_point_flux_matrix(domain, face_rates, None if source is None else source.flat)
+    return two_point_flux_matrix(domain, face_rates)
 
 
 def weighted_heat_operator(a: ScalarField) -> SparseOperator:
@@ -218,21 +211,17 @@ def step_advection_diffusion(
     velocity: FaceField | None,
     diffusion: float,
     cfg: StepperConfig | None = None,
-    source: ScalarField | None = None,
 ) -> ScalarField:
-    """One time step of y_t = D lap(y) - div(v y) with zero-flux boundary.
-
-    Mass is conserved to roundoff for any velocity; implicit Euler with
-    the exponential-fitted flux additionally preserves non-negativity.
+    """One implicit Euler step of y_t = D lap(y) - div(v y) with zero-flux
+    boundary and the exponential-fitted flux: conserves mass to roundoff and
+    preserves non-negativity.
     """
     cfg = cfg or StepperConfig()
     if np.min(y.values) < -1e-9:
         raise InputError(f"state has negative cells, min = {np.min(y.values):.3e}")
-    matrix = assemble_advection_diffusion(
-        y.domain, velocity, diffusion, cfg.advection_flux, source
-    )
-    out = make_stepper(matrix, cfg.dt, cfg.scheme)(y.flat)
-    _require_finite(out, cfg.scheme)
+    matrix = assemble_advection_diffusion(y.domain, velocity, diffusion)
+    out = make_stepper(matrix, cfg.dt, "implicit_euler")(y.flat)
+    _require_finite(out, "implicit_euler")
     return ScalarField(y.domain, out)
 
 
@@ -243,8 +232,8 @@ def march(
     domain: RectDomain,
     cfg: StepperConfig,
 ) -> Iterator[np.ndarray]:
-    """Yield the states after max(1, ceil(duration / clamped_dt)) equal steps
-    of y' = matrix @ y, in blocks of consecutive steps.
+    """Yield the states after max(1, ceil(duration / clamped_dt)) equal
+    implicit Euler steps of y' = matrix @ y, in blocks of consecutive steps.
 
     One factorization serves every step and every column of a raw
     ``(cells,)`` or ``(cells, k)`` array ``y``.  Each block is a new
@@ -255,14 +244,14 @@ def march(
     if duration < 0:
         raise ConfigurationError(f"duration must be non-negative, got {duration}")
     n_steps = max(1, int(math.ceil(duration / clamped_dt(domain, cfg))))
-    step = make_stepper(matrix, duration / n_steps, cfg.scheme)
+    step = make_stepper(matrix, duration / n_steps, "implicit_euler")
     rows = max(1, BLOCK_BYTES // y.nbytes)
     for start in range(0, n_steps, rows):
         block = np.empty((min(rows, n_steps - start),) + y.shape)
         for row in block:
             y = step(y)
             row[...] = y
-        _require_finite(block, cfg.scheme)
+        _require_finite(block, "implicit_euler")
         yield block
 
 

@@ -470,6 +470,8 @@ def test_config_error_inside_runner_is_usage_error(tmp_path):
         (HSDP_STAB_CFG, "diffusion = 1.0", "diffusion = -1"),
         (HSDP_STAB_CFG, "diffusion = 1.0", "diffusion = nan"),
         (HSDP_STAB_CFG, "diffusion = 1.0", "diffusion = inf"),
+        (PARTICLES_CFG, "seed = 21", "seed = -1"),
+        (HSDP_STAB_CFG, "seed = 3", "seed = -1"),
     ],
     ids=[
         "path-steps-0", "path-steps-negative", "stabilize-snapshots-0", "particles-dt-0",
@@ -478,6 +480,7 @@ def test_config_error_inside_runner_is_usage_error(tmp_path):
         "steer-tolerance-nan", "ctmc-t_final-0", "hsdp-steer-tolerance-inf",
         "particles-count-negative", "hsdp-stabilize-diffusion-negative",
         "hsdp-stabilize-diffusion-nan", "hsdp-stabilize-diffusion-inf",
+        "particles-seed-negative", "hsdp-stabilize-seed-negative",
     ],
 )
 def test_nonpositive_counts_and_steps_rejected(tmp_path, text, old, new):
@@ -549,6 +552,46 @@ def test_malformed_number_is_usage_error(tmp_path, capsys, text, old, new):
     out = tmp_path / "out"
     assert run_scenario(path, out_dir=out) == 2
     assert "ConfigurationError" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["scheme = implicit_euler", "scheme = crank_nicolson", "flux = centered"],
+    ids=["scheme-implicit_euler", "scheme-crank_nicolson", "flux-centered"],
+)
+@pytest.mark.parametrize("text", [STEER_CFG, HSDP_STAB_CFG], ids=["steer", "hsdp-stabilize"])
+def test_removed_pde_keys_rejected(tmp_path, capsys, text, setting):
+    # every evolution is implicit Euler with the exponential-fitted flux; a
+    # config that still asks for a scheme or flux is an error, not ignored
+    path = write_cfg(tmp_path, text.replace("[pde]\n", f"[pde]\n{setting}\n"))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 2
+    assert f"[pde] {setting.split()[0]}" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_malformed_density_table_is_usage_error(tmp_path, capsys):
+    (tmp_path / "badtable.csv").write_text("1.0\nabc\n")
+    text = STABILIZE_CFG.replace("expr = 1 + 0.3*cos(pi*x)", "table = badtable.csv")
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 2
+    assert "ConfigurationError" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text, controller",
+    [(PARTICLES_CFG, "particles"), (HSDP_STAB_CFG, "hsdp-stabilize")],
+    ids=["particles", "hsdp-stabilize"],
+)
+def test_negative_seed_flag_is_usage_error(tmp_path, capsys, text, controller):
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    argv = [controller, "--config", str(path), "--out", str(out), "--seed", "-1"]
+    assert main(argv) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
 
 

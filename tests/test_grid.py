@@ -193,10 +193,10 @@ class TestDivergenceFormOperator:
 # ---------------------------------------------------------------------------
 # oracle: the scipy-arithmetic assembly that the cached-pattern builder
 # replaced (COO to CSR, column sums through scipy, sparse sum with the
-# diagonal, then the source as one more sparse sum)
+# diagonal)
 
 
-def scipy_two_point_flux_matrix(domain, face_rates, source=None):
+def scipy_two_point_flux_matrix(domain, face_rates):
     n = domain.cell_count
     rows, cols, data = [], [], []
     for axis, (to_right, to_left) in enumerate(face_rates):
@@ -208,8 +208,7 @@ def scipy_two_point_flux_matrix(domain, face_rates, source=None):
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     ).tocsr()
     diagonal = -np.asarray(off_diag.sum(axis=0)).ravel()
-    matrix = (off_diag + sp.diags(diagonal)).tocsr()
-    return matrix if source is None else matrix + sp.diags(source)
+    return (off_diag + sp.diags(diagonal)).tocsr()
 
 
 def assert_bitwise_equal(a, b):
@@ -223,9 +222,8 @@ def assert_bitwise_equal(a, b):
 
 @st.composite
 def flux_cases(draw):
-    """A random grid, face rates of both signs over six decades with a
-    drawn share of exact zeros, and no source, a random one with zeros, or
-    one that cancels every diagonal entry."""
+    """A random grid and face rates of both signs over six decades with a
+    drawn share of exact zeros."""
     domain = draw(random_grids())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     zero_share = draw(st.sampled_from([0.0, 0.3, 1.0]))
@@ -236,13 +234,7 @@ def flux_cases(draw):
         return x
 
     sizes = [math.prod(domain.face_shape(axis)) for axis in range(domain.dim)]
-    rates = [(values(m), values(m)) for m in sizes]
-    source = draw(st.sampled_from(["none", "random", "cancel"]))
-    if source == "none":
-        return domain, rates, None
-    if source == "random":
-        return domain, rates, values(domain.cell_count)
-    return domain, rates, -scipy_two_point_flux_matrix(domain, rates).diagonal()
+    return domain, [(values(m), values(m)) for m in sizes]
 
 
 class TestTwoPointFluxMatrix:
@@ -251,10 +243,9 @@ class TestTwoPointFluxMatrix:
     def test_matches_scipy_oracle(self, case):
         # the cached pattern gives scipy's arrays bit for bit: column sums
         # in the same order, exact zeros (rates, diagonals) pruned the same
-        domain, rates, source = case
+        domain, rates = case
         assert_bitwise_equal(
-            grid.two_point_flux_matrix(domain, rates, source),
-            scipy_two_point_flux_matrix(domain, rates, source),
+            grid.two_point_flux_matrix(domain, rates), scipy_two_point_flux_matrix(domain, rates)
         )
 
     def test_pattern_built_once_per_grid(self):

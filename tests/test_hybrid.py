@@ -29,7 +29,6 @@ from swarmctrl.hybrid import (
     zero_mass_stabilizing_gains,
 )
 from swarmctrl.pde import (
-    StepperConfig,
     fit_decay_rate,
     make_stepper,
     weighted_heat_operator,
@@ -73,13 +72,11 @@ class TestSplitStep:
         n = g.n_vertices
         rates = data.draw(st.lists(st.floats(0.0, 5.0), min_size=g.n_edges, max_size=g.n_edges))
         dt = data.draw(st.floats(1e-3, 0.1))
-        scheme = data.draw(st.sampled_from(["implicit_euler", "crank_nicolson"]))
         stack = random_stack(d, n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
         gains = SpatialGainSet.constant(g, d, rates)
-        cfg = StepperConfig(dt=dt, scheme=scheme)
-        out = split_step(stack, [None] * n, [1.0] * n, gains, dt, cfg).as_array()
+        out = split_step(stack, [None] * n, [1.0] * n, gains, dt).as_array()
         heat = make_stepper(
-            weighted_heat_operator(ScalarField.constant(d, 1.0)).matrix, dt, scheme
+            weighted_heat_operator(ScalarField.constant(d, 1.0)).matrix, dt, "implicit_euler"
         )
         heated = np.stack([heat(f.flat) for f in stack.fields])
         ref = scipy.linalg.expm(dt * generator(g, rates)) @ heated
@@ -115,6 +112,23 @@ class TestSplitStep:
             )
             expected[:, c] = scipy.linalg.expm(dt * q) @ arr[:, c]
         assert np.max(np.abs(out.as_array() - expected)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_per_cell_propagators_match_expm_loop(self, data):
+        # one batched expm over the (cells, N, N) stack is the per-cell
+        # loop it replaced, bit for bit
+        d = data.draw(random_grids())
+        g = data.draw(strongly_connected_graphs())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        gains = SpatialGainSet(
+            g, d, tuple(10.0 ** rng.uniform(-3, 2, d.shape) for _ in range(g.n_edges))
+        )
+        dt_half = data.draw(st.floats(1e-4, 0.5))
+        mats = generator(g, np.stack([k.reshape(-1) for k in gains.gains]))
+        loop = np.stack([scipy.linalg.expm(dt_half * m) for m in mats])
+        batched = hybrid._reaction_propagators(gains, dt_half, g.n_vertices)
+        assert batched.tobytes() == loop.tobytes()
 
     def test_total_mass_conserved(self, unit_grid_64):
         rng = np.random.default_rng(2)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 from unittest import mock
@@ -69,9 +70,8 @@ def test_stepper_config_validation():
     with pytest.raises(ConfigurationError):
         StepperConfig(dt=-1.0)
     with pytest.raises(ConfigurationError):
-        StepperConfig(scheme="leapfrog")
-    with pytest.raises(ConfigurationError):
-        StepperConfig(advection_flux="quick")
+        StepperConfig(dt=0.0)
+    assert [f.name for f in dataclasses.fields(StepperConfig)] == ["dt"]
 
 
 @pytest.mark.parametrize("dt", [math.nan, math.inf], ids=["nan", "inf"])
@@ -165,12 +165,6 @@ class TestStepAdvectionDiffusion:
         with pytest.raises(InputError):
             step_advection_diffusion(y, None, 1.0)
 
-    def test_crank_nicolson_runs(self, unit_grid_64):
-        y = cosine_target(unit_grid_64)
-        cfg = StepperConfig(dt=1e-3, scheme="crank_nicolson")
-        y1 = step_advection_diffusion(y, None, 1.0, cfg)
-        assert abs(mass(y1) - 1.0) <= 1e-12
-
     def test_2d_mass_and_positivity(self):
         rng = np.random.default_rng(7)
         d = build_grid(2, [1.0, 1.5], [12, 18])
@@ -194,15 +188,6 @@ class TestStepAdvectionDiffusion:
         y1 = step_advection_diffusion(f, v, 1.0, StepperConfig(dt=1e-2))
         assert np.max(np.abs(y1.values - f.values)) <= 1e-12
 
-    def test_uniform_source_drains_mass(self, unit_grid_64):
-        f = cosine_target(unit_grid_64)
-        law = stabilizing_velocity(TargetDensity.create(f), 1.0)
-        sink = ScalarField.constant(unit_grid_64, -0.5)
-        # uniform linear sink drains mass at the configured rate
-        dt = 1e-3
-        y1 = step_advection_diffusion(f, law, 1.0, StepperConfig(dt=dt), source=sink)
-        assert mass(y1) == pytest.approx(1.0 / (1.0 + 0.5 * dt), rel=1e-10)
-
 
 class TestFixedPatternOperators:
     @settings(max_examples=150, deadline=None)
@@ -223,14 +208,10 @@ class TestFixedPatternOperators:
             for c in comps:
                 c[rng.random(c.shape) < 0.4] = 0.0
             velocity = FaceField(domain, tuple(comps))
-        source = None
-        if data.draw(st.booleans()):  # a sink, zero in about half the cells
-            sink = np.where(rng.random(domain.shape) < 0.5, 0.0, -rng.random(domain.shape))
-            source = ScalarField(domain, sink)
 
-        matrix = assemble_advection_diffusion(domain, velocity, diffusion, flux, source)
+        matrix = assemble_advection_diffusion(domain, velocity, diffusion, flux)
         with mock.patch.object(pde, "two_point_flux_matrix", scipy_two_point_flux_matrix):
-            expected = assemble_advection_diffusion(domain, velocity, diffusion, flux, source)
+            expected = assemble_advection_diffusion(domain, velocity, diffusion, flux)
         assert_bitwise_equal(matrix, expected)
 
         with mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
@@ -288,9 +269,9 @@ class TestFixedPatternOperators:
 
 
 def plain_march(matrix, y, duration, domain, cfg):
-    """The states after each step of a plain ``make_stepper`` loop."""
+    """The states after each step of a plain implicit Euler ``make_stepper`` loop."""
     n_steps = max(1, math.ceil(duration / clamped_dt(domain, cfg)))
-    step = make_stepper(matrix, duration / n_steps, cfg.scheme)
+    step = make_stepper(matrix, duration / n_steps, "implicit_euler")
     states = []
     for _ in range(n_steps):
         y = step(y)
@@ -303,17 +284,16 @@ class TestMarch:
     @given(
         random_grids(),
         st.integers(1, 4),
-        st.sampled_from(["implicit_euler", "crank_nicolson"]),
         st.floats(1e-3, 0.05),
         st.integers(0, 2**32 - 1),
     )
-    def test_stacked_march_equals_column_marches(self, domain, k, scheme, duration, seed):
+    def test_stacked_march_equals_column_marches(self, domain, k, duration, seed):
         # one factorization solving the (cells, k) stack gives every
         # column bitwise what its own march gives, at every step
         rng = np.random.default_rng(seed)
         a = ScalarField(domain, 0.5 + rng.random(domain.shape))
         matrix = weighted_heat_operator(a).matrix
-        cfg = StepperConfig(dt=2e-3, scheme=scheme)
+        cfg = StepperConfig(dt=2e-3)
         stack = rng.random((domain.cell_count, k))
         stacked = np.concatenate(list(march(matrix, stack, duration, domain, cfg)))
         for col in range(k):
@@ -324,16 +304,15 @@ class TestMarch:
     @given(
         random_grids(),
         st.sampled_from([None, 1, 3]),
-        st.sampled_from(SCHEMES),
         st.sampled_from([0.0, 1e-3, 0.02, 0.3]),
         st.floats(2e-4, 5e-3),
         st.integers(0, 2**32 - 1),
     )
-    def test_blocks_match_plain_step_loop(self, domain, k, scheme, duration, dt, seed):
+    def test_blocks_match_plain_step_loop(self, domain, k, duration, dt, seed):
         rng = np.random.default_rng(seed)
         a = ScalarField(domain, 0.5 + rng.random(domain.shape))
         matrix = weighted_heat_operator(a).matrix
-        cfg = StepperConfig(dt=dt, scheme=scheme)
+        cfg = StepperConfig(dt=dt)
         y = rng.random(domain.cell_count if k is None else (domain.cell_count, k))
         blocks = list(march(matrix, y, duration, domain, cfg))
         expected = plain_march(matrix, y, duration, domain, cfg)
@@ -367,13 +346,12 @@ class TestMarch:
         blocks = list(march(matrix, y, 4.5 * clamped_dt(d, cfg), d, cfg))
         assert [b.shape for b in blocks] == [(1, d.cell_count)] * 5
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_non_finite_state_raises(self, unit_grid_64, scheme):
+    def test_non_finite_state_raises(self, unit_grid_64):
         matrix = weighted_heat_operator(ScalarField.constant(unit_grid_64, 1.0)).matrix
         y = random_density(unit_grid_64, np.random.default_rng(0)).flat.copy()
         y[5] = np.inf
         with pytest.raises(NumericalError, match="non-finite"):
-            list(march(matrix, y, 0.01, unit_grid_64, StepperConfig(dt=1e-3, scheme=scheme)))
+            list(march(matrix, y, 0.01, unit_grid_64, StepperConfig(dt=1e-3)))
 
     def test_negative_duration_rejected(self, unit_grid_64):
         from swarmctrl.errors import ConfigurationError
