@@ -133,7 +133,8 @@ def _build_domain(sc: Scenario) -> RectDomain:
 
 
 def _field_from_spec(sc: Scenario, domain: RectDomain, section: str) -> ScalarField:
-    """Closed-form expression over x (and y), or a tabulated CSV column."""
+    """Closed-form expression over x (and y), or a tabulated CSV column; a
+    non-finite value is a ConfigurationError."""
     cfg = sc.config
     if not cfg.has_section(section):
         raise ConfigurationError(f"config is missing the [{section}] section")
@@ -142,19 +143,24 @@ def _field_from_spec(sc: Scenario, domain: RectDomain, section: str) -> ScalarFi
         names = {"x": grids[0]}
         if domain.dim > 1:
             names["y"] = grids[1]
-        values = evaluate(cfg.get(section, "expr"), **names)
+        where = f"[{section}] expr"
+        with np.errstate(all="ignore"):  # non-finite values are reported below
+            values = evaluate(cfg.get(section, "expr"), **names)
         values = np.broadcast_to(values, domain.shape).copy()
-        return ScalarField(domain, values)
-    if cfg.has_option(section, "table"):
+    elif cfg.has_option(section, "table"):
         table = sc.base_dir / cfg.get(section, "table")
         if not table.is_file():
             raise ConfigurationError(f"tabulated density not found: {table}")
+        where = f"[{section}] table {table}"
         try:
             values = np.loadtxt(table, delimiter=",", ndmin=1)
         except ValueError as exc:
-            raise ConfigurationError(f"[{section}] table {table}: {exc}") from exc
-        return ScalarField(domain, values)
-    raise ConfigurationError(f"[{section}] needs either 'expr' or 'table'")
+            raise ConfigurationError(f"{where}: {exc}") from exc
+    else:
+        raise ConfigurationError(f"[{section}] needs either 'expr' or 'table'")
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError(f"{where} has non-finite values")
+    return ScalarField(domain, values)
 
 
 def _stacked_fields(
@@ -334,7 +340,7 @@ def _run_stabilize(sc: Scenario, out_dir: Path) -> bool:
     snapshots = [(0.0, y)]
     for _ in range(n_snapshots):
         t, y = snapshots[-1]
-        for block in march(relax, y.flat, step_t, domain, cfg):
+        for block in march(relax, y.flat, step_t, cfg):
             pass
         snapshots.append((t + step_t, ScalarField(domain, block[-1].copy())))
     y = snapshots[-1][1]

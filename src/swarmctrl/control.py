@@ -408,7 +408,7 @@ def execute_plan(
     records: list[PhaseRecord] = []
     for phase in plan.phases:
         matrix, beta, max_v = _phase_operator(plan, phase)
-        for block in march(matrix, y, phase.duration, domain, cfg):
+        for block in march(matrix, y, phase.duration, cfg):
             if beta is not None:
                 states = block.reshape(block.shape[:1] + domain.shape)
                 faces = _feedback_faces(states, target.a.values, beta, domain)

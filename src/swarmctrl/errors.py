@@ -42,7 +42,8 @@ class NumericalError(SwarmCtrlError):
 
 
 class FitError(SwarmCtrlError):
-    """Decay-rate fit given too few or non-positive samples."""
+    """Decay-rate fit given too few, non-positive or non-finite samples, or
+    times that do not span a resolvable interval."""
 
 
 class GraphError(SwarmCtrlError):

@@ -536,7 +536,7 @@ def execute_hybrid_plan(
         raise InputError("plan graph does not match the number of states")
     heated = initial.as_array().T
     heat = neumann_laplacian(domain).matrix
-    for block in march(heat, heated, plan.shaping_duration, domain, cfg):
+    for block in march(heat, heated, plan.shaping_duration, cfg):
         pass
     transfer = transition_matrix(plan.mass_control)
     switch_state = StackedDensity.from_array(domain, transfer @ block[-1].T)

@@ -51,7 +51,6 @@ __all__ = [
     "relaxation_operator",
     "make_stepper",
     "march",
-    "clamped_dt",
     "bernoulli",
 ]
 
@@ -66,9 +65,10 @@ BLOCK_BYTES = 128 * 1024
 class StepperConfig:
     """Time-stepping knob of every fixed-operator evolution (implicit Euler).
 
-    ``dt`` is an upper bound; evolution helpers additionally clamp it to
-    the squared grid spacing for accuracy (never needed for stability:
-    implicit Euler is unconditionally stable).
+    ``dt`` is the step: :func:`march` covers a duration with
+    ceil(duration / dt) equal steps, whatever the grid.  Implicit Euler
+    with the exponential-fitted flux is an M-matrix step for every dt, so
+    no step is capped for stability.
     """
 
     dt: float = 1e-3
@@ -200,12 +200,6 @@ def _require_finite(states: np.ndarray, scheme: str) -> None:
         raise NumericalError(f"{scheme} step produced non-finite values")
 
 
-def clamped_dt(domain: RectDomain, cfg: StepperConfig) -> float:
-    """Effective step size min(configured dt, h^2); accuracy, not stability."""
-    h = min(domain.spacing)
-    return min(cfg.dt, h * h)
-
-
 def step_advection_diffusion(
     y: ScalarField,
     velocity: FaceField | None,
@@ -229,11 +223,11 @@ def march(
     matrix: sp.csr_matrix,
     y: np.ndarray,
     duration: float,
-    domain: RectDomain,
     cfg: StepperConfig,
 ) -> Iterator[np.ndarray]:
-    """Yield the states after max(1, ceil(duration / clamped_dt)) equal
-    implicit Euler steps of y' = matrix @ y, in blocks of consecutive steps.
+    """Yield the states after max(1, ceil(duration / cfg.dt)) equal implicit
+    Euler steps of y' = matrix @ y, in blocks of consecutive steps; each
+    step is duration / n_steps <= cfg.dt, whatever the grid.
 
     One factorization serves every step and every column of a raw
     ``(cells,)`` or ``(cells, k)`` array ``y``.  Each block is a new
@@ -243,7 +237,7 @@ def march(
     once per block, so a NumericalError comes at most one block late."""
     if duration < 0:
         raise ConfigurationError(f"duration must be non-negative, got {duration}")
-    n_steps = max(1, int(math.ceil(duration / clamped_dt(domain, cfg))))
+    n_steps = max(1, int(math.ceil(duration / cfg.dt)))
     step = make_stepper(matrix, duration / n_steps, "implicit_euler")
     rows = max(1, BLOCK_BYTES // y.nbytes)
     for start in range(0, n_steps, rows):
@@ -273,7 +267,7 @@ def evolve_weighted_heat(
         raise CoefficientError(f"gain must be non-negative, got {gain}")
     if gain == 0:
         return y.copy()
-    for block in march(gain * weighted_heat_operator(a).matrix, y.flat, duration, y.domain, cfg):
+    for block in march(gain * weighted_heat_operator(a).matrix, y.flat, duration, cfg):
         pass
     return ScalarField(y.domain, block[-1].copy())
 
@@ -298,23 +292,39 @@ def evolve_stabilizing(
     mf, my = mass(f), mass(y)
     if abs(mf - my) > 1e-9 * max(1.0, abs(mf)):
         raise InputError(f"mass mismatch: mass(f) = {mf!r}, mass(y) = {my!r}")
-    for block in march(diffusion * relaxation_operator(f).matrix, y.flat, duration, y.domain, cfg):
+    for block in march(diffusion * relaxation_operator(f).matrix, y.flat, duration, cfg):
         pass
     return ScalarField(y.domain, block[-1].copy())
 
 
 def fit_decay_rate(times: Sequence[float], errors: Sequence[float]) -> ConvergenceReport:
-    """Least-squares fit of log(err) vs t; returns (rate, prefactor, residual)."""
+    """Least-squares fit of log(err) vs t; returns (rate, prefactor, residual).
+
+    Raises FitError for fewer than 3 samples, non-finite or non-positive
+    values, and times whose span the fit cannot resolve."""
     t = np.asarray(times, dtype=float)
     e = np.asarray(errors, dtype=float)
     if t.shape != e.shape or t.ndim != 1:
         raise FitError("times and errors must be 1D arrays of equal length")
     if t.size < 3:
         raise FitError(f"need at least 3 samples, got {t.size}")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(e))):
+        raise FitError("times and errors must be finite")
     if np.any(e <= 0):
         raise FitError("errors must be strictly positive for a log-linear fit")
+    # polyfit scales the time column by its 2-norm, so t*t must neither
+    # underflow to zero nor overflow
+    with np.errstate(over="ignore", under="ignore"):
+        resolvable = np.ptp(t) > 0 and 0 < np.dot(t, t) < math.inf
+    if not resolvable:
+        raise FitError(
+            f"times must span a resolvable interval, got {float(t.min())!r} .. {float(t.max())!r}"
+        )
     log_e = np.log(e)
-    slope, intercept = np.polyfit(t, log_e, 1)
+    try:
+        slope, intercept = np.polyfit(t, log_e, 1)
+    except np.linalg.LinAlgError as exc:
+        raise FitError(f"log-linear fit failed: {exc}") from exc
     fit = slope * t + intercept
     residual = float(np.sqrt(np.mean((fit - log_e) ** 2)))
     rate = float(-slope)

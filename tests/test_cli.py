@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -578,6 +579,36 @@ def test_malformed_density_table_is_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_scenario(path, out_dir=out) == 2
     assert "ConfigurationError" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("spelling", ["expr", "table"])
+def test_non_finite_density_is_usage_error(tmp_path, capfd, spelling):
+    if spelling == "expr":
+        density = "expr = log(x - 2)"
+    else:
+        (tmp_path / "nan.csv").write_text("1.0\n" * 63 + "nan\n")
+        density = "table = nan.csv"
+    path = write_cfg(tmp_path, STABILIZE_CFG.replace("expr = 1 + 0.3*cos(pi*x)", density))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's invalid-value warning would escape
+        assert run_scenario(path, out_dir=out) == 2
+    err = capfd.readouterr().err
+    assert "ConfigurationError" in err and "[target]" in err and "non-finite" in err
+    assert not (out / "summary.json").exists()
+
+
+def test_unresolvable_decay_fit_is_typed_error(tmp_path, capfd):
+    # snapshot times k * 1.25e-301 square to zero, which numpy's polyfit
+    # cannot scale; the fit reports a FitError line, not a LAPACK failure
+    path = write_cfg(tmp_path, STABILIZE_CFG.replace("t_final = 1.5", "t_final = 1e-300"))
+    out = tmp_path / "out"
+    assert main(["stabilize", "--config", str(path), "--out", str(out)]) == 1
+    captured = capfd.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error [swarmctrl.errors.FitError]:")
+    assert "Traceback" not in captured.err and "DLASCL" not in captured.out + captured.err
     assert not (out / "summary.json").exists()
 
 

@@ -31,7 +31,6 @@ from swarmctrl.grid import ScalarField, build_grid, l2_norm, mass
 from swarmctrl.pde import (
     StepperConfig,
     assemble_advection_diffusion,
-    clamped_dt,
     fit_decay_rate,
     make_stepper,
     step_advection_diffusion,
@@ -345,7 +344,6 @@ def witness_by_phase(plan, y0, cfg):
     target = plan.target
     domain = target.domain
     heat = weighted_heat_operator(target.a).matrix
-    dt_cap = min(cfg.dt, min(domain.spacing) ** 2)
     y = y0.flat
     out = []
     for phase in plan.phases:
@@ -358,7 +356,7 @@ def witness_by_phase(plan, y0, cfg):
         else:
             law = (1.0, 1) if phase.tag == "smooth" else (phase.alpha, phase.j)
             matrix, sup = law[0] * law[1] * heat, 0.0
-        n_steps = max(1, math.ceil(phase.duration / dt_cap))
+        n_steps = max(1, math.ceil(phase.duration / cfg.dt))
         step = make_stepper(matrix, phase.duration / n_steps, "implicit_euler")
         for _ in range(n_steps):
             y = step(y)
@@ -369,6 +367,26 @@ def witness_by_phase(plan, y0, cfg):
     return out
 
 
+def count_stepper_calls(monkeypatch):
+    """Count factorizations (``make_stepper`` calls) and step calls made
+    through ``pde.make_stepper``; returns the live counts."""
+    counts = {"factor": 0, "step": 0}
+    original = pde.make_stepper
+
+    def counting_make_stepper(*args, **kwargs):
+        counts["factor"] += 1
+        step = original(*args, **kwargs)
+
+        def counting_step(y):
+            counts["step"] += 1
+            return step(y)
+
+        return counting_step
+
+    monkeypatch.setattr(pde, "make_stepper", counting_make_stepper)
+    return counts
+
+
 class TestExecutePlan:
     @pytest.mark.parametrize("cells", [[64], [9, 12], [128]])
     def test_witness_matches_public_feedback_law(self, cells):
@@ -377,12 +395,12 @@ class TestExecutePlan:
         target = TargetDensity.create(random_density(d, rng, floor=0.5))
         y0 = random_density(d, rng)
         plan = synthesize_steering_plan(y0, target, 0.5, 1e-3)
-        cfg = StepperConfig(dt=2e-3)
+        cfg = StepperConfig(dt=2e-4)
         if len(cells) == 1:
             # the witness phases span several blocks of march and end on
             # a ragged one
             rows = pde.BLOCK_BYTES // y0.flat.nbytes
-            n_steps = [math.ceil(p.duration / clamped_dt(d, cfg)) for p in plan.phases[2:]]
+            n_steps = [math.ceil(p.duration / cfg.dt) for p in plan.phases[2:]]
             assert any(n > rows and n % rows for n in n_steps)
         run = execute_plan(plan, y0, cfg)
         assert [r.max_velocity for r in run.records] == witness_by_phase(plan, y0, cfg)
@@ -391,29 +409,32 @@ class TestExecutePlan:
         # pins the work the benchmark traces as pde.factor_calls and
         # pde.solve_calls: march factors once per phase and calls the step
         # once per time step, whatever the block size
-        counts = {"factor": 0, "step": 0}
-        original = pde.make_stepper
-
-        def counting_make_stepper(*args, **kwargs):
-            counts["factor"] += 1
-            step = original(*args, **kwargs)
-
-            def counting_step(y):
-                counts["step"] += 1
-                return step(y)
-
-            return counting_step
-
-        monkeypatch.setattr(pde, "make_stepper", counting_make_stepper)
+        counts = count_stepper_calls(monkeypatch)
         rng = np.random.default_rng(9)
         target = TargetDensity.create(random_density(unit_grid_64, rng, floor=0.5))
         y0 = random_density(unit_grid_64, rng)
         plan = synthesize_steering_plan(y0, target, 0.5, 1e-3)
         cfg = StepperConfig(dt=2e-3)
         execute_plan(plan, y0, cfg)
-        dt = clamped_dt(unit_grid_64, cfg)
         assert counts["factor"] == len(plan.phases)
-        assert counts["step"] == sum(max(1, math.ceil(p.duration / dt)) for p in plan.phases)
+        assert counts["step"] == sum(max(1, math.ceil(p.duration / cfg.dt)) for p in plan.phases)
+
+    def test_step_count_does_not_grow_with_the_grid(self, monkeypatch):
+        # steps of dt whatever the grid: on 4096 cells, steps of min(dt, h^2)
+        # would make about dt / h^2 = 1.7e4 times as many step calls
+        counts = count_stepper_calls(monkeypatch)
+        d = build_grid(1, [1.0], [4096])
+        x = d.axis_centers(0)
+        target = TargetDensity.create(
+            ScalarField(d, 1.7 + 0.3 * np.sin(2 * np.pi * x)).normalized()
+        )
+        y0 = ScalarField(d, np.exp(-((x - 0.5) ** 2) / 0.005)).normalized()
+        plan = synthesize_steering_plan(y0, target, 1.0, 1e-3)
+        cfg = StepperConfig(dt=1e-3)
+        run = execute_plan(plan, y0, cfg)
+        assert run.final_error_l2 <= 1e-3
+        assert counts["step"] == sum(max(1, math.ceil(p.duration / cfg.dt)) for p in plan.phases)
+        assert counts["step"] <= 1.0 / cfg.dt + len(plan.phases)
 
     def test_plan_assembles_two_operators(self, unit_grid_64, monkeypatch):
         # the weighted-heat generator serves the gap and every smoothing

@@ -29,12 +29,12 @@ from swarmctrl.pde import (
     StepperConfig,
     assemble_advection_diffusion,
     bernoulli,
-    clamped_dt,
     evolve_stabilizing,
     evolve_weighted_heat,
     fit_decay_rate,
     make_stepper,
     march,
+    relaxation_operator,
     step_advection_diffusion,
     weighted_heat_operator,
 )
@@ -268,9 +268,9 @@ class TestFixedPatternOperators:
         np.testing.assert_array_equal(make_stepper(matrix, 0.0, scheme)(y), y)
 
 
-def plain_march(matrix, y, duration, domain, cfg):
+def plain_march(matrix, y, duration, cfg):
     """The states after each step of a plain implicit Euler ``make_stepper`` loop."""
-    n_steps = max(1, math.ceil(duration / clamped_dt(domain, cfg)))
+    n_steps = max(1, math.ceil(duration / cfg.dt))
     step = make_stepper(matrix, duration / n_steps, "implicit_euler")
     states = []
     for _ in range(n_steps):
@@ -295,9 +295,9 @@ class TestMarch:
         matrix = weighted_heat_operator(a).matrix
         cfg = StepperConfig(dt=2e-3)
         stack = rng.random((domain.cell_count, k))
-        stacked = np.concatenate(list(march(matrix, stack, duration, domain, cfg)))
+        stacked = np.concatenate(list(march(matrix, stack, duration, cfg)))
         for col in range(k):
-            single = np.concatenate(list(march(matrix, stack[:, col], duration, domain, cfg)))
+            single = np.concatenate(list(march(matrix, stack[:, col], duration, cfg)))
             np.testing.assert_array_equal(stacked[:, :, col], single)
 
     @settings(max_examples=60, deadline=None)
@@ -314,9 +314,9 @@ class TestMarch:
         matrix = weighted_heat_operator(a).matrix
         cfg = StepperConfig(dt=dt)
         y = rng.random(domain.cell_count if k is None else (domain.cell_count, k))
-        blocks = list(march(matrix, y, duration, domain, cfg))
-        expected = plain_march(matrix, y, duration, domain, cfg)
-        n_steps = max(1, math.ceil(duration / clamped_dt(domain, cfg)))
+        blocks = list(march(matrix, y, duration, cfg))
+        expected = plain_march(matrix, y, duration, cfg)
+        n_steps = max(1, math.ceil(duration / cfg.dt))
         assert len(expected) == n_steps
         # every block is full but the last, and within the byte budget
         # unless one state alone exceeds it
@@ -343,7 +343,7 @@ class TestMarch:
         matrix = weighted_heat_operator(ScalarField.constant(d, 1.0)).matrix
         y = random_density(d, np.random.default_rng(1)).flat
         cfg = StepperConfig(dt=1e-3)
-        blocks = list(march(matrix, y, 4.5 * clamped_dt(d, cfg), d, cfg))
+        blocks = list(march(matrix, y, 4.5 * cfg.dt, cfg))
         assert [b.shape for b in blocks] == [(1, d.cell_count)] * 5
 
     def test_non_finite_state_raises(self, unit_grid_64):
@@ -351,7 +351,7 @@ class TestMarch:
         y = random_density(unit_grid_64, np.random.default_rng(0)).flat.copy()
         y[5] = np.inf
         with pytest.raises(NumericalError, match="non-finite"):
-            list(march(matrix, y, 0.01, unit_grid_64, StepperConfig(dt=1e-3)))
+            list(march(matrix, y, 0.01, StepperConfig(dt=1e-3)))
 
     def test_negative_duration_rejected(self, unit_grid_64):
         from swarmctrl.errors import ConfigurationError
@@ -359,6 +359,72 @@ class TestMarch:
         y = ScalarField.constant(unit_grid_64, 1.0)
         with pytest.raises(ConfigurationError):
             evolve_weighted_heat(y, y, 1.0, -0.1)
+
+
+@st.composite
+def oracle_grids(draw):
+    """1D grids of 8-128 cells and 2D grids of 3-16 cells per side."""
+    dim = draw(st.integers(1, 2))
+    low, high = (8, 128) if dim == 1 else (3, 16)
+    cells = draw(st.lists(st.integers(low, high), min_size=dim, max_size=dim))
+    lengths = draw(st.lists(st.floats(0.5, 3.0), min_size=dim, max_size=dim))
+    return build_grid(dim, lengths, cells)
+
+
+class TestMarchOracle:
+    """``march`` against the exact flow exp(tA) y0 (``expm_multiply``).
+
+    Why the bound holds.  A is a generator: its off-diagonal entries are
+    non-negative and its columns sum to zero.  So E(s) = exp(sA) and
+    R = (I - tau*A)^-1 are non-negative with unit column sums, and both are
+    contractions in the l1 norm, for every vector.  With n steps of
+    tau = t / n,
+
+        R^n y0 - E(t) y0 = sum_k R^(n-1-k) (R - E(tau)) E(k*tau) y0,
+
+    and, integrating by parts,
+
+        R - E(tau) = R (I - (I - tau*A) E(tau)) = R int_0^tau r A^2 E(r) dr.
+
+    A commutes with E(r), so the local error at x = E(k*tau) y0 is at most
+    int_0^tau r dr * |A^2 x|_1 = tau^2/2 * |E(k*tau) A^2 y0|_1 <= tau^2/2 *
+    |A^2 y0|_1.  Summing n of them:
+
+        |R^n y0 - E(t) y0|_1 <= t * tau / 2 * |A^2 y0|_1.
+
+    The leading term of the error is linear in tau, so halving dt halves it.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        oracle_grids(),
+        st.sampled_from(["weighted_heat", "relaxation"]),
+        st.integers(9, 12),
+        st.integers(48, 96),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_end_state_error_is_first_order(self, domain, kind, k, n, seed):
+        rng = np.random.default_rng(seed)
+        w = ScalarField(domain, 0.5 + 1.5 * rng.random(domain.shape))
+        op = weighted_heat_operator(w) if kind == "weighted_heat" else relaxation_operator(w)
+        matrix = op.matrix
+        off = matrix - sp.diags(matrix.diagonal())
+        assert off.min() >= 0
+        col_sums = np.asarray(matrix.sum(axis=0)).ravel()
+        np.testing.assert_allclose(col_sums, 0.0, atol=1e-12 * abs(matrix).max())
+        y0 = 0.1 + rng.random(domain.cell_count)
+        # dyadic dt and t = n*dt, so t / dt and t / (dt/2) are exact integers
+        dt = 2.0**-k
+        t = n * dt
+        exact = spla.expm_multiply(t * matrix, y0)
+        errors = []
+        for step in (dt, dt / 2):
+            blocks = list(march(matrix, y0, t, StepperConfig(dt=step)))
+            assert sum(len(b) for b in blocks) == round(t / step)
+            errors.append(float(np.sum(np.abs(blocks[-1][-1] - exact))))
+        bound = t * dt / 2 * float(np.sum(np.abs(matrix @ (matrix @ y0))))
+        assert errors[0] <= bound
+        assert 1.8 <= errors[0] / errors[1] <= 2.2
 
 
 class TestWeightedHeat:
@@ -485,3 +551,26 @@ class TestFitDecayRate:
     def test_nonpositive_errors(self):
         with pytest.raises(FitError):
             fit_decay_rate([0.0, 1.0, 2.0], [1.0, 0.0, 0.5])
+
+    @pytest.mark.parametrize(
+        "times, errors",
+        [
+            ([0.0, np.nan, 2.0], [1.0, 0.5, 0.25]),
+            ([0.0, 1.0, np.inf], [1.0, 0.5, 0.25]),
+            ([0.0, 1.0, 2.0], [1.0, np.inf, 0.25]),
+            ([1.0, 1.0, 1.0], [1.0, 0.5, 0.25]),
+            # t*t underflows: numpy's polyfit would divide by a zero column norm
+            ([0.0, 5e-301, 1e-300], [1.0, 0.5, 0.25]),
+            ([0.0, 1e200, 2e200], [1.0, 0.5, 0.25]),
+        ],
+        ids=["nan-time", "inf-time", "inf-error", "zero-span", "tiny-span", "huge-times"],
+    )
+    def test_degenerate_samples_raise_fit_error(self, times, errors):
+        with pytest.raises(FitError):
+            fit_decay_rate(times, errors)
+
+    def test_solver_failure_is_fit_error(self):
+        failure = np.linalg.LinAlgError("SVD did not converge")
+        with mock.patch.object(np, "polyfit", side_effect=failure):
+            with pytest.raises(FitError, match="SVD did not converge"):
+                fit_decay_rate([0.0, 1.0, 2.0], [1.0, 0.5, 0.25])
