@@ -49,6 +49,10 @@ CONTROLLERS = (
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 1
 
+# largest count x steps a [particles] run may ask for; it bounds both the
+# stepping work and the ensemble's size
+MAX_PARTICLE_STEPS = 10**9
+
 
 @dataclasses.dataclass
 class Scenario:
@@ -514,7 +518,13 @@ def _run_particles(sc: Scenario, out_dir: Path) -> bool:
     count = _number(sc, "particles", "count", 10000, int, positive=True)
     dt = _number(sc, "particles", "dt", 1e-3, positive=True)
     t_final = _number(sc, "run", "t_final", 1.0, positive=True)
-    n_steps = round(t_final / dt)
+    steps = t_final / dt
+    if count * steps > MAX_PARTICLE_STEPS:
+        raise ConfigurationError(
+            f"[particles] count = {count} times t_final / dt = {steps:.3g} steps "
+            f"exceeds {MAX_PARTICLE_STEPS:.0e} particle steps"
+        )
+    n_steps = round(steps)
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9 * t_final:
         raise ConfigurationError(
             f"[run] t_final = {t_final} is not a whole number of [particles] dt = {dt} steps"

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, StepSizeError
+from .errors import InputError, NumericalError, StepSizeError
 from .grid import FaceField, RectDomain
 from .hybrid import SpatialGainSet, StackedDensity
 
@@ -28,6 +28,25 @@ __all__ = [
 ]
 
 MAX_EXIT_RATE_DT = 0.1
+# mirror folds per step before the closed form with period 2*length takes
+# over; an excursion of k lengths needs about k folds
+MAX_REFLECT_ROUNDS = 64
+
+
+class _StepWorkspace:
+    """Scratch arrays of one ensemble's particle step, reused while the
+    ensemble's count and dimension stay the same."""
+
+    def __init__(self, count: int, dim: int):
+        self.shape = (count, dim)
+        self.noise = np.empty((count, dim))
+        self.frac = np.empty((dim, count))  # positions in cell widths, then in-cell fractions
+        self.cells = np.empty((dim, count), dtype=np.int64)
+        self.weight = np.empty(count)
+        self.value = np.empty(count)
+        self.index = np.empty(count, dtype=np.int64)
+        self.state0 = np.empty(count, dtype=np.int64)
+        self.fire = np.empty(count, dtype=bool)  # also the reflection's mask
 
 
 @dataclasses.dataclass(eq=False)
@@ -38,6 +57,9 @@ class ParticleEnsemble:
     positions: np.ndarray  # (n, dim)
     states: np.ndarray     # (n,), values in 1..n_states
     rng: np.random.Generator
+    _work: _StepWorkspace | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -71,26 +93,42 @@ class ParticleEnsemble:
     def count(self) -> int:
         return self.positions.shape[0]
 
-
-def _cell_coordinates(
-    domain: RectDomain, positions: np.ndarray
-) -> tuple[list[np.ndarray], tuple[np.ndarray, ...]]:
-    """Per-axis positions in units of the cell width, and the index of the
-    grid cell holding each position; points on the upper boundary belong
-    to the last cell."""
-    scaled = [positions[:, d] / h for d, h in enumerate(domain.spacing)]
-    cells = tuple(
-        np.clip(x.astype(np.int64), 0, n - 1) for x, n in zip(scaled, domain.cells)
-    )
-    return scaled, cells
+    def _workspace(self) -> _StepWorkspace:
+        """The step's scratch arrays, rebuilt when count or dimension changed."""
+        if self._work is None or self._work.shape != self.positions.shape:
+            self._work = _StepWorkspace(*self.positions.shape)
+        return self._work
 
 
-def _flat_cell_index(domain: RectDomain, positions: np.ndarray) -> np.ndarray:
-    """C-order flat index of the grid cell holding each position."""
-    idx = 0
-    for k, n in zip(_cell_coordinates(domain, positions)[1], domain.cells):
-        idx = idx * n + k
-    return idx
+def _locate(
+    domain: RectDomain, positions: np.ndarray, frac: np.ndarray, cells: np.ndarray
+) -> None:
+    """Fill ``cells`` (dim, n) with the per-axis index of the grid cell
+    holding each position, points on the upper boundary belonging to the
+    last cell, and ``frac`` (dim, n) with the position in cell widths
+    minus that index."""
+    for d, (h, n) in enumerate(zip(domain.spacing, domain.cells)):
+        np.divide(positions[:, d], h, out=frac[d])
+        np.copyto(cells[d], frac[d], casting="unsafe")
+        np.clip(cells[d], 0, n - 1, out=cells[d])
+        np.subtract(frac[d], cells[d], out=frac[d])
+
+
+def _flat_cell_index(
+    domain: RectDomain, positions: np.ndarray, work: _StepWorkspace | None = None
+) -> np.ndarray:
+    """C-order flat index of the grid cell holding each position, computed
+    in the scratch arrays of ``work`` (a fresh workspace when not given)
+    and returned in its ``index`` array."""
+    if work is None:
+        work = _StepWorkspace(*positions.shape)
+    _locate(domain, positions, work.frac, work.cells)
+    cell = work.index
+    np.copyto(cell, work.cells[0])
+    for k, m in zip(work.cells[1:], domain.cells[1:]):
+        np.multiply(cell, m, out=cell)
+        np.add(cell, k, out=cell)
+    return cell
 
 
 def _face_tables(
@@ -136,18 +174,41 @@ def _switch_tables(
     return cum, dest
 
 
-def _reflect(x: np.ndarray, length: float) -> None:
-    """Mirror reflection into [0, length] in place, repeated until inside;
-    only the coordinates that left the interval are touched."""
-    out = np.flatnonzero((x < 0.0) | (x > length))
+def _reflect(x: np.ndarray, length: float, mask: np.ndarray | None = None) -> None:
+    """Mirror reflection into [0, length] in place; only the coordinates
+    that left the interval are touched.
+
+    Each round folds once at the crossed wall.  Points still outside after
+    `MAX_REFLECT_ROUNDS` rounds take the closed form (x mod 2 * length,
+    mirrored in its upper half), so the work is bounded whatever the
+    excursion.  ``mask``, a boolean array shaped like ``x``, is scratch
+    space.  Raises `NumericalError` for non-finite coordinates.
+    """
+    lo = x.min(initial=math.inf)
+    hi = x.max(initial=-math.inf)
+    if lo >= 0.0 and hi <= length:
+        return
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NumericalError("particle positions are not finite")
+    if mask is None:
+        mask = np.empty(x.shape, dtype=bool)
+    out = np.concatenate((
+        np.flatnonzero(np.less(x, 0.0, out=mask)),
+        np.flatnonzero(np.greater(x, length, out=mask)),
+    ))
     y = x[out]
-    while True:
+    for _ in range(MAX_REFLECT_ROUNDS):
         below = y < 0.0
         above = y > length
         if not (below.any() or above.any()):
             break
         y = np.where(below, -y, y)
         y = np.where(above, 2.0 * length - y, y)
+    else:
+        # the points still outside take the closed form of their unfolded value
+        r = np.mod(x[out], 2.0 * length)
+        r = np.where(r > length, 2.0 * length - r, r)
+        y = np.where((y < 0.0) | (y > length), r, y)
     x[out] = y
 
 
@@ -158,7 +219,15 @@ def sde_step(
     gains: SpatialGainSet | None,
     dt: float,
 ) -> ParticleEnsemble:
-    """Advance the ensemble by one step (in place; returns the ensemble).
+    """Advance the ensemble by one step in place and return it.
+
+    ``ensemble.positions`` and ``ensemble.states`` are updated in place, so
+    an array a caller holds (for instance the one passed to
+    `ParticleEnsemble`) sees the step.  The step works in scratch arrays the
+    ensemble keeps between steps (rebuilt when its count or dimension
+    changes), so after the first step it allocates nothing of size
+    ``count``.  After a `NumericalError` (non-finite positions) the
+    ensemble is partly advanced.
 
     Drift and noise use the particle's current state; switching fires at
     most once per particle with total-rate probability 1 - exp(-R dt) and
@@ -166,18 +235,19 @@ def sde_step(
     position.  The guard R*dt <= 0.1 keeps the single-switch error below
     Monte Carlo noise.
 
-    Per-state data (padded face velocities, noise scales, cumulative
-    gains) go into small tables of size states x cells; each particle
-    reads its entries with one flat gather on (state - 1) * stride + cell,
-    so a step costs O(particles) whatever the number of states.
+    Per-state data (padded face velocities, noise scales, switching
+    probabilities, cumulative gains) go into small tables of size
+    states x cells; each particle reads its entries with one flat gather on
+    (state - 1) * stride + cell, so a step costs O(particles) whatever the
+    number of states.
     """
     if not 0 < dt < math.inf:
         raise InputError(f"dt must be finite and positive, got {dt}")
     domain = ensemble.domain
-    n = ensemble.count
     rng = ensemble.rng
     n_states = len(diffusion)
-    if np.any(ensemble.states < 1) or np.any(ensemble.states > n_states):
+    states = ensemble.states
+    if ensemble.count and (states.min() < 1 or states.max() > n_states):
         raise InputError("particle states out of range")
     if len(velocities) != n_states or any(v is not None and v.domain != domain for v in velocities):
         raise InputError("need one velocity field (or None) per state, on the ensemble's grid")
@@ -197,39 +267,56 @@ def sde_step(
     sigma_table = np.array([math.sqrt(2.0 * float(D) * dt) for D in diffusion])
     faces = _face_tables(domain, velocities, n_states)
 
+    # every index gathered below is in range (states checked, cells
+    # clipped), so take() runs in mode "clip", which writes straight into
+    # its output; mode "raise" buffers it
+    work = ensemble._workspace()
+    positions, noise, frac, cells = ensemble.positions, work.noise, work.frac, work.cells
+    state0, index, weight, value = work.state0, work.index, work.weight, work.value
+
     # fixed draw order keeps trajectories seed-reproducible: the noise,
     # then the two switching uniforms only when switching is on
-    noise = rng.standard_normal((n, domain.dim))
-
-    state0 = ensemble.states - 1
-    sigma = sigma_table.take(state0)
-    scaled, cells = _cell_coordinates(domain, ensemble.positions)
-    positions = np.empty_like(ensemble.positions)
+    rng.standard_normal(out=noise)
+    np.subtract(states, 1, out=state0)
+    # sigma * noise, folded into the noise (multiplication commutes)
+    sigma_table.take(state0, out=weight, mode="clip")
+    for d in range(domain.dim):
+        np.multiply(noise[:, d], weight, out=noise[:, d])
+    _locate(domain, positions, frac, cells)
     for d, length in enumerate(domain.lengths):
         # flat index of the cell's lower face in the stacked padded table
         lo = state0
-        for k, (c, m) in enumerate(zip(cells, domain.cells)):
-            lo = lo * (m + (k == d)) + c
+        for k, m in enumerate(domain.cells):
+            lo = np.multiply(lo, m + (k == d), out=index)
+            np.add(lo, cells[k], out=lo)
         upper = math.prod(domain.cells[d + 1:])
-        frac = scaled[d] - cells[d]
-        drift = (1.0 - frac) * faces[d].take(lo) + frac * faces[d].take(lo + upper)
-        x = ensemble.positions[:, d] + drift * dt + sigma * noise[:, d]
-        _reflect(x, length)
-        positions[:, d] = x
-    ensemble.positions = positions
+        # drift = (1 - frac) * lower face + frac * upper face
+        drift = np.subtract(1.0, frac[d], out=weight)
+        np.multiply(drift, faces[d].take(lo, out=value, mode="clip"), out=drift)
+        np.add(lo, upper, out=lo)
+        np.multiply(frac[d], faces[d].take(lo, out=value, mode="clip"), out=value)
+        np.add(drift, value, out=drift)
+        # x + drift * dt + sigma * noise
+        np.multiply(drift, dt, out=drift)
+        x = positions[:, d]
+        np.add(x, drift, out=x)
+        np.add(x, noise[:, d], out=x)
+        _reflect(x, length, work.fire)
 
     if gains is not None:
-        u_switch = rng.random(n)
-        u_edge = rng.random(n)
-        cell = _flat_cell_index(domain, positions)
-        total = totals.take(state0 * domain.cell_count + cell)
-        fire = np.flatnonzero(u_switch < -np.expm1(-total * dt))
+        # row of each new position in the state x cell tables
+        cell = _flat_cell_index(domain, positions, work)
+        key = np.multiply(state0, domain.cell_count, out=cells[0])
+        np.add(key, cell, out=key)
+        # u_switch and then u_edge share one buffer: nothing draws between
+        u = rng.random(out=value)
+        p_table = -np.expm1(-totals * dt)
+        fire = np.flatnonzero(np.less(u, p_table.take(key, out=weight, mode="clip"), out=work.fire))
+        u = rng.random(out=value)
         s = state0[fire]
-        pick = u_edge[fire] * total[fire]
+        pick = u[fire] * totals.take(key[fire])
         choice = (pick[:, None] >= cum[s, :, cell[fire]]).sum(axis=1)
-        new_states = ensemble.states.copy()
-        new_states[fire] = dest[s, np.minimum(choice, dest.shape[1] - 1)]
-        ensemble.states = new_states
+        states[fire] = dest[s, np.minimum(choice, dest.shape[1] - 1)]
     return ensemble
 
 

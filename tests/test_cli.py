@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from swarmctrl import cli
 from swarmctrl.cli import _CSV_BLOCK_ROWS, _fmt, _write_particles_csv, main, run_scenario
 from swarmctrl.ctmc import TransitionGraph, generator, synthesize_stationary_rates
 from swarmctrl.grid import build_grid
@@ -406,6 +407,40 @@ def test_particles_horizon_is_whole_steps(tmp_path, capsys, t_final, dt):
     assert run_scenario(write_cfg(tmp_path, text), out_dir=out) == 2
     assert "whole number" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {"dt = 2e-3": "dt = 1e-300"},
+        {"count = 20000": "count = 10000000000"},
+        {"t_final = 0.5": "t_final = 1e300"},
+        {"t_final = 0.5": "t_final = 1e300", "dt = 2e-3": "dt = 1e-300"},
+    ],
+    ids=["tiny-dt", "huge-count", "long-horizon", "overflowing-step-count"],
+)
+def test_particles_work_guard(tmp_path, capsys, monkeypatch, edits):
+    # the guard must act before any particle exists: a run that got past
+    # it stops here instead of stepping or allocating without bound
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("ensemble built past the work guard")
+
+    monkeypatch.setattr(ParticleEnsemble, "uniform", no_ensemble)
+    text = PARTICLES_CFG
+    for key, value in edits.items():
+        text = text.replace(key, value)
+    out = tmp_path / "out"
+    assert run_scenario(write_cfg(tmp_path, text), out_dir=out) == 2
+    assert "particle steps" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_particles_work_guard_boundary(tmp_path, monkeypatch):
+    path = write_cfg(tmp_path, PARTICLES_CFG)  # 20000 particles x 250 steps
+    monkeypatch.setattr(cli, "MAX_PARTICLE_STEPS", 20000 * 250 - 1)
+    assert run_scenario(path, out_dir=tmp_path / "over") == 2
+    monkeypatch.setattr(cli, "MAX_PARTICLE_STEPS", 20000 * 250)
+    assert run_scenario(path, out_dir=tmp_path / "at") == 0
 
 
 @pytest.mark.parametrize("dim", [1, 2])

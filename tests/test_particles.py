@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +11,14 @@ from hypothesis import strategies as st
 from conftest import cosine_target, random_grids, strongly_connected_graphs
 from swarmctrl.control import TargetDensity, stabilizing_velocity
 from swarmctrl.ctmc import TransitionGraph, generator
-from swarmctrl.errors import InputError, StepSizeError
+from swarmctrl.errors import InputError, NumericalError, StepSizeError
 from swarmctrl.grid import FaceField, build_grid
 from swarmctrl.hybrid import SpatialGainSet
 from swarmctrl.particles import (
     MAX_EXIT_RATE_DT,
+    MAX_REFLECT_ROUNDS,
     ParticleEnsemble,
+    _reflect,
     empirical_density,
     sde_step,
 )
@@ -327,6 +331,127 @@ class TestSdeStep:
         assert new.positions.tobytes() == oracle.positions.tobytes()
         assert new.states.tobytes() == oracle.states.tobytes()
         assert new.rng.random() == oracle.rng.random()
+
+
+def _three_state_2d_setup(seed):
+    """A 2D grid, a 3-state graph with spatial gains near the exit-rate
+    guard, per-state velocities (one None) and diffusions (one zero)."""
+    domain = build_grid(2, [1.0, 1.5], [7, 5])
+    graph = TransitionGraph(3, ((1, 2), (1, 3), (2, 3), (3, 1)))
+    rng = np.random.default_rng(seed)
+    gains = SpatialGainSet(graph, domain, tuple(
+        rng.uniform(0.0, 20.0, domain.shape) for _ in graph.edges
+    ))
+    velocities = [
+        FaceField(domain, tuple(
+            rng.uniform(-30.0, 30.0, domain.face_shape(d)) for d in range(domain.dim)
+        )) for _ in range(2)
+    ] + [None]
+    return domain, velocities, [0.3, 4.0, 0.0], gains, 2e-3
+
+
+def _twin_ensembles(domain, count, seed):
+    """Two ensembles with equal positions, states and random streams."""
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(0.0, 1.0, (count, domain.dim)) * domain.lengths
+    states = rng.integers(1, 4, count)
+    return [
+        ParticleEnsemble(domain, positions.copy(), states.copy(),
+                         np.random.Generator(np.random.Philox(seed)))
+        for _ in range(2)
+    ]
+
+
+class TestInPlaceStep:
+    @pytest.mark.parametrize("switching", [False, True], ids=["plain", "switching"])
+    def test_step_allocates_nothing_of_particle_size(self, switching):
+        d = build_grid(1, [1.0], [16])
+        v = FaceField(d, (np.linspace(-1.0, 1.0, 15),))
+        count = 40000
+        ens = ParticleEnsemble.uniform(d, count, seed=3)
+        if switching:
+            gains = SpatialGainSet.constant(G2, d, [2.0, 3.0])
+            args = ([v, None], [1.0, 0.5], gains, 2e-3)
+        else:
+            args = ([v], [1.0], None, 2e-3)
+        sde_step(ens, *args)  # builds the workspace
+        tracemalloc.start()
+        try:
+            sde_step(ens, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float64 array of count entries is 8 * count bytes
+        assert peak < 4 * count
+
+    def test_arrays_keep_identity(self):
+        d = build_grid(1, [1.0], [8])
+        gains = SpatialGainSet.constant(G2, d, [20.0, 20.0])
+        ens = ParticleEnsemble.uniform(d, 1000, seed=1)
+        positions, states = ens.positions, ens.states
+        sde_step(ens, [None, None], [1.0, 1.0], gains, 2e-3)
+        assert ens.positions is positions
+        assert ens.states is states
+        assert (states == 2).any()
+
+    def test_matches_oracle_2d_three_states_switching(self):
+        domain, velocities, diffusion, gains, dt = _three_state_2d_setup(11)
+        new, oracle = _twin_ensembles(domain, 25000, seed=5)
+        initial = new.states.copy()
+        for _ in range(5):
+            sde_step(new, velocities, diffusion, gains, dt)
+            _oracle_sde_step(oracle, velocities, diffusion, gains, dt)
+        assert new.positions.tobytes() == oracle.positions.tobytes()
+        assert new.states.tobytes() == oracle.states.tobytes()
+        assert new.rng.random() == oracle.rng.random()
+        assert (new.states != initial).mean() > 0.01  # switching did fire
+
+    def test_workspace_rebuilt_when_count_changes(self):
+        domain, velocities, diffusion, gains, dt = _three_state_2d_setup(12)
+        new, oracle = _twin_ensembles(domain, 3000, seed=6)
+        sde_step(new, velocities, diffusion, gains, dt)
+        _oracle_sde_step(oracle, velocities, diffusion, gains, dt)
+        for count in (5000, 1200):
+            # the caller swaps in arrays of another size between steps
+            for ens in (new, oracle):
+                rng = np.random.default_rng(count)
+                ens.positions = rng.uniform(0.0, 1.0, (count, 2)) * domain.lengths
+                ens.states = rng.integers(1, 4, count)
+            for _ in range(2):
+                sde_step(new, velocities, diffusion, gains, dt)
+                _oracle_sde_step(oracle, velocities, diffusion, gains, dt)
+            assert new.positions.tobytes() == oracle.positions.tobytes()
+            assert new.states.tobytes() == oracle.states.tobytes()
+        assert new.rng.random() == oracle.rng.random()
+
+
+class TestReflect:
+    def test_long_excursion_takes_bounded_work(self):
+        x = np.array([5.0, -7.25, 3e5])
+        start = time.perf_counter()
+        _reflect(x, 1e-5)
+        elapsed = time.perf_counter() - start
+        assert np.all((x >= 0.0) & (x <= 1e-5))
+        # the fold repeats every 2 * length: x mod 2L, mirrored in its upper half
+        r = np.mod([5.0, -7.25, 3e5], 2e-5)
+        np.testing.assert_array_equal(x, np.where(r > 1e-5, 2e-5 - r, r))
+        assert elapsed < 1.0  # one fold per round took seconds
+
+    def test_fold_and_closed_form_agree_at_the_cap(self):
+        length = 1.0
+        # excursions just inside and just past the folds the cap allows
+        y = np.array([MAX_REFLECT_ROUNDS - 1.3, -(MAX_REFLECT_ROUNDS - 1.6),
+                      MAX_REFLECT_ROUNDS + 2.7, -(MAX_REFLECT_ROUNDS + 5.2)])
+        x = y.copy()
+        _reflect(x, length)
+        r = np.mod(y, 2.0 * length)
+        np.testing.assert_allclose(x, np.where(r > length, 2.0 * length - r, r), atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_positions_raise(self, bad):
+        x = np.array([0.5, bad, 2.0])
+        with pytest.raises(NumericalError):
+            _reflect(x, 1.0)
 
 
 class TestEmpiricalDensity:
