@@ -21,13 +21,7 @@ from .grid import (
     mass,
     neumann_poisson_solve,
 )
-from .pde import (
-    StepperConfig,
-    evolve_stabilizing,
-    evolve_weighted_heat,
-    fit_decay_rate,
-    step_advection_diffusion,
-)
+from .pde import StepperConfig, fit_decay_rate
 from .control import (
     TargetDensity,
     execute_plan,
@@ -52,7 +46,6 @@ from .hybrid import (
     StackedDensity,
     coupled_spectrum,
     hybrid_steering_plan,
-    split_step,
     stabilizing_gains,
     zero_mass_stabilizing_gains,
 )

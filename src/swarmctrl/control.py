@@ -240,24 +240,6 @@ class SteeringPlan:
                 lines.append(f"{p.tag} {p.duration!r}")
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def parse_phases(text: str) -> list[Phase]:
-        """Parse the line-oriented serialization back into phases."""
-        phases = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#") or line.split()[0] in ("t_final", "epsilon"):
-                continue
-            parts = line.split()
-            tag = parts[0]
-            duration = float(parts[1])
-            if tag == "gain":
-                kv = dict(item.split("=") for item in parts[2:])
-                phases.append(Phase("gain", duration, float(kv["alpha"]), int(kv["j"])))
-            else:
-                phases.append(Phase(tag, duration))
-        return phases
-
 
 def synthesize_steering_plan(
     y0: ScalarField,

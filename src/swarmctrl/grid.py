@@ -251,9 +251,6 @@ class SparseOperator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, field: ScalarField) -> ScalarField:
-        return ScalarField(self.domain, self.matrix @ field.flat)
-
     def symmetrized(self) -> sp.csr_matrix:
         """Sparse symmetric similarity transform diag(sqrt(a)) L diag(1/sqrt(a)).
 
@@ -399,7 +396,10 @@ def _poisson_factorization(domain: RectDomain):
     bordered = sp.bmat(
         [[neg_lap, sp.csr_matrix(m)], [sp.csr_matrix(m.T), None]], format="csc"
     )
-    return neg_lap, spla.splu(bordered)
+    try:
+        return neg_lap, spla.splu(bordered)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise NumericalError(f"zero-flux Poisson system cannot be factored: {exc}") from exc
 
 
 def neumann_poisson_solve(rhs: ScalarField) -> ScalarField:

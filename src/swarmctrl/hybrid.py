@@ -54,7 +54,6 @@ __all__ = [
     "HybridTarget",
     "SpatialGainSet",
     "SplitStepper",
-    "split_step",
     "mass_trajectory_consistency",
     "MassConsistencyReport",
     "stabilizing_gains",
@@ -67,6 +66,9 @@ __all__ = [
     "HybridPlan",
     "HybridExecution",
 ]
+
+# largest coupled generator (states x cells) that coupled_spectrum hands to dense eig
+SPECTRUM_SIZE_CAP = 8192
 
 
 @dataclasses.dataclass(eq=False)
@@ -105,9 +107,6 @@ class StackedDensity:
     def from_array(cls, domain: RectDomain, arr: np.ndarray) -> "StackedDensity":
         return cls(tuple(ScalarField(domain, row) for row in arr))
 
-    def copy(self) -> "StackedDensity":
-        return StackedDensity(tuple(f.copy() for f in self.fields))
-
 
 @dataclasses.dataclass(eq=False)
 class HybridTarget:
@@ -122,6 +121,8 @@ class HybridTarget:
         fields = tuple(fields)
         if not fields:
             raise TargetError("need at least one state")
+        if any(f.domain != fields[0].domain for f in fields):
+            raise TargetError("target fields live on different grids")
         masses = np.array([mass(f) for f in fields])
         if abs(float(np.sum(masses)) - 1.0) > 1e-9:
             raise TargetError(f"target masses must sum to 1, got {np.sum(masses)!r}")
@@ -260,18 +261,6 @@ class SplitStepper:
         return StackedDensity.from_array(self.domain, arr)
 
 
-def split_step(
-    state: StackedDensity,
-    velocities: Sequence[FaceField | None],
-    diffusion: Sequence[float],
-    gains: SpatialGainSet | None,
-    dt: float,
-) -> StackedDensity:
-    """One symmetric splitting step; conserves total mass and positivity."""
-    stepper = SplitStepper(state.domain, velocities, diffusion, gains, dt)
-    return stepper.step(state)
-
-
 @dataclasses.dataclass
 class MassConsistencyReport:
     deviations: np.ndarray
@@ -407,7 +396,6 @@ def coupled_spectrum(
     weights,
     diffusion: Sequence[float],
     gains: SpatialGainSet | None,
-    size_cap: int = 8192,
 ) -> CoupledSpectrumReport:
     """Dense eigenvalue report for the assembled coupled generator.
 
@@ -424,8 +412,8 @@ def coupled_spectrum(
     domain = weights[0].domain
     n_cells = domain.cell_count
     size = n_states * n_cells
-    if size > size_cap:
-        raise ConfigurationError(f"generator size {size} exceeds cap {size_cap}")
+    if size > SPECTRUM_SIZE_CAP:
+        raise ConfigurationError(f"generator size {size} exceeds cap {SPECTRUM_SIZE_CAP}")
     blocks = [[None] * n_states for _ in range(n_states)]
     for k, a in enumerate(weights):
         f = ScalarField(domain, 1.0 / a.values)

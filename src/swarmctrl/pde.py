@@ -1,5 +1,10 @@
 """Time integration of the forward equation and the two relaxation flows.
 
+Two entry points evolve a state: :func:`march` runs a fixed generator (times
+a gain, if any) over a duration in equal steps, and :func:`make_stepper` is
+the prefactorized one-step map beneath it, which path following and the
+hybrid splitting call directly.
+
 The advective flux is exponential-fitted by default (Scharfetter-Gummel
 form), so a density whose face velocity is the log-gradient of a positive
 profile is an exact discrete steady state.  Implicit Euler with this flux
@@ -24,7 +29,6 @@ from .errors import (
     CoefficientError,
     ConfigurationError,
     FitError,
-    InputError,
     NumericalError,
     TargetError,
 )
@@ -35,16 +39,12 @@ from .grid import (
     SparseOperator,
     _pattern,
     divergence_form_operator,
-    mass,
     two_point_flux_matrix,
 )
 
 __all__ = [
     "StepperConfig",
     "ConvergenceReport",
-    "step_advection_diffusion",
-    "evolve_weighted_heat",
-    "evolve_stabilizing",
     "fit_decay_rate",
     "assemble_advection_diffusion",
     "weighted_heat_operator",
@@ -85,7 +85,6 @@ class ConvergenceReport:
     rate: float
     prefactor: float
     residual: float
-    n_samples: int
 
 
 def bernoulli(x: np.ndarray) -> np.ndarray:
@@ -171,7 +170,8 @@ def make_stepper(matrix: sp.csr_matrix, dt: float, scheme: str) -> Callable[[np.
     are not diagonally dominant).
 
     The step does not scan its output: the caller checks finiteness where it
-    holds the states (see :func:`_require_finite`)."""
+    holds the states (see :func:`_require_finite`).  A system SuperLU cannot
+    factor (an overflowed generator) raises NumericalError."""
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     if not (dt >= 0 and math.isfinite(dt)):
@@ -181,10 +181,13 @@ def make_stepper(matrix: sp.csr_matrix, dt: float, scheme: str) -> Callable[[np.
         n, matrix.indices.dtype, matrix.indptr.tobytes(), matrix.indices.tobytes()
     )
     theta = 1.0 if scheme == "implicit_euler" else 0.5
-    lu = spla.splu(
-        build(np.append(-theta * dt * matrix.data, np.ones(n)), sp.csc_matrix),
-        permc_spec="COLAMD" if tridiagonal else "MMD_AT_PLUS_A",
-    )
+    try:
+        lu = spla.splu(
+            build(np.append(-theta * dt * matrix.data, np.ones(n)), sp.csc_matrix),
+            permc_spec="COLAMD" if tridiagonal else "MMD_AT_PLUS_A",
+        )
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise NumericalError(f"{scheme} system cannot be factored: {exc}") from exc
     rhs_op = None if theta == 1.0 else build(np.append(0.5 * dt * matrix.data, np.ones(n)))
 
     if rhs_op is None:
@@ -198,25 +201,6 @@ def _require_finite(states: np.ndarray, scheme: str) -> None:
     before it."""
     if not np.all(np.isfinite(states)):
         raise NumericalError(f"{scheme} step produced non-finite values")
-
-
-def step_advection_diffusion(
-    y: ScalarField,
-    velocity: FaceField | None,
-    diffusion: float,
-    cfg: StepperConfig | None = None,
-) -> ScalarField:
-    """One implicit Euler step of y_t = D lap(y) - div(v y) with zero-flux
-    boundary and the exponential-fitted flux: conserves mass to roundoff and
-    preserves non-negativity.
-    """
-    cfg = cfg or StepperConfig()
-    if np.min(y.values) < -1e-9:
-        raise InputError(f"state has negative cells, min = {np.min(y.values):.3e}")
-    matrix = assemble_advection_diffusion(y.domain, velocity, diffusion)
-    out = make_stepper(matrix, cfg.dt, "implicit_euler")(y.flat)
-    _require_finite(out, "implicit_euler")
-    return ScalarField(y.domain, out)
 
 
 def march(
@@ -247,54 +231,6 @@ def march(
             row[...] = y
         _require_finite(block, "implicit_euler")
         yield block
-
-
-def evolve_weighted_heat(
-    y: ScalarField,
-    a: ScalarField,
-    gain: float,
-    duration: float,
-    cfg: StepperConfig | None = None,
-) -> ScalarField:
-    """Flow of y_t = gain * div(grad(a y)) for the given duration.
-
-    Conserves mass, preserves non-negativity, and keeps max(a*y) bounded
-    by its initial value (discrete maximum principle).  ``gain = 0`` is
-    the identity.
-    """
-    cfg = cfg or StepperConfig()
-    if gain < 0 or not math.isfinite(gain):
-        raise CoefficientError(f"gain must be non-negative, got {gain}")
-    if gain == 0:
-        return y.copy()
-    for block in march(gain * weighted_heat_operator(a).matrix, y.flat, duration, cfg):
-        pass
-    return ScalarField(y.domain, block[-1].copy())
-
-
-def evolve_stabilizing(
-    y: ScalarField,
-    f: ScalarField,
-    diffusion: float,
-    duration: float,
-    cfg: StepperConfig | None = None,
-) -> ScalarField:
-    """Flow of y_t = D div(f grad(y/f)): fixes f exactly and relaxes to it.
-
-    Requires a strictly positive f with the same mass as y (the flow
-    conserves mass, so only then does y -> f make sense).
-    """
-    cfg = cfg or StepperConfig()
-    if np.min(f.values) <= 0:
-        raise TargetError(f"target has non-positive cells, min = {np.min(f.values)}")
-    if diffusion <= 0 or not math.isfinite(diffusion):
-        raise CoefficientError(f"diffusion must be positive, got {diffusion}")
-    mf, my = mass(f), mass(y)
-    if abs(mf - my) > 1e-9 * max(1.0, abs(mf)):
-        raise InputError(f"mass mismatch: mass(f) = {mf!r}, mass(y) = {my!r}")
-    for block in march(diffusion * relaxation_operator(f).matrix, y.flat, duration, cfg):
-        pass
-    return ScalarField(y.domain, block[-1].copy())
 
 
 def fit_decay_rate(times: Sequence[float], errors: Sequence[float]) -> ConvergenceReport:
@@ -331,4 +267,4 @@ def fit_decay_rate(times: Sequence[float], errors: Sequence[float]) -> Convergen
     prefactor = float(np.exp(intercept))
     if not (math.isfinite(rate) and math.isfinite(prefactor)):
         raise FitError("fit produced non-finite parameters")
-    return ConvergenceReport(rate=rate, prefactor=prefactor, residual=residual, n_samples=t.size)
+    return ConvergenceReport(rate=rate, prefactor=prefactor, residual=residual)

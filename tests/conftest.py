@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from swarmctrl.ctmc import TransitionGraph
 from swarmctrl.grid import ScalarField, build_grid
+from swarmctrl.pde import StepperConfig, assemble_advection_diffusion, march
 
 
 @pytest.fixture
@@ -25,6 +26,20 @@ def random_density(domain, rng, floor=0.1):
 def cosine_target(domain, amplitude=0.3, mode=1):
     x = domain.axis_centers(0)
     return ScalarField(domain, 1.0 + amplitude * np.cos(mode * np.pi * x)).normalized()
+
+
+def march_to_end(matrix, y, duration, cfg):
+    """The field on ``y``'s grid after ``march`` of y' = matrix @ y over ``duration``."""
+    for block in march(matrix, y.flat, duration, cfg):
+        pass
+    return ScalarField(y.domain, block[-1])
+
+
+def implicit_step(y, velocity, diffusion, dt):
+    """One implicit Euler step of y_t = D lap(y) - div(v y) with the
+    exponential-fitted flux and zero-flux boundary."""
+    matrix = assemble_advection_diffusion(y.domain, velocity, diffusion)
+    return march_to_end(matrix, y, dt, StepperConfig(dt=dt))
 
 
 @st.composite

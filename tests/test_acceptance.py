@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import implicit_step, march_to_end
 from swarmctrl.control import (
     TargetDensity,
     execute_plan,
@@ -54,10 +55,9 @@ from swarmctrl.hybrid import (
 from swarmctrl.particles import ParticleEnsemble, empirical_density, sde_step
 from swarmctrl.pde import (
     StepperConfig,
-    evolve_stabilizing,
-    evolve_weighted_heat,
     fit_decay_rate,
-    step_advection_diffusion,
+    march,
+    relaxation_operator,
     weighted_heat_operator,
 )
 
@@ -77,7 +77,7 @@ def test_01_mass_conservation():
     worst = 0.0
     for _ in range(1000):
         v = FaceField(d, (rng.uniform(-4.0, 4.0, 127),))
-        y = step_advection_diffusion(y, v, 1.0, cfg)
+        y = implicit_step(y, v, 1.0, cfg.dt)
         worst = max(worst, abs(math.fsum(y.flat) * d.cell_volume - 1.0))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-12 and elapsed < 5.0
@@ -89,14 +89,14 @@ def test_02_heat_decay_rate():
     start = time.monotonic()
     d = build_grid(1, [1.0], [256])
     x = d.axis_centers(0)
-    gap = weighted_heat_operator(ScalarField.constant(d, 1.0)).spectral_gap()
+    heat = weighted_heat_operator(ScalarField.constant(d, 1.0))
+    gap = heat.spectral_gap()
     y = ScalarField(d, 1.0 + 0.5 * np.cos(np.pi * x))
-    a = ScalarField.constant(d, 1.0)
     cfg = StepperConfig(dt=1e-3)
     times, errors = [], []
     t = 0.0
     for _ in range(8):
-        y = evolve_weighted_heat(y, a, 1.0, 0.02, cfg)
+        y = march_to_end(heat.matrix, y, 0.02, cfg)
         t += 0.02
         times.append(t)
         errors.append(np.max(np.abs(y.values - 1.0)))
@@ -117,10 +117,9 @@ def test_03_weighted_sup_bound_invariance():
         a = ScalarField(d, 0.5 + rng.random(64))
         raw = rng.random(64) / a.values
         raw /= np.max(a.values * raw)  # max(a*y0) = 1
-        y = ScalarField(d, raw)
-        for _ in range(500):
-            y = evolve_weighted_heat(y, a, 1.2, cfg.dt, cfg)
-            worst = max(worst, float(np.max(a.values * y.values)) - 1.0)
+        # every state of 500 steps of the flow with gain 1.2
+        for block in march(1.2 * weighted_heat_operator(a).matrix, raw, 500 * cfg.dt, cfg):
+            worst = max(worst, float(np.max(a.values * block)) - 1.0)
     ok = worst <= 1e-10
     assert report(3, "weighted sup bound excess over 500 steps x 10", worst, 1e-10, ok)
 
@@ -139,9 +138,10 @@ def test_04_lower_bound_preservation():
         y = ScalarField(d, c2 + bump * budget / mass(ScalarField(d, bump)))
         c1, amax = float(np.min(a_vals)), float(np.max(a_vals))
         bound = c1 * float(np.min(y.values)) / amax
+        relax = relaxation_operator(f).matrix
         state = y
         for _ in range(12):
-            state = evolve_stabilizing(state, f, 1.0, 0.05, cfg)
+            state = march_to_end(relax, state, 0.05, cfg)
             worst = min(worst, float(np.min(state.values)) - (bound - 1e-10))
     ok = worst >= 0.0
     assert report(4, "relaxation lower-bound margin (min over runs)", worst, 0.0, ok)
@@ -455,7 +455,7 @@ def test_15_particle_mean_field_agreement():
     target = TargetDensity.create(f)
     v = stabilizing_velocity(target, 1.0)
     y0 = ScalarField.constant(d, 1.0)
-    y_pde = evolve_stabilizing(y0, f, 1.0, 1.0, StepperConfig(dt=1e-3))
+    y_pde = march_to_end(relaxation_operator(f).matrix, y0, 1.0, StepperConfig(dt=1e-3))
 
     def run(seed):
         ens = ParticleEnsemble.uniform(d, 100000, state=1, seed=seed)

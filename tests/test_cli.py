@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -604,6 +605,57 @@ def test_removed_pde_keys_rejected(tmp_path, capsys, text, setting):
     out = tmp_path / "out"
     assert run_scenario(path, out_dir=out) == 2
     assert f"[pde] {setting.split()[0]}" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+GRAPH_EDGES = re.compile(r"edges = .*\n(?:    .*\n)*")
+
+
+@pytest.mark.parametrize(
+    "edges", ["abc", "", "1 1", "1 2 3", "0"],
+    ids=["word", "empty", "self-loop", "three-vertices", "one-vertex"],
+)
+@pytest.mark.parametrize(
+    "text", [CTMC_CFG, SPECTRUM_CFG, HSDP_STEER_CFG], ids=["ctmc-plan", "spectrum", "hsdp-steer"]
+)
+def test_malformed_graph_edges_is_usage_error(tmp_path, capsys, text, edges):
+    assert GRAPH_EDGES.search(text)
+    path = write_cfg(tmp_path, GRAPH_EDGES.sub(f"edges = {edges}\n", text))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 2
+    err = capsys.readouterr().err
+    assert "ConfigurationError" in err and "[graph] edges" in err
+    assert not (out / "summary.json").exists()
+
+
+def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
+    (tmp_path / "edges.txt").write_text("1 2\n2 1 3\n")
+    path = write_cfg(tmp_path, GRAPH_EDGES.sub("file = edges.txt\n", CTMC_CFG))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 2
+    err = capsys.readouterr().err
+    assert "ConfigurationError" in err and "[graph] file" in err and "line 2" in err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "text",
+    [STABILIZE_CFG, HSDP_STEER_CFG, PATH_CFG, HSDP_STAB_CFG, PARTICLES_CFG],
+    ids=["stabilize", "hsdp-steer", "path-follow", "hsdp-stabilize", "particles"],
+)
+def test_unfactorable_system_is_numerical_error(tmp_path, capsys, text):
+    # on a 1e-300 box the generators overflow and SuperLU meets an exactly
+    # singular factor: one typed error line and exit 1, not a traceback
+    # (100 particles reach the particles controller's PDE reference sooner)
+    text = text.replace("lengths = 1.0", "lengths = 1e-300").replace("count = 20000", "count = 100")
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error [swarmctrl.errors.NumericalError]:")
+    assert "cannot be factored" in lines[0]
     assert not (out / "summary.json").exists()
 
 

@@ -12,7 +12,7 @@ from swarmctrl.ctmc import (
     propagate,
     synthesize_stationary_rates,
 )
-from swarmctrl.errors import GraphError, SynthesisError
+from swarmctrl.errors import GraphError, SynthesisError, TargetError
 from swarmctrl.grid import ScalarField, build_grid, mass
 from swarmctrl.hybrid import (
     HybridTarget,
@@ -23,7 +23,6 @@ from swarmctrl.hybrid import (
     execute_hybrid_plan,
     hybrid_steering_plan,
     mass_trajectory_consistency,
-    split_step,
     stabilizing_gains,
     stabilizing_velocities,
     zero_mass_stabilizing_gains,
@@ -74,7 +73,7 @@ class TestSplitStep:
         dt = data.draw(st.floats(1e-3, 0.1))
         stack = random_stack(d, n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
         gains = SpatialGainSet.constant(g, d, rates)
-        out = split_step(stack, [None] * n, [1.0] * n, gains, dt).as_array()
+        out = SplitStepper(d, [None] * n, [1.0] * n, gains, dt).step(stack).as_array()
         heat = make_stepper(
             weighted_heat_operator(ScalarField.constant(d, 1.0)).matrix, dt, "implicit_euler"
         )
@@ -86,7 +85,7 @@ class TestSplitStep:
         rng = np.random.default_rng(0)
         stack = random_stack(unit_grid_64, 2, rng)
         gains = SpatialGainSet.constant(BIG2, unit_grid_64, [0.0, 0.0])
-        out = split_step(stack, [None, None], [1.0, 0.5], gains, 1e-2)
+        out = SplitStepper(unit_grid_64, [None, None], [1.0, 0.5], gains, 1e-2).step(stack)
         # per-state masses unchanged without reaction
         np.testing.assert_allclose(
             out.mass_vector(), stack.mass_vector(), atol=1e-13
@@ -100,7 +99,7 @@ class TestSplitStep:
             BIG2, unit_grid_64, (1.0 + 0.5 * np.sin(np.pi * x), 0.7 + 0.1 * x)
         )
         dt = 0.05
-        out = split_step(stack, [None, None], [0.0, 0.0], gains, dt)
+        out = SplitStepper(unit_grid_64, [None, None], [0.0, 0.0], gains, dt).step(stack)
         arr = stack.as_array()
         expected = np.empty_like(arr)
         for c in range(unit_grid_64.cell_count):
@@ -142,9 +141,10 @@ class TestSplitStep:
         from swarmctrl.control import TargetDensity, stabilizing_velocity
 
         v = stabilizing_velocity(TargetDensity.create(target), 1.0)
+        stepper = SplitStepper(unit_grid_64, [v, None, v], [1.0, 0.3, 0.2], gains, 5e-3)
         state = stack
         for _ in range(20):
-            state = split_step(state, [v, None, v], [1.0, 0.3, 0.2], gains, 5e-3)
+            state = stepper.step(state)
             assert abs(state.total_mass() - 1.0) <= 1e-12
             assert min(np.min(f.values) for f in state.fields) >= -1e-13
 
@@ -157,8 +157,9 @@ class TestMassConsistency:
         times = [0.0]
         masses = [stack.mass_vector()]
         gains = SpatialGainSet.constant(BIG2, unit_grid_64, [0.0, 0.0])
+        stepper = SplitStepper(unit_grid_64, [None, None], [1.0, 1.0], gains, 1e-2)
         for k in range(5):
-            state = split_step(state, [None, None], [1.0, 1.0], gains, 1e-2)
+            state = stepper.step(state)
             times.append((k + 1) * 1e-2)
             masses.append(state.mass_vector())
         report = mass_trajectory_consistency(times, masses, BIG2, [0.0, 0.0])
@@ -191,6 +192,13 @@ class TestMassConsistency:
             assert 3.5 <= deviations[0] / deviations[1] <= 4.5
         else:
             assert max(deviations) <= floor
+
+
+def test_target_fields_on_different_grids_rejected():
+    coarse = ScalarField.constant(build_grid(1, [1.0], [8]), 0.5)
+    fine = ScalarField.constant(build_grid(1, [1.0], [16]), 0.5)
+    with pytest.raises(TargetError, match="different grids"):
+        HybridTarget.create([coarse, fine])
 
 
 class TestStabilizingGains:

@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cosine_target, random_density, random_grids
+from conftest import cosine_target, implicit_step, march_to_end, random_density, random_grids
 from test_grid import assert_bitwise_equal, scipy_two_point_flux_matrix
 from swarmctrl import pde
 from swarmctrl.control import TargetDensity, stabilizing_velocity
@@ -20,7 +20,6 @@ from swarmctrl.errors import (
     CoefficientError,
     ConfigurationError,
     FitError,
-    InputError,
     NumericalError,
     TargetError,
 )
@@ -29,13 +28,10 @@ from swarmctrl.pde import (
     StepperConfig,
     assemble_advection_diffusion,
     bernoulli,
-    evolve_stabilizing,
-    evolve_weighted_heat,
     fit_decay_rate,
     make_stepper,
     march,
     relaxation_operator,
-    step_advection_diffusion,
     weighted_heat_operator,
 )
 
@@ -122,14 +118,14 @@ def test_bernoulli_large_argument_does_not_overflow():
 class TestStepAdvectionDiffusion:
     def test_uniform_heat_fixed_point(self, unit_grid_128):
         y = ScalarField.constant(unit_grid_128, 1.0)
-        y1 = step_advection_diffusion(y, None, 1.0, StepperConfig(dt=1e-2))
+        y1 = implicit_step(y, None, 1.0, 1e-2)
         assert np.max(np.abs(y1.values - 1.0)) <= 1e-14
 
     def test_gibbs_profile_is_exact_equilibrium(self, unit_grid_128):
         f = cosine_target(unit_grid_128)
         target = TargetDensity.create(f)
         v = stabilizing_velocity(target, 1.0)
-        y1 = step_advection_diffusion(f, v, 1.0, StepperConfig(dt=1e-3))
+        y1 = implicit_step(f, v, 1.0, 1e-3)
         assert np.max(np.abs(y1.values - f.values)) <= 1e-12
 
     def test_mass_conserved_for_any_velocity(self, unit_grid_128):
@@ -138,7 +134,7 @@ class TestStepAdvectionDiffusion:
         cfg = StepperConfig(dt=1e-3)
         for _ in range(20):
             v = FaceField(unit_grid_128, (rng.uniform(-5, 5, 127),))
-            y = step_advection_diffusion(y, v, 1.0, cfg)
+            y = implicit_step(y, v, 1.0, cfg.dt)
             assert abs(mass(y) - 1.0) <= 1e-12
 
     def test_positivity_under_implicit_euler(self, unit_grid_64):
@@ -147,7 +143,7 @@ class TestStepAdvectionDiffusion:
         values[10] = 1.0
         y = ScalarField(unit_grid_64, values).normalized()
         v = FaceField(unit_grid_64, (rng.uniform(-10, 10, 63),))
-        y1 = step_advection_diffusion(y, v, 1.0, StepperConfig(dt=0.5))
+        y1 = implicit_step(y, v, 1.0, 0.5)
         assert np.min(y1.values) >= 0.0
 
     def test_one_heat_step_strictly_positive_everywhere(self, unit_grid_128):
@@ -157,13 +153,8 @@ class TestStepAdvectionDiffusion:
         values[0] = 1.0
         y = ScalarField(unit_grid_128, values)
         h2 = unit_grid_128.spacing[0] ** 2
-        y1 = step_advection_diffusion(y, None, 1.0, StepperConfig(dt=h2))
+        y1 = implicit_step(y, None, 1.0, h2)
         assert np.min(y1.values) > 0.0
-
-    def test_negative_state_rejected(self, unit_grid_64):
-        y = ScalarField(unit_grid_64, np.linspace(-0.5, 1.0, 64))
-        with pytest.raises(InputError):
-            step_advection_diffusion(y, None, 1.0)
 
     def test_2d_mass_and_positivity(self):
         rng = np.random.default_rng(7)
@@ -175,7 +166,7 @@ class TestStepAdvectionDiffusion:
         )
         cfg = StepperConfig(dt=5e-3)
         for _ in range(10):
-            y = step_advection_diffusion(y, v, 1.0, cfg)
+            y = implicit_step(y, v, 1.0, cfg.dt)
             assert abs(mass(y) - 1.0) <= 1e-12
             assert np.min(y.values) >= -1e-14
 
@@ -185,7 +176,7 @@ class TestStepAdvectionDiffusion:
         f = ScalarField(d, 1.0 + 0.2 * np.cos(np.pi * gx) * np.cos(np.pi * gy)).normalized()
         target = TargetDensity.create(f)
         v = stabilizing_velocity(target, 1.0)
-        y1 = step_advection_diffusion(f, v, 1.0, StepperConfig(dt=1e-2))
+        y1 = implicit_step(f, v, 1.0, 1e-2)
         assert np.max(np.abs(y1.values - f.values)) <= 1e-12
 
 
@@ -260,6 +251,15 @@ class TestFixedPatternOperators:
         matrix = weighted_heat_operator(ScalarField.constant(unit_grid_64, 1.0)).matrix
         with pytest.raises(ConfigurationError):
             make_stepper(matrix, dt, "implicit_euler")
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_unfactorable_system_is_numerical_error(self, scheme):
+        # dt = 1 / theta cancels the identity: every entry of I - theta*dt*I
+        # is an exact zero, so SuperLU meets an exactly singular factor
+        matrix = sp.identity(4, format="csr")
+        dt = 1.0 if scheme == "implicit_euler" else 2.0
+        with pytest.raises(NumericalError, match="cannot be factored"):
+            make_stepper(matrix, dt, scheme)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_zero_dt_is_identity(self, unit_grid_64, scheme):
@@ -354,11 +354,10 @@ class TestMarch:
             list(march(matrix, y, 0.01, StepperConfig(dt=1e-3)))
 
     def test_negative_duration_rejected(self, unit_grid_64):
-        from swarmctrl.errors import ConfigurationError
-
-        y = ScalarField.constant(unit_grid_64, 1.0)
+        matrix = weighted_heat_operator(ScalarField.constant(unit_grid_64, 1.0)).matrix
+        y = ScalarField.constant(unit_grid_64, 1.0).flat
         with pytest.raises(ConfigurationError):
-            evolve_weighted_heat(y, y, 1.0, -0.1)
+            list(march(matrix, y, -0.1, StepperConfig()))
 
 
 @st.composite
@@ -428,32 +427,29 @@ class TestMarchOracle:
 
 
 class TestWeightedHeat:
-    def test_zero_gain_is_identity(self, unit_grid_64):
-        rng = np.random.default_rng(2)
-        y = random_density(unit_grid_64, rng)
-        y1 = evolve_weighted_heat(y, ScalarField.constant(unit_grid_64, 2.0), 0.0, 1.0)
-        np.testing.assert_array_equal(y1.values, y.values)
+    """The flow y_t = gain * div(grad(a y)): ``march`` of gain times the
+    weighted-heat generator."""
 
     def test_reciprocal_weight_is_stationary(self, unit_grid_64):
         # the kernel is spanned by 1/a, so any multiple stays put
         rng = np.random.default_rng(3)
         a = ScalarField(unit_grid_64, 0.5 + rng.random(64))
         y = ScalarField(unit_grid_64, 1.0 / a.values).normalized()
-        y1 = evolve_weighted_heat(y, a, 1.0, 0.2, StepperConfig(dt=1e-3))
+        y1 = march_to_end(weighted_heat_operator(a).matrix, y, 0.2, StepperConfig(dt=1e-3))
         assert np.max(np.abs(y1.values - y.values)) <= 1e-12
 
     def test_cosine_decays_at_spectral_gap(self):
         d = build_grid(1, [1.0], [256])
         x = d.axis_centers(0)
-        a = ScalarField.constant(d, 1.0)
-        gap = weighted_heat_operator(a).spectral_gap()
+        op = weighted_heat_operator(ScalarField.constant(d, 1.0))
+        gap = op.spectral_gap()
         assert gap == pytest.approx(np.pi**2, rel=1e-4)
         y = ScalarField(d, 1.0 + np.cos(np.pi * x))
         times, errors = [], []
         t = 0.0
         cfg = StepperConfig(dt=1e-3)
         for _ in range(8):
-            y = evolve_weighted_heat(y, a, 1.0, 0.02, cfg)
+            y = march_to_end(op.matrix, y, 0.02, cfg)
             t += 0.02
             times.append(t)
             errors.append(np.max(np.abs(y.values - 1.0)))
@@ -467,21 +463,23 @@ class TestWeightedHeat:
         scale = np.max(a.values * y.values)
         y = ScalarField(unit_grid_64, y.values / scale)  # max(a*y) = 1
         cfg = StepperConfig(dt=5e-3)
+        matrix = 1.5 * weighted_heat_operator(a).matrix
         for _ in range(50):
-            y = evolve_weighted_heat(y, a, 1.5, 5e-3, cfg)
+            y = march_to_end(matrix, y, 5e-3, cfg)
             assert np.max(a.values * y.values) <= 1.0 + 1e-10
 
     def test_nonpositive_weight_rejected(self, unit_grid_64):
-        y = ScalarField.constant(unit_grid_64, 1.0)
         bad = ScalarField(unit_grid_64, np.linspace(0.0, 1.0, 64))
         with pytest.raises(CoefficientError):
-            evolve_weighted_heat(y, bad, 1.0, 0.1)
+            weighted_heat_operator(bad)
 
 
 class TestStabilizingFlow:
+    """The flow y_t = div(f grad(y/f)): ``march`` of the relaxation generator."""
+
     def test_target_is_fixed_point(self, unit_grid_128):
         f = cosine_target(unit_grid_128)
-        y1 = evolve_stabilizing(f, f, 1.0, 0.3, StepperConfig(dt=1e-3))
+        y1 = march_to_end(relaxation_operator(f).matrix, f, 0.3, StepperConfig(dt=1e-3))
         assert np.max(np.abs(y1.values - f.values)) <= 1e-12
 
     def test_lower_bound_preserved(self, unit_grid_64):
@@ -498,19 +496,21 @@ class TestStabilizingFlow:
             c1 = np.min(a_vals)
             bound = c1 * np.min(y.values) / np.max(a_vals)
             cfg = StepperConfig(dt=2e-3)
+            matrix = relaxation_operator(f).matrix
             state = y
             for _ in range(10):
-                state = evolve_stabilizing(state, f, 1.0, 0.05, cfg)
+                state = march_to_end(matrix, state, 0.05, cfg)
                 assert np.min(state.values) >= bound - 1e-10
 
     def test_exponential_convergence_to_target(self, unit_grid_64):
         rng = np.random.default_rng(6)
         f = cosine_target(unit_grid_64)
         y = random_density(unit_grid_64, rng)
+        matrix = relaxation_operator(f).matrix
         times, errors = [], []
         t = 0.0
         for _ in range(10):
-            y = evolve_stabilizing(y, f, 1.0, 0.05, StepperConfig(dt=1e-3))
+            y = march_to_end(matrix, y, 0.05, StepperConfig(dt=1e-3))
             t += 0.05
             times.append(t)
             errors.append(np.sqrt(np.sum((y.values - f.values) ** 2) / 64))
@@ -519,17 +519,10 @@ class TestStabilizingFlow:
         assert report.rate > 0
         assert report.residual <= 0.1
 
-    def test_mass_mismatch_rejected(self, unit_grid_64):
-        f = cosine_target(unit_grid_64)
-        y = ScalarField.constant(unit_grid_64, 0.5)
-        with pytest.raises(InputError):
-            evolve_stabilizing(y, f, 1.0, 0.1)
-
     def test_nonpositive_target_rejected(self, unit_grid_64):
         f = ScalarField(unit_grid_64, np.linspace(0.0, 2.0, 64))
-        y = ScalarField.constant(unit_grid_64, 1.0)
         with pytest.raises(TargetError):
-            evolve_stabilizing(y, f, 1.0, 0.1)
+            relaxation_operator(f)
 
 
 class TestFitDecayRate:
