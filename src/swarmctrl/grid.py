@@ -42,8 +42,6 @@ __all__ = [
     "neumann_laplacian",
     "neumann_heat_gap",
     "neumann_poisson_solve",
-    "face_difference",
-    "face_mean",
     "face_log_difference",
 ]
 
@@ -209,20 +207,6 @@ class FaceField:
         return max(vals) if vals else 0.0
 
 
-def face_difference(field: ScalarField, axis: int) -> np.ndarray:
-    """(u_R - u_L) / h across interior faces of one axis."""
-    return np.diff(field.values, axis=axis) / field.domain.spacing[axis]
-
-
-def face_mean(field: ScalarField, axis: int) -> np.ndarray:
-    v = field.values
-    lo = [slice(None)] * field.domain.dim
-    hi = [slice(None)] * field.domain.dim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    return 0.5 * (v[tuple(lo)] + v[tuple(hi)])
-
-
 def face_log_difference(field: ScalarField, axis: int) -> np.ndarray:
     """(log u_R - log u_L) / h; requires a strictly positive field.
 
@@ -279,11 +263,12 @@ class SparseOperator:
 
 @functools.lru_cache(maxsize=16)
 def _pattern(n: int, dtype: np.dtype, indptr: bytes, indices: bytes):
-    """Columns, builder and tridiagonality of the ``csr_matrix`` or ``csc_matrix`` on a CSR
+    """Columns, builder and band slots of the ``csr_matrix`` or ``csc_matrix`` on a CSR
     structure (raw bytes) plus the diagonal: weights per entry, then per diagonal, sum into
     slots, exact zeros drop, and the canonical arrays fill a copy of an empty matrix (no
-    re-check).  The structure is tridiagonal when no entry lies off the three central
-    diagonals (every 1D grid)."""
+    re-check).  When no entry lies off the three central diagonals (every 1D grid), each
+    weight's flat index into LAPACK band storage with one sub- and one superdiagonal
+    (``(4, n)``, Fortran order, entry (i, j) in row 2 + i - j) is returned too, else None."""
     rows = np.repeat(np.arange(n), np.diff(np.frombuffer(indptr, dtype)))
     keys = np.append(rows * n + np.frombuffer(indices, dtype), np.arange(n) * (n + 1))
     order = np.argsort(keys, kind="stable")  # np.unique's quicksort costs ~0.4 MB more RSS
@@ -303,7 +288,11 @@ def _pattern(n: int, dtype: np.dtype, indptr: bytes, indices: bytes):
         out.indptr = np.searchsorted(major[keep], np.arange(n + 1)).astype(np.int32)
         return out
 
-    return c, build, bool(np.all(np.abs(r - c) <= 1))
+    band = None
+    if np.all(np.abs(r - c) <= 1):
+        row, col = np.divmod(keys, n)
+        band = 4 * col + 2 + row - col
+    return c, build, band
 
 
 @functools.lru_cache(maxsize=16)
@@ -362,8 +351,10 @@ def divergence_form_operator(a: ScalarField, w: ScalarField | None = None) -> Sp
         left, right = domain.face_pairs(axis)
         wl = w.flat[left]
         wr = w.flat[right]
-        wf = 2.0 * wl * wr / (wl + wr)  # harmonic face conductance
-        coef = wf / (h * h)
+        # a degenerate box overflows here; the factorization reports it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            wf = 2.0 * wl * wr / (wl + wr)  # harmonic face conductance
+            coef = wf / (h * h)
         # flux = wf * (a_R u_R - a_L u_L)/h leaving the left cell
         face_rates.append((coef * a_flat[left], coef * a_flat[right]))
     matrix = two_point_flux_matrix(domain, face_rates)
@@ -402,28 +393,35 @@ def _poisson_factorization(domain: RectDomain):
         raise NumericalError(f"zero-flux Poisson system cannot be factored: {exc}") from exc
 
 
-def neumann_poisson_solve(rhs: ScalarField) -> ScalarField:
+def neumann_poisson_solve(
+    rhs: ScalarField | Sequence[ScalarField],
+) -> ScalarField | list[ScalarField]:
     """Solve -lap(phi) = rhs with zero-flux boundary, zero-mean phi.
 
-    The right-hand side must have zero mass (the discrete solvability
-    condition); tolerance 1e-10.
+    Every right-hand side must have zero mass (the discrete solvability
+    condition); tolerance 1e-10.  A sequence of fields on one grid is
+    solved as the columns of one multi-column solve, and the list of their
+    solutions is returned.
     """
-    m = mass(rhs)
+    fields = [rhs] if isinstance(rhs, ScalarField) else list(rhs)
+    domain = fields[0].domain
+    if any(f.domain != domain for f in fields):
+        raise ConfigurationError("right-hand sides live on different grids")
+    b = np.stack([f.flat for f in fields])
+    masses = np.sum(b, axis=1) * domain.cell_volume
+    m = float(masses[np.argmax(np.abs(masses))])
     if abs(m) > 1e-10:
         raise CompatibilityError(
             f"zero-flux Poisson problem needs a zero-mass right-hand side, got mass {m:.3e}"
         )
-    domain = rhs.domain
     neg_lap, lu = _poisson_factorization(domain)
-    b = np.concatenate([rhs.flat, [0.0]])
-    sol = lu.solve(b)
+    sol = lu.solve(np.append(b, np.zeros((len(fields), 1)), axis=1).T)
     phi = sol[:-1]
     if not np.all(np.isfinite(phi)):
         raise NumericalError("Poisson solve produced non-finite values")
-    residual = neg_lap @ phi - rhs.flat
-    scale = max(1.0, float(np.max(np.abs(rhs.values))))
-    if float(np.max(np.abs(residual))) > 1e-9 * scale:
-        raise NumericalError(
-            f"Poisson residual {np.max(np.abs(residual)):.3e} above tolerance"
-        )
-    return ScalarField(domain, phi)
+    residual = np.max(np.abs(neg_lap @ phi - b.T), axis=0)
+    scale = np.maximum(1.0, np.max(np.abs(b), axis=1))
+    if np.any(residual > 1e-9 * scale):
+        raise NumericalError(f"Poisson residual {np.max(residual):.3e} above tolerance")
+    solutions = [ScalarField(domain, column) for column in phi.T]
+    return solutions[0] if isinstance(rhs, ScalarField) else solutions

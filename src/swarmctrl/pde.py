@@ -24,6 +24,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import (
     CoefficientError,
@@ -139,8 +140,10 @@ def assemble_advection_diffusion(
             # exponential-fitted flux)
             c_left = np.maximum(vf, 0.0)
             c_right = -np.minimum(vf, 0.0)
-        # face flux out of the left cell: F = c_left*u_L - c_right*u_R
-        face_rates.append((c_left / h, c_right / h))
+        # face flux out of the left cell: F = c_left*u_L - c_right*u_R; a
+        # degenerate box overflows here and the factorization reports it
+        with np.errstate(over="ignore"):
+            face_rates.append((c_left / h, c_right / h))
     return two_point_flux_matrix(domain, face_rates)
 
 
@@ -162,37 +165,50 @@ def make_stepper(matrix: sp.csr_matrix, dt: float, scheme: str) -> Callable[[np.
     ``dt = 0`` is the identity.  I - theta*dt*matrix and I + dt/2*matrix fill the
     cached pattern of the canonical CSR ``matrix`` plus its diagonal.
 
-    SuperLU orders columns with COLAMD (an ordering for A^T A) on tridiagonal
-    patterns, where no ordering gives fill, and with the minimum degree ordering
-    of A^T + A on every other pattern: two-point-flux patterns are structurally
-    symmetric, and on 48x48 cells that ordering gives L+U about 40 % fewer
-    nonzeros.  Partial pivoting stays on (centered fluxes at high Peclet number
-    are not diagonally dominant).
+    A tridiagonal pattern (every 1D grid) goes into LAPACK band storage and is
+    factored by the banded LU with partial pivoting (``dgbtrf``), with no sparse
+    matrix built for the system; the step is ``dgbtrs``.  Every other pattern is
+    factored by SuperLU with the minimum degree ordering of A^T + A:
+    two-point-flux patterns are structurally symmetric, and on 48x48 cells that
+    ordering gives L+U about 40 % fewer nonzeros than COLAMD.  Partial pivoting
+    stays on in both (centered fluxes at high Peclet number are not diagonally
+    dominant).  The step maps a ``(cells,)`` array or the columns of a
+    ``(cells, k)`` array.
 
     The step does not scan its output: the caller checks finiteness where it
-    holds the states (see :func:`_require_finite`).  A system SuperLU cannot
-    factor (an overflowed generator) raises NumericalError."""
+    holds the states (see :func:`_require_finite`).  A system that cannot be
+    factored (an exactly zero pivot, or a non-finite factor from an overflowed
+    generator) raises NumericalError."""
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     if not (dt >= 0 and math.isfinite(dt)):
         raise ConfigurationError(f"dt must be finite and non-negative, got {dt}")
     n = matrix.shape[0]
-    _, build, tridiagonal = _pattern(
+    _, build, band = _pattern(
         n, matrix.indices.dtype, matrix.indptr.tobytes(), matrix.indices.tobytes()
     )
     theta = 1.0 if scheme == "implicit_euler" else 0.5
-    try:
-        lu = spla.splu(
-            build(np.append(-theta * dt * matrix.data, np.ones(n)), sp.csc_matrix),
-            permc_spec="COLAMD" if tridiagonal else "MMD_AT_PLUS_A",
-        )
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise NumericalError(f"{scheme} system cannot be factored: {exc}") from exc
-    rhs_op = None if theta == 1.0 else build(np.append(0.5 * dt * matrix.data, np.ones(n)))
+    system = np.append(-theta * dt * matrix.data, np.ones(n))
+    if band is None:
+        try:
+            solve = spla.splu(build(system, sp.csc_matrix), permc_spec="MMD_AT_PLUS_A").solve
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise NumericalError(f"{scheme} system cannot be factored: {exc}") from exc
+    else:
+        ab = np.bincount(band, system, 4 * n).reshape((4, n), order="F")
+        lu, piv, info = lapack.dgbtrf(ab, 1, 1, overwrite_ab=1)
+        # LAPACK flags an exactly zero pivot, not a NaN one
+        if info != 0 or not np.all(np.isfinite(lu)):
+            reason = f"pivot {info} is exactly zero" if info > 0 else "non-finite factor"
+            raise NumericalError(f"{scheme} system cannot be factored: {reason}")
 
-    if rhs_op is None:
-        return lu.solve
-    return lambda y: lu.solve(rhs_op @ y)
+        def solve(y: np.ndarray) -> np.ndarray:
+            return lapack.dgbtrs(lu, 1, 1, y, piv)[0]
+
+    if theta == 1.0:
+        return solve
+    rhs_op = build(np.append(0.5 * dt * matrix.data, np.ones(n)))
+    return lambda y: solve(rhs_op @ y)
 
 
 def _require_finite(states: np.ndarray, scheme: str) -> None:

@@ -638,16 +638,17 @@ def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "text",
     [STABILIZE_CFG, HSDP_STEER_CFG, PATH_CFG, HSDP_STAB_CFG, PARTICLES_CFG],
     ids=["stabilize", "hsdp-steer", "path-follow", "hsdp-stabilize", "particles"],
 )
 def test_unfactorable_system_is_numerical_error(tmp_path, capsys, text):
-    # on a 1e-300 box the generators overflow and SuperLU meets an exactly
-    # singular factor: one typed error line and exit 1, not a traceback
-    # (100 particles reach the particles controller's PDE reference sooner)
+    # on a 1e-300 box the generators overflow and the factorization fails:
+    # one typed error line and exit 1, not a traceback, and no numpy warning
+    # from the overflowing assembly before it (100 particles reach the
+    # particles controller's PDE reference sooner)
     text = text.replace("lengths = 1.0", "lengths = 1e-300").replace("count = 20000", "count = 100")
     path = write_cfg(tmp_path, text)
     out = tmp_path / "out"

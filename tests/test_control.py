@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cosine_target, implicit_step, random_density
 from swarmctrl import control, grid, pde
@@ -501,3 +503,92 @@ class TestPathFollowing:
         res = follow_path(gamma, dgamma, 1.0, n_steps=400)
         assert res.sup_error <= 1e-6
         assert np.isfinite(res.max_velocity)
+
+
+def plain_follow_path(gamma, dgamma_dt, t_final, n_steps):
+    """The per-step path-following loop that the blocked one replaced, kept
+    as its oracle: one velocity, assembly, factorization and finiteness
+    check per step."""
+    start = gamma(0.0)
+    domain = start.domain
+    dt = t_final / n_steps
+    y = start.flat.copy()
+    times, errors, max_v = [0.0], [0.0], 0.0
+    for k in range(n_steps):
+        t_mid = (k + 0.5) * dt
+        v = path_following_velocity(gamma(t_mid), dgamma_dt(t_mid))
+        max_v = max(max_v, v.max_abs())
+        matrix = assemble_advection_diffusion(domain, v, 1.0, "centered")
+        y = make_stepper(matrix, dt, "crank_nicolson")(y)
+        assert np.all(np.isfinite(y))
+        t = (k + 1) * dt
+        times.append(t)
+        errors.append(l2_norm(ScalarField(domain, y - gamma(t).flat)))
+    return np.asarray(times), np.asarray(errors), max_v, y
+
+
+@st.composite
+def smooth_paths(draw):
+    """A grid, a path gamma(t) = (1 - s(t)) g0 + s(t) g1 between two random
+    positive unit-mass cosine profiles with a smooth monotone s, its time
+    derivative, and a step count that is not a multiple of the block rows."""
+    dim = draw(st.integers(1, 2))
+    cells = [draw(st.integers(16, 300))] if dim == 1 else draw(
+        st.lists(st.integers(6, 24), min_size=2, max_size=2)
+    )
+    domain = build_grid(dim, [1.0] * dim, cells)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = domain.center_grids()
+    g0, g1 = (
+        ScalarField(
+            domain,
+            1.0 + sum(rng.uniform(-0.3, 0.3) * np.cos(rng.integers(1, 4) * np.pi * xd) for xd in x),
+        ).normalized()
+        for _ in range(2)
+    )
+    c = draw(st.floats(0.0, 0.15))
+
+    def gamma(t):
+        s = t + c * np.sin(2 * np.pi * t)
+        return ScalarField(domain, (1 - s) * g0.values + s * g1.values)
+
+    def dgamma_dt(t):
+        return ScalarField(domain, (1 + 2 * np.pi * c * np.cos(2 * np.pi * t)) * (g1.values - g0.values))
+
+    rows = pde.BLOCK_BYTES // (8 * domain.cell_count)
+    n_steps = rows * draw(st.integers(0, 2)) + draw(st.integers(1, rows - 1))
+    return domain, gamma, dgamma_dt, n_steps
+
+
+class TestBlockedPathFollowing:
+    @settings(max_examples=12, deadline=None)
+    @given(smooth_paths())
+    def test_blocks_match_plain_step_loop(self, path):
+        domain, gamma, dgamma_dt, n_steps = path
+        res = follow_path(gamma, dgamma_dt, 1.0, n_steps=n_steps)
+        times, errors, max_v, y = plain_follow_path(gamma, dgamma_dt, 1.0, n_steps)
+        assert res.times.tobytes() == times.tobytes()
+        if domain.dim == 1:
+            assert res.max_velocity == max_v
+        else:
+            assert res.max_velocity == pytest.approx(max_v, rel=1e-12)
+        np.testing.assert_allclose(res.errors, errors, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.final_state.flat, y, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_steps", [1, 127, 128, 300])
+    def test_one_velocity_call_per_block(self, monkeypatch, n_steps):
+        # 128 cells: 128 steps per block, so ceil(n_steps / 128) calls
+        calls = []
+
+        def counting(gamma, dgamma_dt):
+            calls.append(len(gamma))
+            return path_following_velocity(gamma, dgamma_dt)
+
+        monkeypatch.setattr(control, "path_following_velocity", counting)
+        d = build_grid(1, [1.0], [128])
+        f = cosine_target(d)
+        zero = ScalarField.constant(d, 0.0)
+        follow_path(lambda t: f, lambda t: zero, 1.0, n_steps=n_steps)
+        assert len(calls) == math.ceil(n_steps / 128)
+        assert sum(calls) == n_steps
+

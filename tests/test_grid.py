@@ -338,6 +338,30 @@ class TestPoisson:
         assert calls == []
         np.testing.assert_array_equal(second.values, first.values)
 
+    @pytest.mark.parametrize("cells", [[128], [512], [12, 10]], ids=["128", "512", "12x10"])
+    def test_sequence_solves_like_single_fields(self, cells):
+        # one multi-column solve gives each right-hand side what its own
+        # solve gives, bitwise in 1D
+        d = build_grid(len(cells), [1.0] * len(cells), cells)
+        rng = np.random.default_rng(4)
+        rhs = [ScalarField(d, v - v.mean()) for v in rng.standard_normal((5, *cells))]
+        stacked = neumann_poisson_solve(rhs)
+        assert len(stacked) == 5
+        for field, phi in zip(rhs, stacked):
+            single = neumann_poisson_solve(field).values
+            if len(cells) == 1:
+                assert phi.values.tobytes() == single.tobytes()
+            else:
+                np.testing.assert_allclose(phi.values, single, rtol=0, atol=1e-14)
+
+    def test_sequence_checks_every_field(self):
+        d = build_grid(1, [1.0], [32])
+        zero = ScalarField.constant(d, 0.0)
+        with pytest.raises(CompatibilityError):
+            neumann_poisson_solve([zero, ScalarField.constant(d, 1.0), zero])
+        with pytest.raises(ConfigurationError):
+            neumann_poisson_solve([zero, ScalarField.constant(build_grid(1, [2.0], [32]), 0.0)])
+
     def test_2d_solution_zero_mean(self):
         d = build_grid(2, [1.0, 1.0], [16, 16])
         gx, gy = d.center_grids()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,26 +39,41 @@ from swarmctrl.pde import (
 SCHEMES = ["implicit_euler", "crank_nicolson"]
 
 
-def stepper_ordering(matrix):
-    """The column ordering rule: COLAMD when no entry of ``matrix`` lies off
-    the three central diagonals, the minimum degree ordering of A^T + A
-    otherwise."""
-    coo = matrix.tocoo()
-    return "COLAMD" if np.all(np.abs(coo.row - coo.col) <= 1) else "MMD_AT_PLUS_A"
-
-
 def scipy_make_stepper(matrix, dt, scheme):
-    """The scipy-arithmetic stepper that the cached-pattern one replaced
-    (identity minus the scaled matrix, then ``tocsc``, factored with the
-    ordering of :func:`stepper_ordering`), kept as the bitwise oracle:
-    returns the matrix handed to ``splu``, its ordering and the step."""
-    eye = sp.identity(matrix.shape[0], format="csr")
+    """The scipy-arithmetic stepper, kept as the bitwise oracle: identity
+    minus the scaled matrix, then ``tocsc``.  When no entry of ``matrix``
+    lies off the three central diagonals, the system's bands go into LAPACK
+    band storage and ``dgbtrf``/``dgbtrs`` factor and solve; every other
+    system goes to ``splu`` with the minimum degree ordering of A^T + A.
+    Returns the system, its band storage (None when ``splu`` factors it) and
+    the step."""
+    n = matrix.shape[0]
+    eye = sp.identity(n, format="csr")
     theta = 1.0 if scheme == "implicit_euler" else 0.5
     system = (eye - theta * dt * matrix).tocsc()
-    permc_spec = stepper_ordering(matrix)
-    lu = spla.splu(system, permc_spec=permc_spec)
+    pattern = matrix.tocoo()
+    if np.all(np.abs(pattern.row - pattern.col) <= 1):
+        coo = system.tocoo()
+        ab = np.zeros((4, n), order="F")
+        ab[2 + coo.row - coo.col, coo.col] = coo.data
+        lu, piv, _ = lapack.dgbtrf(ab, 1, 1)
+
+        def solve(y):
+            return lapack.dgbtrs(lu, 1, 1, y, piv)[0]
+    else:
+        ab = None
+        solve = spla.splu(system, permc_spec="MMD_AT_PLUS_A").solve
     rhs_op = None if theta == 1.0 else (eye + 0.5 * dt * matrix).tocsr()
-    return system, permc_spec, lambda y: lu.solve(y if rhs_op is None else rhs_op @ y)
+    return system, ab, lambda y: solve(y if rhs_op is None else rhs_op @ y)
+
+
+def recording(fn, calls):
+    """``fn`` wrapped to append a copy of its first argument to ``calls``
+    (``dgbtrf`` overwrites the band storage it is handed)."""
+    def wrapper(first, *args, **kwargs):
+        calls.append(first.copy())
+        return fn(first, *args, **kwargs)
+    return wrapper
 
 
 def test_stepper_config_validation():
@@ -205,11 +221,18 @@ class TestFixedPatternOperators:
             expected = assemble_advection_diffusion(domain, velocity, diffusion, flux)
         assert_bitwise_equal(matrix, expected)
 
-        with mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
+        factored = []
+        with mock.patch.object(lapack, "dgbtrf", recording(lapack.dgbtrf, factored)), \
+                mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
             step = make_stepper(matrix, dt, scheme)
-        system, permc_spec, oracle_step = scipy_make_stepper(expected, dt, scheme)
-        assert_bitwise_equal(splu.call_args.args[0], system)
-        assert splu.call_args.kwargs["permc_spec"] == permc_spec
+        system, ab, oracle_step = scipy_make_stepper(expected, dt, scheme)
+        if ab is None:
+            assert not factored
+            assert_bitwise_equal(splu.call_args.args[0], system)
+            assert splu.call_args.kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+        else:
+            assert not splu.called
+            assert factored[0].tobytes() == ab.tobytes()
         y = y_oracle = rng.random(domain.cell_count)
         for _ in range(4):
             y, y_oracle = step(y), oracle_step(y_oracle)
@@ -236,15 +259,19 @@ class TestFixedPatternOperators:
         assert lu.L.nnz + lu.U.nnz <= 70_000
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_1d_stepper_keeps_colamd(self, unit_grid_128, scheme):
-        # tridiagonal patterns keep scipy's default ordering, bit for bit
+    def test_only_non_tridiagonal_steppers_call_splu(self, unit_grid_128, scheme):
+        # 1D systems go to the banded LU; 2D ones to SuperLU with MMD on A^T + A
         rng = np.random.default_rng(3)
         velocity = FaceField(unit_grid_128, (rng.standard_normal(127),))
-        matrix = assemble_advection_diffusion(unit_grid_128, velocity, 0.05, "centered")
-        _, permc_spec, oracle_step = scipy_make_stepper(matrix, 1e-2, scheme)
-        assert permc_spec == "COLAMD"
-        y = rng.random(128)
-        assert make_stepper(matrix, 1e-2, scheme)(y).tobytes() == oracle_step(y).tobytes()
+        matrix_1d = assemble_advection_diffusion(unit_grid_128, velocity, 0.05, "centered")
+        d = build_grid(2, [1.0, 1.0], [6, 5])
+        matrix_2d = weighted_heat_operator(ScalarField.constant(d, 1.0)).matrix
+        with mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
+            make_stepper(matrix_1d, 1e-2, scheme)
+            assert not splu.called
+            make_stepper(matrix_2d, 1e-2, scheme)
+        assert splu.call_count == 1
+        assert splu.call_args.kwargs["permc_spec"] == "MMD_AT_PLUS_A"
 
     @pytest.mark.parametrize("dt", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
     def test_bad_dt_rejected(self, unit_grid_64, dt):
@@ -255,9 +282,24 @@ class TestFixedPatternOperators:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_unfactorable_system_is_numerical_error(self, scheme):
         # dt = 1 / theta cancels the identity: every entry of I - theta*dt*I
-        # is an exact zero, so SuperLU meets an exactly singular factor
+        # is an exact zero, so the banded LU meets an exactly zero pivot
         matrix = sp.identity(4, format="csr")
         dt = 1.0 if scheme == "implicit_euler" else 2.0
+        with pytest.raises(NumericalError, match="cannot be factored"):
+            make_stepper(matrix, dt, scheme)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("case", ["superlu-singular", "banded-non-finite"])
+    def test_unfactorable_pattern_is_numerical_error(self, scheme, case):
+        # SuperLU: the identity plus one entry off the band, cancelled as
+        # above; banded: an overflowed entry leaves an infinite pivot in the
+        # factor, which LAPACK does not flag
+        if case == "superlu-singular":
+            matrix = sp.csr_matrix(np.eye(4) + np.eye(4, k=3))
+            dt = 1.0 if scheme == "implicit_euler" else 2.0
+        else:
+            matrix = sp.csr_matrix(np.diag([np.inf, 1.0, 1.0]) + np.eye(3, k=1))
+            dt = 1e-2
         with pytest.raises(NumericalError, match="cannot be factored"):
             make_stepper(matrix, dt, scheme)
 
@@ -266,6 +308,40 @@ class TestFixedPatternOperators:
         matrix = weighted_heat_operator(ScalarField.constant(unit_grid_64, 1.0)).matrix
         y = random_density(unit_grid_64, np.random.default_rng(0)).flat
         np.testing.assert_array_equal(make_stepper(matrix, 0.0, scheme)(y), y)
+
+
+class TestBandedStep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 512),
+        st.sampled_from(SCHEMES),
+        st.sampled_from(["exponential", "centered"]),
+        st.sampled_from([0.0, 0.05, 1.0]),
+        st.sampled_from([1e-3, 1e-2]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_step_matches_dense_solve(self, cells, scheme, flux, diffusion, dt, seed):
+        # one banded step equals a dense solve of the same system; implicit
+        # Euler with the exponential-fitted flux (an M-matrix step) also
+        # conserves mass to roundoff and keeps non-negative states
+        # non-negative, exactly
+        rng = np.random.default_rng(seed)
+        domain = build_grid(1, [1.0], [cells])
+        velocity = FaceField(domain, (5.0 * rng.standard_normal(cells - 1),))
+        matrix = assemble_advection_diffusion(domain, velocity, diffusion, flux)
+        y = rng.random(cells)
+        y[rng.random(cells) < 0.3] = 0.0
+        theta = 1.0 if scheme == "implicit_euler" else 0.5
+        dense = matrix.toarray()
+        eye = np.eye(cells)
+        rhs = y if theta == 1.0 else (eye + 0.5 * dt * dense) @ y
+        expected = np.linalg.solve(eye - theta * dt * dense, rhs)
+        out = make_stepper(matrix, dt, scheme)(y)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+        if scheme == "implicit_euler" and flux == "exponential":
+            eps = np.finfo(float).eps
+            assert abs(out.sum() - y.sum()) <= 4 * cells * eps * y.sum()
+            assert out.min() >= 0.0
 
 
 def plain_march(matrix, y, duration, cfg):
