@@ -267,9 +267,12 @@ def _write_particles_csv(path: Path, ens: particles.ParticleEnsemble) -> None:
     _write_csv(path, "id,state," + ",".join(f"x{d}" for d in range(ens.domain.dim)), lines)
 
 
-def _decay_rate(times, errors, floor: float) -> dict:
-    """``{"decay_rate": ...}`` fitted to the errors above ``floor``, or ``{}``
-    when fewer than three are."""
+def _decay_rate(times, errors) -> dict:
+    """``{"decay_rate": ...}`` fitted to the errors above 1e-8 of the first,
+    or ``{}`` when fewer than three are.  The relative floor keeps the fit
+    clear of the roundoff tail, so the rate is the scheme's, not the
+    solver's."""
+    floor = 1e-8 * errors[0]
     kept = [(t, e) for t, e in zip(times, errors) if e > floor]
     if len(kept) < 3:
         return {}
@@ -355,7 +358,7 @@ def _run_stabilize(sc: Scenario, out_dir: Path) -> bool:
         "final_error": errors[-1],
         "mass_drift": abs(mass(y) - 1.0),
         "max_velocity": velocity.max_abs(),
-        **_decay_rate([t for t, _ in snapshots], errors, 1e-14),
+        **_decay_rate([t for t, _ in snapshots], errors),
     }
     return _finish(sc, out_dir, measured, domain=domain, t_final=t_final)
 
@@ -504,7 +507,7 @@ def _run_hsdp_stabilize(sc: Scenario, out_dir: Path) -> bool:
     measured = {
         "final_error": errors[-1],
         "total_mass_drift": abs(state.total_mass() - 1.0),
-        **_decay_rate(times, errors, 1e-13),
+        **_decay_rate(times, errors),
     }
     return _finish(sc, out_dir, measured, domain=domain, graph=graph, t_final=t_final)
 

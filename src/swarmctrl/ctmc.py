@@ -20,7 +20,6 @@ import scipy.linalg
 from .errors import (
     CertificateError,
     GraphError,
-    InfeasibleVariationError,
     InputError,
     InteriorityError,
     StepSizeError,
@@ -386,57 +385,53 @@ class LocalStepCertificate:
     base: np.ndarray    # mu0 with rho removed at the walk's start vertex
 
 
+def _carried_mass(mu: np.ndarray) -> tuple[int, float]:
+    """Start vertex (1-based) and carried mass of a local step from ``mu``:
+    its heaviest vertex and half that vertex's mass, at least 1/(2N)."""
+    k = int(np.argmax(mu))
+    return k + 1, 0.5 * float(mu[k])
+
+
 def local_step_control(
     graph: TransitionGraph,
     mu0: np.ndarray,
-    delta_mu: np.ndarray,
+    mu1: np.ndarray,
     duration: float,
-    walk: Sequence[Edge] | None = None,
-    rho: float | None = None,
 ) -> tuple[PiecewiseConstantControl, LocalStepCertificate]:
-    """Steer mu0 to mu0 + delta_mu exactly in the given duration.
+    """Steer mu0 to mu1 exactly in the given duration.
 
-    One edge of the covering closed walk is active per interval: a probe
-    mass rho circulates from the start vertex around the walk and back,
-    and the requested increment of each vertex is deposited on the last
-    interval leaving it.  Rates are finite and non-negative whenever
-    min(mu0) > 2*rho and |delta_mu|_1 <= rho.
+    One edge of a covering closed walk is active per interval: a probe
+    mass rho = mu0[v0]/2 leaves the heaviest vertex v0, circulates around
+    the walk and back, and each vertex is left with its endpoint value on
+    the last interval leaving it.  For interior endpoints with
+    |mu1 - mu0|_1 <= rho every rate is finite and non-negative: the
+    carried mass stays at least rho/2, v0 keeps at least rho/2, and every
+    other vertex keeps its start mass until its last exit.  Each rate is
+    (log denom - log numer)/dt, where numer is what the source vertex
+    keeps, so endpoint coordinates of any size are met to roundoff.
     """
     mu0 = validate_distribution(mu0)
+    mu1 = validate_distribution(mu1)
     n = graph.n_vertices
-    if mu0.size != n:
+    if mu0.size != n or mu1.size != n:
         raise InputError("distribution size does not match the graph")
-    delta_mu = np.asarray(delta_mu, dtype=float)
-    if delta_mu.shape != (n,):
-        raise InputError(f"increment must have shape ({n},)")
-    if abs(float(np.sum(delta_mu))) > 1e-12:
-        raise InputError(f"increment must sum to zero, got {np.sum(delta_mu)!r}")
     if not 0 < duration < math.inf:
         raise InputError(f"duration must be finite and positive, got {duration}")
-    if not is_interior(mu0):
-        raise InteriorityError(f"need an interior point, min coordinate {np.min(mu0)!r}")
-    if rho is None:
-        rho = 0.5 * float(np.min(mu0)) - 1e-9
-    if rho <= 0 or float(np.min(mu0)) < 2 * rho - 1e-12:
+    if not (is_interior(mu0) and is_interior(mu1)):
         raise InteriorityError(
-            f"carried mass {rho!r} infeasible for min coordinate {np.min(mu0)!r}"
+            f"need interior endpoints, min coordinates {np.min(mu0)!r} and {np.min(mu1)!r}"
         )
+    v0, rho = _carried_mass(mu0)
+    delta_mu = mu1 - mu0
     if float(np.sum(np.abs(delta_mu))) > rho * (1 + 1e-12):
         raise StepSizeError(
             f"increment 1-norm {np.sum(np.abs(delta_mu)):.3e} exceeds carried mass {rho:.3e}"
         )
-    if walk is None:
-        walk = find_covering_closed_walk(graph, 1)
-    else:
-        walk = list(walk)
-        validate_covering_closed_walk(graph, walk[0][0], walk)
-    v0 = walk[0][0]
+    walk = find_covering_closed_walk(graph, v0)
     s = len(walk)
     dt = duration / s
 
-    last_exit: dict[int, int] = {}
-    for idx, (src, _) in enumerate(walk, start=1):
-        last_exit[src] = idx
+    last_exit = {src: idx for idx, (src, _) in enumerate(walk, start=1)}
     gate = np.array(
         [1.0 if last_exit[src] == idx else 0.0 for idx, (src, _) in enumerate(walk, start=1)]
     )
@@ -444,30 +439,19 @@ def local_step_control(
     for idx, (src, _) in enumerate(walk, start=1):
         acc[idx] = acc[idx - 1] + gate[idx - 1] * delta_mu[src - 1]
 
+    # what each vertex keeps when the probe leaves it: its start value
+    # before its last exit, its endpoint value at it (v0 net of rho)
     base = mu0.copy()
     base[v0 - 1] -= rho
+    end = mu1.copy()
+    end[v0 - 1] -= rho
 
     rates = np.zeros((s, graph.n_edges))
     for idx, edge in enumerate(walk, start=1):
-        src = edge[0]
-        denom = base[src - 1] + rho - acc[idx - 1]
-        if denom <= 0:
-            raise InfeasibleVariationError(
-                f"interval {idx}: non-positive state {denom!r} at vertex {src}"
-            )
-        arg = 1.0 - (rho - acc[idx]) / denom
-        if arg <= 0:
-            raise InfeasibleVariationError(
-                f"interval {idx}: logarithm argument {arg!r} not positive"
-            )
-        u = -math.log(arg) / dt
-        if u < 0:
-            if u < -1e-12:
-                raise InfeasibleVariationError(
-                    f"interval {idx}: negative rate {u!r}"
-                )
-            u = 0.0
-        rates[idx - 1, graph.edge_index[edge]] = u
+        src = edge[0] - 1
+        numer = end[src] if gate[idx - 1] else base[src]
+        denom = numer + (rho - acc[idx])
+        rates[idx - 1, graph.edge_index[edge]] = (math.log(denom) - math.log(numer)) / dt
 
     control = PiecewiseConstantControl(
         graph, np.linspace(0.0, duration, s + 1), rates
@@ -477,7 +461,7 @@ def local_step_control(
         gate=gate,
         acc=acc,
         rho=rho,
-        delta_mu=delta_mu.copy(),
+        delta_mu=delta_mu,
         dt=dt,
         base=base,
     )
@@ -518,26 +502,17 @@ def global_transfer_plan(
 ) -> PiecewiseConstantControl:
     """Concatenated local steps along the straight segment mu0 -> target.
 
-    At each waypoint w the carried mass is rho = min(min(w), m*)/2 and the
-    step moves w by rho in the 1-norm towards the target, or onto it once
-    the rest is at most rho; so min(w) >= 2*rho and |step|_1 <= rho keep
-    every local step feasible.  All segments take equal time.  Equal
-    endpoints give one zero-increment step that circulates the carried
-    mass over the whole duration.
+    From each waypoint w the step carries rho = max(w)/2 (see
+    ``local_step_control``) and moves to (1 - theta)*w + theta*target with
+    theta = rho/|target - w|_1, or onto the target itself once the rest is
+    at most rho.  All segments take equal time.  Equal endpoints give one
+    zero-increment step that circulates the carried mass over the whole
+    duration.
 
-    Interval bound.  Let L = |target - mu0|_1, m* = min(target) and
-    m0 = min(mu0).  Every waypoint is w = mu0 + t*(target - mu0), t in
-    [0, 1), so min(w) >= (1 - t)*m0 + t*m* >= max(min(m0, m*), t*m*), and
-    since both terms are at most m*, rho >= max(min(m0, m*), t*m*)/2.  A
-    step advances t by rho/L: the first to t >= min(m0, m*)/(2L), and each
-    later one by at least the factor (1 + m*/(2L)).  Every waypoint before
-    the last step has t < 1, so the segment count is at most
-
-        1 + ceil(max(0, log(2L/min(m0, m*)) / log(1 + m*/(2L)))),
-
-    and the interval count is that times the covering walk length.  After
-    an entry stage to min(mu0) >= ENTRY_FLOOR this is O(log(1/ENTRY_FLOOR))
-    segments.
+    Interval bound.  max(w) >= 1/N, so rho >= 1/(2N), and every step but
+    the last moves rho along the segment of length L = |target - mu0|_1
+    <= 2.  So there are at most 1 + ceil(2N*L) segments, each as long as
+    the covering walk from its start vertex, whatever the coordinates.
     """
     mu0 = validate_distribution(mu0)
     mu_target = validate_distribution(mu_target)
@@ -553,27 +528,21 @@ def global_transfer_plan(
             "both endpoints must be interior simplex points; "
             "precondition boundary states with interior_entry_control"
         )
-    target_min = float(np.min(mu_target))
-    segments = []
-    waypoint = mu0
+    waypoints = [mu0]
     while True:
-        rho = 0.5 * min(float(np.min(waypoint)), target_min)
-        rest = mu_target - waypoint
-        dist = float(np.sum(np.abs(rest)))
+        w = waypoints[-1]
+        dist = float(np.sum(np.abs(mu_target - w)))
+        rho = _carried_mass(w)[1]
         if dist <= rho:
-            segments.append((waypoint, rest, rho))
             break
-        # scaled directly: a difference of waypoints can overshoot rho
-        step = rest * (rho / dist)
-        segments.append((waypoint, step, rho))
-        waypoint = waypoint + step
-    walk = find_covering_closed_walk(graph, 1)
-    dt = duration / len(segments)
+        # a convex combination, not w + theta*(target - w), keeps tiny
+        # coordinates exact
+        theta = rho / dist
+        waypoints.append((1.0 - theta) * w + theta * mu_target)
+    waypoints.append(mu_target)
+    dt = duration / (len(waypoints) - 1)
     return PiecewiseConstantControl.concatenate(
-        [
-            local_step_control(graph, w, step, dt, walk=walk, rho=rho)[0]
-            for w, step, rho in segments
-        ]
+        [local_step_control(graph, a, b, dt)[0] for a, b in zip(waypoints, waypoints[1:])]
     )
 
 

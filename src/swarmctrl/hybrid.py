@@ -188,30 +188,17 @@ class SpatialGainSet:
             arrs.append(g)
         self.gains = tuple(arrs)
 
-    @classmethod
-    def constant(
-        cls, graph: TransitionGraph, domain: RectDomain, values: Sequence[float]
-    ) -> "SpatialGainSet":
-        return cls(graph, domain, tuple(np.full(domain.shape, float(v)) for v in values))
-
-    def is_spatially_constant(self) -> bool:
-        return all(np.ptp(g) == 0.0 for g in self.gains)
-
 
 def _reaction_propagators(
     gains: SpatialGainSet | None,
     dt_half: float,
     n_states: int,
 ) -> np.ndarray | None:
-    """exp(dt_half * sum_e K_e(x) Q_e) per cell: (cells, N, N) or (N, N)."""
+    """exp(dt_half * sum_e K_e(x) Q_e) per cell, shape (cells, N, N)."""
     if gains is None or dt_half == 0.0:
         return None
     if gains.graph.n_vertices != n_states:
         raise InputError("gain graph does not match the number of states")
-    if gains.is_spatially_constant():
-        rates = np.array([float(g.reshape(-1)[0]) for g in gains.gains])
-        q = generator(gains.graph, rates)
-        return scipy.linalg.expm(dt_half * q)
     mats = generator(gains.graph, np.stack([g.reshape(-1) for g in gains.gains]))
     return scipy.linalg.expm(dt_half * mats)
 
@@ -247,8 +234,6 @@ class SplitStepper:
     def _react(self, arr: np.ndarray) -> np.ndarray:
         if self._reaction is None:
             return arr
-        if self._reaction.ndim == 2:
-            return self._reaction @ arr
         # per-cell propagator: (cells, N, N) x (N, cells)
         return np.einsum("cij,jc->ic", self._reaction, arr)
 

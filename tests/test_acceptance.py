@@ -159,7 +159,7 @@ def test_05_local_step_exactness():
         dmu = rng.uniform(-1.0, 1.0, 4)
         dmu -= dmu.mean()
         dmu *= (rho / 4.0) / max(np.max(np.abs(dmu)), 1e-12) * rng.random()
-        ctrl, cert = local_step_control(g, mu0, dmu, 1.0)
+        ctrl, cert = local_step_control(g, mu0, mu0 + dmu, 1.0)
         traj = propagate(mu0, ctrl)
         worst_end = max(worst_end, float(np.max(np.abs(traj[-1] - (mu0 + dmu)))))
         predicted = breakpoint_states(mu0, cert)
@@ -276,7 +276,7 @@ def test_10_mass_ode_consistency():
         arrays = [0.2 + rng.random(64) for _ in range(2)]
         total = sum(a.sum() for a in arrays) * d.cell_volume
         state = StackedDensity(tuple(ScalarField(d, a / total) for a in arrays))
-        gains = SpatialGainSet.constant(g, d, rates)
+        gains = SpatialGainSet(g, d, tuple(rates))
         stepper = SplitStepper(d, [None, None], [1.0, 0.7], gains, dt)
         times = [0.0]
         masses = [state.mass_vector()]

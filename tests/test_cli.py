@@ -700,6 +700,16 @@ def test_unresolvable_decay_fit_is_typed_error(tmp_path, capfd):
     assert not (out / "summary.json").exists()
 
 
+def test_decay_fit_ignores_roundoff_tail():
+    # an exact exponential that levels off at 1e-12 roundoff noise: only
+    # errors above 1e-8 of the first enter the fit, so it gives the exact rate
+    times = np.linspace(0.0, 3.0, 31)
+    noise = 1e-12 * (1.0 + np.random.default_rng(0).random(times.size))
+    errors = np.maximum(np.exp(-10.0 * times), noise)
+    fitted = cli._decay_rate(times.tolist(), errors.tolist())["decay_rate"]
+    assert fitted == pytest.approx(10.0, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "text, controller",
     [(PARTICLES_CFG, "particles"), (HSDP_STAB_CFG, "hsdp-stabilize")],
@@ -722,3 +732,18 @@ def test_docs_example_runs(tmp_path, config):
     out = tmp_path / "out"
     assert run_scenario(config, out_dir=out) == 0
     assert json.loads((out / "summary.json").read_text())["pass"] is True
+
+
+def test_hsdp_steer_tiny_target_state(tmp_path):
+    # one state's target at 1e-300 of the other's: the rate plan's length
+    # does not depend on the target's smallest mass
+    example = (EXAMPLES[0].parent / "hsdp-steer.cfg").read_text()
+    old = "[target.2]\nexpr = 0.6*(1 + 0.3*cos(pi*x))"
+    assert old in example
+    path = write_cfg(tmp_path, example.replace(old, "[target.2]\nexpr = 1e-300"))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 0
+    assert json.loads((out / "summary.json").read_text())["pass"] is True
+    # an entry interval, then at most 1 + ceil(2N*L) segments with N = 2 and
+    # L <= 2, each a covering walk of length 2
+    assert json.loads((out / "metadata.json").read_text())["intervals"] <= 1 + (1 + 8) * 2

@@ -1,5 +1,6 @@
 import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ class TestCoveringWalk:
 class TestLocalStep:
     def test_zero_increment_returns_start(self):
         mu0 = np.array([1.0, 1.0, 1.0]) / 3.0
-        ctrl, cert = local_step_control(CYCLE3, mu0, np.zeros(3), 1.0)
+        ctrl, cert = local_step_control(CYCLE3, mu0, mu0, 1.0)
         traj = propagate(mu0, ctrl)
         np.testing.assert_allclose(traj[-1], mu0, atol=1e-12)
         assert cert.rho > 0
@@ -226,7 +227,7 @@ class TestLocalStep:
     def test_cycle_example_endpoint(self):
         mu0 = np.array([1.0, 1.0, 1.0]) / 3.0
         dmu = np.array([0.05, -0.05, 0.0])
-        ctrl, _ = local_step_control(CYCLE3, mu0, dmu, 1.0)
+        ctrl, _ = local_step_control(CYCLE3, mu0, mu0 + dmu, 1.0)
         traj = propagate(mu0, ctrl)
         np.testing.assert_allclose(
             traj[-1], [0.05 + 1 / 3, 1 / 3 - 0.05, 1 / 3], atol=1e-10
@@ -236,9 +237,9 @@ class TestLocalStep:
 
     def test_oversized_increment_rejected(self):
         mu0 = np.array([1.0, 1.0, 1.0]) / 3.0
-        dmu = np.array([0.2, -0.2, 0.0])  # 1-norm 0.4 > rho ~ 1/6
+        dmu = np.array([0.2, -0.2, 0.0])  # 1-norm 0.4 > rho = 1/6
         with pytest.raises(StepSizeError):
-            local_step_control(CYCLE3, mu0, dmu, 1.0)
+            local_step_control(CYCLE3, mu0, mu0 + dmu, 1.0)
 
     def test_breakpoints_match_closed_forms(self):
         rng = np.random.default_rng(2)
@@ -246,19 +247,21 @@ class TestLocalStep:
             mu0 = interior_point(rng, 4)
             rho = 0.5 * mu0.min() - 1e-9
             dmu = zero_sum_increment(rng, 4, rho / 4)
-            ctrl, cert = local_step_control(CYCLE4, mu0, dmu, 1.0)
+            ctrl, cert = local_step_control(CYCLE4, mu0, mu0 + dmu, 1.0)
             traj = propagate(mu0, ctrl)
             predicted = breakpoint_states(mu0, cert)
             assert np.max(np.abs(traj - predicted)) <= 1e-10
 
     def test_repeated_visit_walk_exact(self):
         rng = np.random.default_rng(3)
-        walk = find_covering_closed_walk(BIPATH3, 1)
         for _ in range(10):
             mu0 = interior_point(rng, 3)
             rho = 0.5 * mu0.min() - 1e-9
             dmu = zero_sum_increment(rng, 3, rho / 3)
-            ctrl, cert = local_step_control(BIPATH3, mu0, dmu, 0.7, walk=walk)
+            ctrl, cert = local_step_control(BIPATH3, mu0, mu0 + dmu, 0.7)
+            # every covering walk of the path 1-2-3 passes vertex 2 twice
+            sources = [src for src, _ in cert.walk]
+            assert len(sources) > len(set(sources))
             traj = propagate(mu0, ctrl)
             assert np.max(np.abs(traj[-1] - (mu0 + dmu))) <= 1e-10
             predicted = breakpoint_states(mu0, cert)
@@ -274,7 +277,7 @@ class TestLocalStep:
                 dmu = np.array([d1, d2, -(d1 + d2)])
                 if np.sum(np.abs(dmu)) > rho:
                     continue
-                ctrl, _ = local_step_control(CYCLE3, mu0, dmu, 1.0)
+                ctrl, _ = local_step_control(CYCLE3, mu0, mu0 + dmu, 1.0)
                 traj = propagate(mu0, ctrl)
                 assert np.max(np.abs(traj[-1] - (mu0 + dmu))) <= 1e-10
 
@@ -352,8 +355,10 @@ class TestGlobalTransfer:
         mu0 = np.array([0.5, 0.5])
         mu1 = np.array([0.25, 0.75])
         ctrl = global_transfer_plan(g, mu0, mu1, 1.0)
-        # rho = 0.125, l1 = 0.5 -> 4 segments, walk length 2 each
-        assert ctrl.n_intervals == 8
+        # rho = 1/4 at the start and L = 1/2: the first segment moves 1/4
+        # to (3/8, 5/8), whose rho = 5/16 covers the remaining 1/4, so
+        # 2 segments of a walk of length 2
+        assert ctrl.n_intervals == 4
         traj = propagate(mu0, ctrl)
         assert np.max(np.abs(traj[-1] - mu1)) <= 1e-9
 
@@ -396,7 +401,10 @@ class TestGlobalTransfer:
     def test_transfer_interval_bound(self, data):
         graph = data.draw(strongly_connected_graphs(max_states=6))
         n = graph.n_vertices
-        weights = st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)
+        # log-uniform weights put both ends' minima anywhere down to 1e-300
+        weights = st.lists(
+            st.floats(-300.0, 0.0).map(lambda e: 10.0**e), min_size=n, max_size=n
+        )
         mu0 = np.array(data.draw(weights))
         if data.draw(st.booleans()):
             # boundary start: empty a proper subset of the states
@@ -409,25 +417,41 @@ class TestGlobalTransfer:
         mu1 /= mu1.sum()
         duration = data.draw(st.floats(0.05, 10.0))
 
-        ctrl = transfer_control(graph, mu0, mu1, duration)
+        # interior starts go to the global plan directly, whatever their
+        # minimum; boundary starts take the entry stage first
+        boundary = mu0.min() == 0.0
+        plan = transfer_control if boundary else global_transfer_plan
+        ctrl = plan(graph, mu0, mu1, duration)
         traj = propagate(mu0, ctrl)
-        assert np.max(np.abs(traj[-1] - mu1)) <= 1e-9
-        assert np.all(ctrl.rates >= 0.0)
+        error = np.abs(traj[-1] - mu1)
+        assert np.max(error) <= 1e-12
+        assert np.all(error <= 1e-9 * mu1)
+        assert np.all(ctrl.rates >= 0.0) and np.isfinite(ctrl.rates).all()
         assert ctrl.breakpoints[0] == 0.0
         assert abs(math.fsum(np.diff(ctrl.breakpoints)) - duration) <= 1e-12
 
         # the bound derived in global_transfer_plan, counted from the state
         # where the global stage starts (after the entry stage, if any)
-        entry = 1 if mu0.min() <= ENTRY_FLOOR / 2 else 0
-        start = traj[entry]
-        length = float(np.sum(np.abs(mu1 - start)))
-        segments = 1  # L = 0: one zero-increment step
-        if length > 0:
-            low = min(start.min(), mu1.min())
-            ratio = math.log(2 * length / low) / math.log1p(mu1.min() / (2 * length))
-            segments += math.ceil(max(0.0, ratio))
-        walk = find_covering_closed_walk(graph, 1)
-        assert ctrl.n_intervals <= entry + segments * len(walk)
+        entry = int(boundary)
+        length = float(np.sum(np.abs(mu1 - traj[entry])))
+        walk = max(len(find_covering_closed_walk(graph, v)) for v in range(1, n + 1))
+        assert ctrl.n_intervals <= entry + (1 + math.ceil(2 * n * length)) * walk
+
+    def test_interval_count_does_not_depend_on_target_minimum(self):
+        # uniform start to (1 - 2m, m, m): the same plan length at every m,
+        # down to the smallest positive double
+        mu0 = np.full(3, 1.0 / 3.0)
+        counts = set()
+        for m in (1e-2, 1e-6, 1e-20, 1e-100, 1e-300, 5e-324):
+            mu1 = np.array([1.0 - 2.0 * m, m, m])
+            start = time.perf_counter()
+            ctrl = global_transfer_plan(CYCLE3, mu0, mu1, 1.0)
+            elapsed = time.perf_counter() - start
+            if m == 1e-6:
+                assert elapsed < 0.1
+            counts.add(ctrl.n_intervals)
+            assert np.max(np.abs(propagate(mu0, ctrl)[-1] - mu1)) <= 1e-12
+        assert len(counts) == 1
 
     @pytest.mark.parametrize("t_final", [0.5, 0.1])
     def test_boundary_start_on_short_horizon(self, t_final):
@@ -470,7 +494,7 @@ def test_non_finite_or_nonpositive_duration_rejected(duration):
     with pytest.raises(InputError):
         global_transfer_plan(CYCLE3, mu0, mu1, duration)
     with pytest.raises(InputError):
-        local_step_control(CYCLE3, mu0, np.zeros(3), duration)
+        local_step_control(CYCLE3, mu0, mu0, duration)
     with pytest.raises(InputError):
         PiecewiseConstantControl(CYCLE3, np.array([0.0, duration]), np.zeros((1, 3)))
 
@@ -563,9 +587,8 @@ class TestTextInterfaces:
             read_edge_list(io.StringIO("1 2 3\n"))
 
     def test_control_csv_format(self, tmp_path):
-        ctrl, _ = local_step_control(
-            CYCLE3, np.array([1 / 3, 1 / 3, 1 / 3]), np.zeros(3), 1.0
-        )
+        mu = np.array([1 / 3, 1 / 3, 1 / 3])
+        ctrl, _ = local_step_control(CYCLE3, mu, mu, 1.0)
         out = tmp_path / "control.csv"
         control_to_csv(ctrl, out)
         lines = out.read_text().splitlines()

@@ -4,7 +4,9 @@ reproduce the sha256 of each artifact it writes (``metadata.json``,
 ``tests/data/example_digests.json``.
 
 A change that is meant to alter artifact bytes regenerates the manifest with
-``PYTHONPATH=src python tests/test_example_digests.py`` and says why.
+``PYTHONPATH=src python tests/test_example_digests.py`` and says why.  The
+script prints one ``<example> <file>`` line per artifact whose digest
+changed, and nothing when none did.
 """
 
 import configparser
@@ -50,7 +52,13 @@ def test_example_artifacts_match_digests(tmp_path, config):
 
 
 if __name__ == "__main__":
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         manifest = {p.stem: artifact_digests(p, Path(tmp) / p.stem) for p in EXAMPLES}
+    for example in sorted(manifest.keys() | old.keys()):
+        new, before = manifest.get(example, {}), old.get(example, {})
+        for name in sorted(new.keys() | before.keys()):
+            if new.get(name) != before.get(name):
+                print(f"{example} {name}")
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     sys.exit(0)

@@ -72,7 +72,7 @@ class TestSplitStep:
         rates = data.draw(st.lists(st.floats(0.0, 5.0), min_size=g.n_edges, max_size=g.n_edges))
         dt = data.draw(st.floats(1e-3, 0.1))
         stack = random_stack(d, n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
-        gains = SpatialGainSet.constant(g, d, rates)
+        gains = SpatialGainSet(g, d, tuple(rates))
         out = SplitStepper(d, [None] * n, [1.0] * n, gains, dt).step(stack).as_array()
         heat = make_stepper(
             weighted_heat_operator(ScalarField.constant(d, 1.0)).matrix, dt, "implicit_euler"
@@ -84,7 +84,7 @@ class TestSplitStep:
     def test_zero_gains_decouple(self, unit_grid_64):
         rng = np.random.default_rng(0)
         stack = random_stack(unit_grid_64, 2, rng)
-        gains = SpatialGainSet.constant(BIG2, unit_grid_64, [0.0, 0.0])
+        gains = SpatialGainSet(BIG2, unit_grid_64, (0.0, 0.0))
         out = SplitStepper(unit_grid_64, [None, None], [1.0, 0.5], gains, 1e-2).step(stack)
         # per-state masses unchanged without reaction
         np.testing.assert_allclose(
@@ -156,7 +156,7 @@ class TestMassConsistency:
         state = stack
         times = [0.0]
         masses = [stack.mass_vector()]
-        gains = SpatialGainSet.constant(BIG2, unit_grid_64, [0.0, 0.0])
+        gains = SpatialGainSet(BIG2, unit_grid_64, (0.0, 0.0))
         stepper = SplitStepper(unit_grid_64, [None, None], [1.0, 1.0], gains, 1e-2)
         for k in range(5):
             state = stepper.step(state)
@@ -175,7 +175,7 @@ class TestMassConsistency:
         deviations = []
         for dt in (1e-3, 5e-4):
             stack = random_stack(unit_grid_64, 2, rng)
-            gains = SpatialGainSet.constant(BIG2, unit_grid_64, rates)
+            gains = SpatialGainSet(BIG2, unit_grid_64, tuple(rates))
             stepper = SplitStepper(unit_grid_64, [None, None], [1.0, 0.5], gains, dt)
             state = stack
             times = [0.0]
@@ -210,7 +210,7 @@ class TestStabilizingGains:
         target = HybridTarget.create(f)
         rates = synthesize_stationary_rates(BIG2, target.mass_vector())
         gains = stabilizing_gains(BIG2, target, rates)
-        assert gains.is_spatially_constant()
+        assert all(np.ptp(g) == 0.0 for g in gains.gains)
         # flux-circulation form: q_e * mass_S / f_S
         masses = target.mass_vector()
         for g, q, (i, _) in zip(gains.gains, rates, BIG2.edges):
@@ -356,7 +356,7 @@ class TestCoupledSpectrum:
         target = HybridTarget.create(f)
         rates = synthesize_stationary_rates(BIG2, target.mass_vector())
         gains = stabilizing_gains(BIG2, target, rates)
-        assert gains.is_spatially_constant()
+        assert all(np.ptp(g) == 0.0 for g in gains.gains)
         constants = [float(g.reshape(-1)[0]) for g in gains.gains]
         mass_level = spectrum_check(BIG2, constants)
         coupled = coupled_spectrum(target.weight_fields(), [1.0, 1.0], gains)
@@ -456,7 +456,9 @@ class TestHybridSteering:
         monkeypatch.setattr(control, "synthesize_steering_plan", marking_synthesize)
         d = build_grid(1, [1.0], [32])
         stack = random_stack(d, 2, np.random.default_rng(5))
-        plan = hybrid_steering_plan(BIG2, stack, two_state_target(d), 1.0, 5e-2)
+        # a mass transfer long enough for several segments of the rate plan
+        target = two_state_target(d, masses=(0.05, 0.95))
+        plan = hybrid_steering_plan(BIG2, stack, target, 1.0, 5e-2)
         assert plan.mass_control.n_intervals > 2
         execute_hybrid_plan(plan, stack)
         assert counts["split"] == 0

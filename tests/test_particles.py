@@ -248,7 +248,7 @@ class TestSdeStep:
     def test_switch_frequency_matches_rate(self):
         d = build_grid(1, [1.0], [8])
         rate, dt = 2.0, 0.01
-        gains = SpatialGainSet.constant(G2, d, [rate, 0.0])
+        gains = SpatialGainSet(G2, d, (rate, 0.0))
         ens = ParticleEnsemble.uniform(d, 200000, state=1, seed=5)
         switched = 0
         trials = 0
@@ -264,7 +264,7 @@ class TestSdeStep:
 
     def test_rate_guard(self):
         d = build_grid(1, [1.0], [8])
-        gains = SpatialGainSet.constant(G2, d, [50.0, 0.0])
+        gains = SpatialGainSet(G2, d, (50.0, 0.0))
         ens = ParticleEnsemble.uniform(d, 10, seed=6)
         with pytest.raises(StepSizeError):
             sde_step(ens, [None, None], [0.1, 0.1], gains, 0.01)
@@ -291,7 +291,7 @@ class TestSdeStep:
         d = build_grid(1, [1.0], [8])
         g = TransitionGraph(3, ((1, 2), (2, 3), (3, 1), (2, 1)))
         rates = [1.0, 0.7, 1.3, 0.4]
-        gains = SpatialGainSet.constant(g, d, rates)
+        gains = SpatialGainSet(g, d, tuple(rates))
         ens = ParticleEnsemble.uniform(d, 100000, state=1, seed=9)
         dt = 0.002
         for _ in range(500):
@@ -370,7 +370,7 @@ class TestInPlaceStep:
         count = 40000
         ens = ParticleEnsemble.uniform(d, count, seed=3)
         if switching:
-            gains = SpatialGainSet.constant(G2, d, [2.0, 3.0])
+            gains = SpatialGainSet(G2, d, (2.0, 3.0))
             args = ([v, None], [1.0, 0.5], gains, 2e-3)
         else:
             args = ([v], [1.0], None, 2e-3)
@@ -386,7 +386,7 @@ class TestInPlaceStep:
 
     def test_arrays_keep_identity(self):
         d = build_grid(1, [1.0], [8])
-        gains = SpatialGainSet.constant(G2, d, [20.0, 20.0])
+        gains = SpatialGainSet(G2, d, (20.0, 20.0))
         ens = ParticleEnsemble.uniform(d, 1000, seed=1)
         positions, states = ens.positions, ens.states
         sde_step(ens, [None, None], [1.0, 1.0], gains, 2e-3)
