@@ -313,12 +313,12 @@ def _finish(
 
 
 def _declared_checks(sc: Scenario, measured: dict) -> list[dict]:
-    """Pass/fail entries for every threshold listed in [check]."""
+    """Pass/fail entries for every threshold listed in [check]; a threshold
+    must be finite and non-negative."""
     checks = []
     if sc.config.has_section("check"):
-        for key, raw in sc.config.items("check"):
-            name = key.strip()
-            threshold = _parse(float, raw, f"[check] {name}")
+        for name in sc.config.options("check"):
+            threshold = _number(sc, "check", name, None, nonnegative=True)
             value = float(measured[name]) if name in measured else None
             passed = value is not None and bool(value <= threshold)
             checks.append({"name": name, "value": value, "threshold": threshold, "pass": passed})

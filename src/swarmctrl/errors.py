@@ -65,11 +65,6 @@ class StepSizeError(SwarmCtrlError):
     particle step violating the exit-rate guard."""
 
 
-class InfeasibleVariationError(SwarmCtrlError):
-    """Piecewise-constant rate formula produced a non-positive logarithm
-    argument."""
-
-
 class InteriorityError(SwarmCtrlError):
     """Simplex point on the boundary where an interior point is required."""
 

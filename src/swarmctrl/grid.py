@@ -116,11 +116,20 @@ def build_grid(dim: int, lengths: Sequence[float], cells: Sequence[int]) -> Rect
         )
     lengths = tuple(float(l) for l in lengths)
     cells_t = tuple(int(n) for n in cells)
-    if any(l <= 0 or not math.isfinite(l) for l in lengths):
-        raise ConfigurationError(f"lengths must be positive, got {lengths}")
     if any(n < 2 for n in cells_t):
         raise ConfigurationError(f"need at least 2 cells per axis, got {cells_t}")
-    return RectDomain(lengths=lengths, cells=cells_t)
+    domain = RectDomain(lengths=lengths, cells=cells_t)
+    # every operator divides by h^2 and every mass multiplies by the cell
+    # volume: a box where one of them leaves the normal floats is degenerate
+    spacing = np.array(domain.spacing)
+    with np.errstate(all="ignore"):
+        scales = np.concatenate([spacing, 1.0 / spacing**2, [domain.cell_volume]])
+    if not np.all((scales >= np.finfo(float).tiny) & (scales < math.inf)):
+        raise ConfigurationError(
+            f"lengths {lengths} over cells {cells_t} give a degenerate grid: the spacings, "
+            "their inverse squares and the cell volume must be positive normal floats"
+        )
+    return domain
 
 
 @dataclasses.dataclass(eq=False)

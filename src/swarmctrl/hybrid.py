@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import control as ctl
 from .ctmc import (
@@ -67,8 +68,8 @@ __all__ = [
     "HybridExecution",
 ]
 
-# largest coupled generator (states x cells) that coupled_spectrum hands to dense eig
-SPECTRUM_SIZE_CAP = 8192
+# eigenvalues coupled_spectrum reports: the zero one, the one setting the gap and two more
+SPECTRUM_EIGENVALUES = 4
 
 
 @dataclasses.dataclass(eq=False)
@@ -370,6 +371,17 @@ def zero_mass_stabilizing_gains(
 
 @dataclasses.dataclass(eq=False)
 class CoupledSpectrumReport:
+    """Right end of the coupled generator's spectrum.
+
+    ``eigenvalues`` holds ``SPECTRUM_EIGENVALUES`` eigenvalues by decreasing
+    real part.  On generators too small for ARPACK they are the rightmost
+    ones; otherwise they are the ones nearest the shift just right of
+    zero.  These are the rightmost ones where the eigenvalues near zero
+    are real, but a complex pair can rank behind a real eigenvalue further
+    left and nearer zero.  ``max_real_part`` is the first one's real part
+    and ``gap`` minus the second one's.
+    """
+
     eigenvalues: np.ndarray
     max_real_part: float
     gap: float
@@ -377,28 +389,15 @@ class CoupledSpectrumReport:
     zero_vector: np.ndarray  # (n_states, n_cells), unit total mass when defined
 
 
-def coupled_spectrum(
-    weights,
+def _coupled_generator(
+    weights: Sequence[ScalarField],
     diffusion: Sequence[float],
     gains: SpatialGainSet | None,
-) -> CoupledSpectrumReport:
-    """Dense eigenvalue report for the assembled coupled generator.
-
-    ``weights`` is either a :class:`HybridTarget` or the per-state weight
-    fields a_i directly.  Blocks: per-state D_i * div(f_i grad(./f_i))
-    with f_i = 1/a_i plus the cellwise reaction coupling.  All real parts
-    are non-positive; for a full-support stationary configuration the
-    zero eigenvector is the stacked target.
-    """
-    if isinstance(weights, HybridTarget):
-        weights = weights.weight_fields()
-    weights = list(weights)
+) -> sp.csc_matrix:
+    """Block generator: per-state D_i * div(f_i grad(./f_i)) with
+    f_i = 1/a_i on the diagonal, plus the cellwise reaction coupling."""
     n_states = len(weights)
     domain = weights[0].domain
-    n_cells = domain.cell_count
-    size = n_states * n_cells
-    if size > SPECTRUM_SIZE_CAP:
-        raise ConfigurationError(f"generator size {size} exceeds cap {SPECTRUM_SIZE_CAP}")
     blocks = [[None] * n_states for _ in range(n_states)]
     for k, a in enumerate(weights):
         f = ScalarField(domain, 1.0 / a.values)
@@ -410,25 +409,58 @@ def coupled_spectrum(
             blocks[i - 1][i - 1] = blocks[i - 1][i - 1] - d
             prev = blocks[j - 1][i - 1]
             blocks[j - 1][i - 1] = d if prev is None else prev + d
-    dense = sp.bmat(blocks, format="csr").toarray()
-    vals, vecs = scipy.linalg.eig(dense)
-    order = np.argsort(vals.real)[::-1]
+    return sp.bmat(blocks, format="csc")
+
+
+def coupled_spectrum(
+    weights,
+    diffusion: Sequence[float],
+    gains: SpatialGainSet | None,
+) -> CoupledSpectrumReport:
+    """``SPECTRUM_EIGENVALUES`` eigenvalues at the right end of the
+    assembled coupled generator's spectrum (which ones: see
+    :class:`CoupledSpectrumReport`) and the eigenvector of the rightmost.
+
+    ``weights`` is either a :class:`HybridTarget` or the per-state weight
+    fields a_i directly.  Blocks: per-state D_i * div(f_i grad(./f_i))
+    with f_i = 1/a_i plus the cellwise reaction coupling.  All real parts
+    are non-positive; for a full-support stationary configuration the
+    zero eigenvector is the stacked target.
+
+    One shift-invert Arnoldi solve (ARPACK ``eigs``) about a point just
+    right of the zero eigenvalue finds them from a sparse LU of the
+    shifted generator; generators too small for ARPACK use dense ``eig``.
+    """
+    if isinstance(weights, HybridTarget):
+        weights = weights.weight_fields()
+    weights = list(weights)
+    domain = weights[0].domain
+    matrix = _coupled_generator(weights, diffusion, gains)
+    n = matrix.shape[0]
+    if n <= SPECTRUM_EIGENVALUES + 1:
+        vals, vecs = scipy.linalg.eig(matrix.toarray())
+    else:
+        # the shift sits right of the zero eigenvalue, so the factorization
+        # never touches the singular point (a zero generator gets the shift
+        # 1e-6), and the seeded start vector makes reruns bitwise repeatable
+        sigma = 1e-6 * (float(np.max(np.abs(matrix.diagonal()))) or 1.0)
+        v0 = np.random.default_rng(0).standard_normal(n)
+        vals, vecs = spla.eigs(matrix, k=SPECTRUM_EIGENVALUES, sigma=sigma, which="LM", v0=v0)
+    order = np.argsort(-vals.real, kind="stable")[:SPECTRUM_EIGENVALUES]
     vals = vals[order]
-    vecs = vecs[:, order]
     max_real = float(vals[0].real)
     gap = float(-vals[1].real) if vals.size > 1 else 0.0
     zero_simple = vals.size > 1 and abs(vals[0].real) < 0.5 * max(gap, 1e-300)
-    vec = vecs[:, 0].real.copy()
+    vec = vecs[:, order[0]].real.copy()
     total = float(np.sum(vec)) * domain.cell_volume
     if abs(total) > 1e-12:
         vec /= total
-    zero_vector = vec.reshape(n_states, n_cells)
     return CoupledSpectrumReport(
         eigenvalues=vals,
         max_real_part=max_real,
         gap=gap,
         zero_simple=zero_simple,
-        zero_vector=zero_vector,
+        zero_vector=vec.reshape(len(weights), domain.cell_count),
     )
 
 

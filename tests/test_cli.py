@@ -560,6 +560,25 @@ def test_bad_distribution_entries_rejected(tmp_path, text, old, new):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
+def test_bad_check_threshold_is_usage_error(tmp_path, capsys, threshold):
+    # a nan or negative threshold could never pass and inf always would
+    path = write_cfg(tmp_path, STABILIZE_CFG.replace("mass_drift = 1e-10", f"mass_drift = {threshold}"))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 2
+    assert "[check] mass_drift must be finite and non-negative" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_zero_check_threshold_accepted(tmp_path):
+    # zero is a valid threshold; the roundoff-level mass drift then fails it
+    path = write_cfg(tmp_path, STABILIZE_CFG.replace("mass_drift = 1e-10", "mass_drift = 0"))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 1
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    assert {c["name"]: c["threshold"] for c in checks}["mass_drift"] == 0.0
+
+
 def test_zero_distribution_entry_accepted(tmp_path):
     # boundary starts: a zero entry of mu0 reaches the transfer
     path = write_cfg(tmp_path, CTMC_CFG.replace("mu0 = 0.6 0.2 0.2", "mu0 = 0.8 0.2 0"))
@@ -645,11 +664,12 @@ def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
     ids=["stabilize", "hsdp-steer", "path-follow", "hsdp-stabilize", "particles"],
 )
 def test_unfactorable_system_is_numerical_error(tmp_path, capsys, text):
-    # on a 1e-300 box the generators overflow and the factorization fails:
-    # one typed error line and exit 1, not a traceback, and no numpy warning
-    # from the overflowing assembly before it (100 particles reach the
-    # particles controller's PDE reference sooner)
-    text = text.replace("lengths = 1.0", "lengths = 1e-300").replace("count = 20000", "count = 100")
+    # a 1e-152 box passes build_grid (1/h^2 is still a finite float), but
+    # the generators overflow and the factorization fails: one typed error
+    # line and exit 1, not a traceback, and no numpy warning from the
+    # overflowing assembly before it (100 particles reach the particles
+    # controller's PDE reference sooner)
+    text = text.replace("lengths = 1.0", "lengths = 1e-152").replace("count = 20000", "count = 100")
     path = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert run_scenario(path, out_dir=out) == 1
@@ -732,6 +752,25 @@ def test_docs_example_runs(tmp_path, config):
     out = tmp_path / "out"
     assert run_scenario(config, out_dir=out) == 0
     assert json.loads((out / "summary.json").read_text())["pass"] is True
+
+
+@pytest.mark.parametrize("lengths", ["1e-300", "1e300"])
+@pytest.mark.parametrize("example", ["steer", "steer-2d"])
+def test_degenerate_box_is_usage_error(tmp_path, capsys, example, lengths):
+    # 1e-300: 1/h^2 overflows (and in 2D the cell volume underflows to 0);
+    # 1e300: 1/h^2 underflows.  Either is a configuration error at the grid,
+    # not a library error late in the run
+    text = (EXAMPLES[0].parent / f"{example}.cfg").read_text()
+    dim = 2 if example == "steer-2d" else 1
+    old = "lengths = " + " ".join(["1.0"] * dim)
+    assert old in text
+    path = write_cfg(tmp_path, text.replace(old, "lengths = " + " ".join([lengths] * dim)))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [swarmctrl.errors.ConfigurationError]:")
+    assert "degenerate grid" in err
+    assert not (out / "summary.json").exists()
 
 
 def test_hsdp_steer_tiny_target_state(tmp_path):

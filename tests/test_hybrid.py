@@ -1,3 +1,7 @@
+import math
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -328,7 +332,102 @@ class TestZeroMassGains:
             zero_mass_stabilizing_gains(g, target)
 
 
+@st.composite
+def stabilized_configurations(draw):
+    """A strongly connected 2-4-state graph, a 1D or 2D grid with at most 600
+    unknowns over all states, smooth positive per-state targets of random
+    mass and per-state diffusion constants."""
+    graph = draw(strongly_connected_graphs())
+    n = graph.n_vertices
+    dim = draw(st.integers(1, 2))
+    per_state = 600 // n
+    high = per_state if dim == 1 else math.isqrt(per_state)
+    cells = draw(st.lists(st.integers(2, high), min_size=dim, max_size=dim))
+    lengths = draw(st.lists(st.floats(0.2, 5.0), min_size=dim, max_size=dim))
+    domain = build_grid(dim, lengths, cells)
+    fields = []
+    for _ in range(n):
+        values = np.ones(domain.shape)
+        for length, x in zip(lengths, domain.center_grids()):
+            amplitude = draw(st.floats(-0.45, 0.45))
+            mode = draw(st.integers(1, 3))
+            phase = draw(st.floats(0.0, 2 * np.pi))
+            values = values + amplitude * np.cos(mode * np.pi * x / length + phase)
+        fields.append(draw(st.floats(0.05, 1.0)) * values)
+    total = sum(f.sum() for f in fields) * domain.cell_volume
+    target = HybridTarget.create([ScalarField(domain, f / total) for f in fields])
+    diffusion = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+    return graph, target, diffusion
+
+
 class TestCoupledSpectrum:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(stabilized_configurations())
+    def test_matches_dense_oracle(self, case):
+        graph, target, diffusion = case
+        rates = synthesize_stationary_rates(graph, target.mass_vector())
+        gains = stabilizing_gains(graph, target, rates)
+        report = coupled_spectrum(target, diffusion, gains)
+        matrix = hybrid._coupled_generator(target.weight_fields(), diffusion, gains)
+        vals, vecs = scipy.linalg.eig(matrix.toarray())
+        tol = 1e-9 * float(np.max(np.abs(matrix.diagonal())))
+        k = hybrid.SPECTRUM_EIGENVALUES
+        # the reported eigenvalues are the k nearest the shift, by decreasing
+        # real part; a conjugate pair cut at the k-th place may come with
+        # either sign of its imaginary part
+        sigma = 1e-6 * float(np.max(np.abs(matrix.diagonal())))
+        nearest = vals[np.argsort(np.abs(vals - sigma), kind="stable")[:k]]
+        nearest = nearest[np.argsort(-nearest.real, kind="stable")]
+        assert report.eigenvalues.shape == (k,)
+        np.testing.assert_allclose(report.eigenvalues.real, nearest.real, rtol=0, atol=tol)
+        np.testing.assert_allclose(
+            np.abs(report.eigenvalues.imag), np.abs(nearest.imag), rtol=0, atol=tol
+        )
+        # max real part, gap and simplicity as defined on the dense spectrum
+        rightmost = np.argsort(-vals.real, kind="stable")
+        assert report.max_real_part == pytest.approx(vals[rightmost[0]].real, abs=tol)
+        assert report.gap == pytest.approx(-vals[rightmost[1]].real, abs=tol)
+        assert report.zero_simple
+        # the zero vector: the dense eigenvector of the zero eigenvalue at unit mass
+        dense_zero = vecs[:, rightmost[0]].real
+        dense_zero = dense_zero / (np.sum(dense_zero) * target.domain.cell_volume)
+        scale = float(np.max(np.abs(dense_zero)))
+        assert np.max(np.abs(report.zero_vector.reshape(-1) - dense_zero)) <= 1e-8 * scale
+        stacked = np.stack([f.flat for f in target.fields]).reshape(-1)
+        assert np.max(np.abs(report.zero_vector.reshape(-1) - stacked)) <= 1e-8 * scale
+
+    def test_budget_at_3x1024_unknowns(self):
+        # the benchmark's three-state graph on 1024 cells: one sparse LU and
+        # a few Arnoldi steps, where a dense solve would hold the 3072^2
+        # matrix (75 MB) and take tens of seconds
+        d = build_grid(1, [1.0], [1024])
+        x = d.axis_centers(0)
+        graph = TransitionGraph(3, ((1, 2), (2, 3), (3, 1), (2, 1)))
+        fields = [
+            0.3 * (1.0 + 0.25 * np.cos(np.pi * x)),
+            0.3 * (1.0 + 0.25 * np.cos(2 * np.pi * x)),
+            0.4 * (1.0 - 0.25 * np.cos(np.pi * x)),
+        ]
+        target = HybridTarget.create([ScalarField(d, f) for f in fields])
+        gains = stabilizing_gains(
+            graph, target, synthesize_stationary_rates(graph, target.mass_vector())
+        )
+        start = time.perf_counter()
+        report = coupled_spectrum(target, [1.0] * 3, gains)
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            coupled_spectrum(target, [1.0] * 3, gains)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 20e6
+        stacked = np.stack(fields)
+        assert np.max(np.abs(report.zero_vector - stacked)) <= 1e-8 * np.max(stacked)
+        assert report.max_real_part <= 1e-8
+        assert report.zero_simple
+
     def test_single_state_reduces_to_scalar(self, unit_grid_64):
         f = cosine_target(unit_grid_64)
         a = ScalarField(unit_grid_64, 1.0 / f.values)
@@ -336,6 +435,13 @@ class TestCoupledSpectrum:
         assert report.max_real_part <= 1e-8
         assert np.max(np.abs(report.eigenvalues.imag)) <= 1e-8
         assert report.zero_simple
+
+    def test_zero_generator(self, unit_grid_64):
+        # no diffusion and no gains: every eigenvalue is zero, and the shift
+        # still leaves the shifted generator invertible
+        a = ScalarField.constant(unit_grid_64, 1.0)
+        report = coupled_spectrum([a, a], [0.0, 0.0], None)
+        np.testing.assert_array_equal(report.eigenvalues, 0.0)
 
     def test_uniform_two_state_gap(self):
         d = build_grid(1, [1.0], [128])
