@@ -21,7 +21,7 @@ from .grid import (
     mass,
     neumann_poisson_solve,
 )
-from .pde import StepperConfig, fit_decay_rate
+from .pde import fit_decay_rate
 from .control import (
     TargetDensity,
     execute_plan,

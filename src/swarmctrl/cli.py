@@ -27,7 +27,7 @@ from . import ctmc, hybrid, particles
 from .errors import SwarmCtrlError, ConfigurationError, GraphError
 from .expressions import evaluate
 from .grid import RectDomain, ScalarField, build_grid, l2_norm, mass
-from .pde import StepperConfig, fit_decay_rate, march, relaxation_operator
+from .pde import fit_decay_rate, march, relaxation_operator
 
 CONTROLLERS = (
     "stabilize",
@@ -161,6 +161,16 @@ def _field_from_spec(sc: Scenario, domain: RectDomain, section: str) -> ScalarFi
     return ScalarField(domain, values)
 
 
+def _density(sc: Scenario, domain: RectDomain, section: str) -> ScalarField:
+    """[section] scaled to unit mass; a mass that is not finite and positive
+    is a ConfigurationError."""
+    field = _field_from_spec(sc, domain, section)
+    total = mass(field)
+    if not 0 < total < math.inf:
+        raise ConfigurationError(f"[{section}] has no finite positive mass, got {total}")
+    return ScalarField(domain, field.values / total)
+
+
 def _stacked_fields(
     sc: Scenario, domain: RectDomain, prefix: str, n: int, optional: bool = False
 ) -> tuple[ScalarField, ...]:
@@ -178,17 +188,17 @@ def _stacked_fields(
     return tuple(ScalarField(domain, f.values / total) for f in fields)
 
 
-def _stepper_config(sc: Scenario) -> StepperConfig:
-    """[pde] dt.  A ``scheme`` or ``flux`` key is an error, not ignored: every
-    evolution has one scheme, so ignoring it would run another method than
-    the config asks for."""
+def _stepper_config(sc: Scenario) -> float:
+    """[pde] dt, finite and positive.  A ``scheme`` or ``flux`` key is an
+    error, not ignored: every evolution has one scheme, so ignoring it would
+    run another method than the config asks for."""
     for key in ("scheme", "flux"):
         if sc.config.has_option("pde", key):
             raise ConfigurationError(
                 f"[pde] {key} is not supported: every evolution uses implicit Euler"
                 " with the exponential-fitted flux"
             )
-    return StepperConfig(dt=_number(sc, "pde", "dt", 1e-3))
+    return _number(sc, "pde", "dt", 1e-3, positive=True)
 
 
 def _graph_from_config(sc: Scenario) -> ctmc.TransitionGraph:
@@ -331,11 +341,11 @@ def _declared_checks(sc: Scenario, measured: dict) -> list[dict]:
 
 def _run_stabilize(sc: Scenario, out_dir: Path) -> bool:
     domain = _build_domain(sc)
-    cfg = _stepper_config(sc)
-    target = _field_from_spec(sc, domain, "target").normalized()
+    dt = _stepper_config(sc)
+    target = _density(sc, domain, "target")
     td = ctl.TargetDensity.create(target)
     if sc.config.has_section("initial"):
-        y = _field_from_spec(sc, domain, "initial").normalized()
+        y = _density(sc, domain, "initial")
     else:
         y = ScalarField.constant(domain, 1.0 / float(np.prod(domain.lengths)))
     t_final = _number(sc, "run", "t_final", 1.0, positive=True)
@@ -347,7 +357,7 @@ def _run_stabilize(sc: Scenario, out_dir: Path) -> bool:
     snapshots = [(0.0, y)]
     for _ in range(n_snapshots):
         t, y = snapshots[-1]
-        for block in march(relax, y.flat, step_t, cfg):
+        for block in march(relax, y.flat, step_t, dt):
             pass
         snapshots.append((t + step_t, ScalarField(domain, block[-1].copy())))
     y = snapshots[-1][1]
@@ -365,13 +375,13 @@ def _run_stabilize(sc: Scenario, out_dir: Path) -> bool:
 
 def _run_steer(sc: Scenario, out_dir: Path) -> bool:
     domain = _build_domain(sc)
-    cfg = _stepper_config(sc)
-    target = ctl.TargetDensity.create(_field_from_spec(sc, domain, "target").normalized())
-    y0 = _field_from_spec(sc, domain, "initial").normalized()
+    dt = _stepper_config(sc)
+    target = ctl.TargetDensity.create(_density(sc, domain, "target"))
+    y0 = _density(sc, domain, "initial")
     t_final = _number(sc, "run", "t_final", 1.0, positive=True)
     tol = _number(sc, "run", "tolerance", 1e-2, positive=True)
     plan = ctl.synthesize_steering_plan(y0, target, t_final, tol)
-    run = ctl.execute_plan(plan, y0, cfg)
+    run = ctl.execute_plan(plan, y0, dt)
 
     with open(out_dir / "plan.txt", "w", encoding="utf-8") as handle:
         handle.write(plan.to_text())
@@ -390,8 +400,8 @@ def _run_steer(sc: Scenario, out_dir: Path) -> bool:
 
 def _run_path(sc: Scenario, out_dir: Path) -> bool:
     domain = _build_domain(sc)
-    g0 = _field_from_spec(sc, domain, "path_start").normalized()
-    g1 = _field_from_spec(sc, domain, "path_end").normalized()
+    g0 = _density(sc, domain, "path_start")
+    g1 = _density(sc, domain, "path_end")
     t_final = _number(sc, "run", "t_final", 1.0, positive=True)
     n_steps = _number(sc, "run", "steps", 1000, int, positive=True)
 
@@ -433,7 +443,7 @@ def _run_ctmc_plan(sc: Scenario, out_dir: Path) -> bool:
 
 def _run_hsdp_steer(sc: Scenario, out_dir: Path) -> bool:
     domain = _build_domain(sc)
-    cfg = _stepper_config(sc)
+    dt = _stepper_config(sc)
     graph = _graph_from_config(sc)
     n = graph.n_vertices
     target = hybrid.HybridTarget.create(_stacked_fields(sc, domain, "target", n))
@@ -441,7 +451,7 @@ def _run_hsdp_steer(sc: Scenario, out_dir: Path) -> bool:
     t_final = _number(sc, "run", "t_final", 2.0, positive=True)
     tol = _number(sc, "run", "tolerance", 1e-2, positive=True)
     plan = hybrid.hybrid_steering_plan(graph, initial, target, t_final, tol)
-    run = hybrid.execute_hybrid_plan(plan, initial, cfg)
+    run = hybrid.execute_hybrid_plan(plan, initial, dt)
 
     _write_csv(
         out_dir / "stacked.csv",
@@ -467,7 +477,7 @@ def _run_hsdp_steer(sc: Scenario, out_dir: Path) -> bool:
 
 def _run_hsdp_stabilize(sc: Scenario, out_dir: Path) -> bool:
     domain = _build_domain(sc)
-    cfg = _stepper_config(sc)
+    pde_dt = _stepper_config(sc)
     graph = _graph_from_config(sc)
     n = graph.n_vertices
     target = hybrid.HybridTarget.create(_stacked_fields(sc, domain, "target", n))
@@ -479,7 +489,7 @@ def _run_hsdp_stabilize(sc: Scenario, out_dir: Path) -> bool:
     total = sum(a.sum() for a in arrays) * domain.cell_volume
     state = hybrid.StackedDensity(tuple(ScalarField(domain, a / total) for a in arrays))
     t_final = _number(sc, "run", "t_final", 10.0, positive=True)
-    n_steps = int(math.ceil(t_final / (cfg.dt * 10)))
+    n_steps = max(1, int(math.ceil(t_final / (10 * pde_dt))))
     dt = t_final / n_steps
     stepper = hybrid.SplitStepper(domain, velocities, diffusion, gains, dt)
     times, errors = [], []
@@ -514,8 +524,8 @@ def _run_hsdp_stabilize(sc: Scenario, out_dir: Path) -> bool:
 
 def _run_particles(sc: Scenario, out_dir: Path) -> bool:
     domain = _build_domain(sc)
-    cfg = _stepper_config(sc)
-    target = _field_from_spec(sc, domain, "target").normalized()
+    pde_dt = _stepper_config(sc)
+    target = _density(sc, domain, "target")
     td = ctl.TargetDensity.create(target)
     velocity = ctl.stabilizing_velocity(td, 1.0)
     count = _number(sc, "particles", "count", 10000, int, positive=True)
@@ -537,7 +547,7 @@ def _run_particles(sc: Scenario, out_dir: Path) -> bool:
         particles.sde_step(ens, [velocity], [1.0], None, dt)
     emp = particles.empirical_density(ens, domain, 1)
     y0 = ScalarField.constant(domain, 1.0 / float(np.prod(domain.lengths)))
-    for block in march(relaxation_operator(target).matrix, y0.flat, t_final, cfg):
+    for block in march(relaxation_operator(target).matrix, y0.flat, t_final, pde_dt):
         pass  # the mean-field reference is the last state
     ypde = block[-1].reshape(domain.shape)
     l1 = float(np.sum(np.abs(emp.density.fields[0].values - ypde)) * domain.cell_volume)

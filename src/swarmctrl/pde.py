@@ -10,9 +10,10 @@ form), so a density whose face velocity is the log-gradient of a positive
 profile is an exact discrete steady state.  Implicit Euler with this flux
 is an M-matrix method: it conserves mass exactly (conservative flux,
 columns of the generator sum to zero) and maps non-negative states to
-non-negative states for every step size.  It is the only scheme of the
-fixed-operator evolutions here; Crank-Nicolson with the centered flux
-serves only path following (``control.follow_path``).
+non-negative states for every step size.  It is the only step here:
+path following (``control.follow_path``) takes Crank-Nicolson steps with
+the centered flux, each one implicit Euler solve of half the step,
+extrapolated.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .grid import (
 )
 
 __all__ = [
-    "StepperConfig",
     "ConvergenceReport",
     "fit_decay_rate",
     "assemble_advection_diffusion",
@@ -55,28 +55,10 @@ __all__ = [
     "bernoulli",
 ]
 
-SCHEMES = ("implicit_euler", "crank_nicolson")
 FLUXES = ("exponential", "centered")
 # byte budget of one block of step states yielded by :func:`march`: 7 states of
 # 48x48 cells, so the per-block witness and finiteness scan amortize in 2D too
 BLOCK_BYTES = 128 * 1024
-
-
-@dataclasses.dataclass
-class StepperConfig:
-    """Time-stepping knob of every fixed-operator evolution (implicit Euler).
-
-    ``dt`` is the step: :func:`march` covers a duration with
-    ceil(duration / dt) equal steps, whatever the grid.  Implicit Euler
-    with the exponential-fitted flux is an M-matrix step for every dt, so
-    no step is capped for stability.
-    """
-
-    dt: float = 1e-3
-
-    def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ConfigurationError(f"dt must be finite and positive, got {self.dt}")
 
 
 @dataclasses.dataclass
@@ -160,9 +142,9 @@ def relaxation_operator(f: ScalarField) -> SparseOperator:
     return divergence_form_operator(a, f)
 
 
-def make_stepper(matrix: sp.csr_matrix, dt: float, scheme: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Prefactorized single-step map for y' = matrix @ y (theta = 1 or 1/2);
-    ``dt = 0`` is the identity.  I - theta*dt*matrix and I + dt/2*matrix fill the
+def make_stepper(matrix: sp.csr_matrix, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Prefactorized implicit Euler step y -> (I - dt*matrix)^-1 y for
+    y' = matrix @ y; ``dt = 0`` is the identity.  I - dt*matrix fills the
     cached pattern of the canonical CSR ``matrix`` plus its diagonal.
 
     A tridiagonal pattern (every 1D grid) goes into LAPACK band storage and is
@@ -179,55 +161,46 @@ def make_stepper(matrix: sp.csr_matrix, dt: float, scheme: str) -> Callable[[np.
     holds the states (see :func:`_require_finite`).  A system that cannot be
     factored (an exactly zero pivot, or a non-finite factor from an overflowed
     generator) raises NumericalError."""
-    if scheme not in SCHEMES:
-        raise ConfigurationError(f"unknown scheme {scheme!r}")
     if not (dt >= 0 and math.isfinite(dt)):
         raise ConfigurationError(f"dt must be finite and non-negative, got {dt}")
     n = matrix.shape[0]
     _, build, band = _pattern(
         n, matrix.indices.dtype, matrix.indptr.tobytes(), matrix.indices.tobytes()
     )
-    theta = 1.0 if scheme == "implicit_euler" else 0.5
-    system = np.append(-theta * dt * matrix.data, np.ones(n))
-    if band is None:
-        try:
-            solve = spla.splu(build(system, sp.csc_matrix), permc_spec="MMD_AT_PLUS_A").solve
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise NumericalError(f"{scheme} system cannot be factored: {exc}") from exc
-    else:
+    system = np.append(-dt * matrix.data, np.ones(n))
+    if band is not None:
         ab = np.bincount(band, system, 4 * n).reshape((4, n), order="F")
         lu, piv, info = lapack.dgbtrf(ab, 1, 1, overwrite_ab=1)
         # LAPACK flags an exactly zero pivot, not a NaN one
         if info != 0 or not np.all(np.isfinite(lu)):
             reason = f"pivot {info} is exactly zero" if info > 0 else "non-finite factor"
-            raise NumericalError(f"{scheme} system cannot be factored: {reason}")
-
-        def solve(y: np.ndarray) -> np.ndarray:
-            return lapack.dgbtrs(lu, 1, 1, y, piv)[0]
-
-    if theta == 1.0:
-        return solve
-    rhs_op = build(np.append(0.5 * dt * matrix.data, np.ones(n)))
-    return lambda y: solve(rhs_op @ y)
+            raise NumericalError(f"implicit system cannot be factored: {reason}")
+        return lambda y: lapack.dgbtrs(lu, 1, 1, y, piv)[0]
+    try:
+        return spla.splu(build(system, sp.csc_matrix), permc_spec="MMD_AT_PLUS_A").solve
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise NumericalError(f"implicit system cannot be factored: {exc}") from exc
 
 
-def _require_finite(states: np.ndarray, scheme: str) -> None:
+def _require_finite(states: np.ndarray) -> None:
     """Raise NumericalError unless every value of ``states`` is finite; a NaN
     or Inf carries through the linear solves, so one scan covers the steps
     before it."""
     if not np.all(np.isfinite(states)):
-        raise NumericalError(f"{scheme} step produced non-finite values")
+        raise NumericalError("implicit step produced non-finite values")
 
 
 def march(
     matrix: sp.csr_matrix,
     y: np.ndarray,
     duration: float,
-    cfg: StepperConfig,
+    dt: float,
 ) -> Iterator[np.ndarray]:
-    """Yield the states after max(1, ceil(duration / cfg.dt)) equal implicit
+    """Yield the states after max(1, ceil(duration / dt)) equal implicit
     Euler steps of y' = matrix @ y, in blocks of consecutive steps; each
-    step is duration / n_steps <= cfg.dt, whatever the grid.
+    step is duration / n_steps <= dt, whatever the grid.  Implicit Euler
+    with the exponential-fitted flux is an M-matrix step for every dt, so
+    no step is capped for stability.
 
     One factorization serves every step and every column of a raw
     ``(cells,)`` or ``(cells, k)`` array ``y``.  Each block is a new
@@ -235,17 +208,19 @@ def march(
     after the next ``rows`` steps, with rows <= max(1, BLOCK_BYTES //
     y.nbytes); only the last block may be shorter.  Finiteness is checked
     once per block, so a NumericalError comes at most one block late."""
+    if not 0 < dt < math.inf:
+        raise ConfigurationError(f"dt must be finite and positive, got {dt}")
     if duration < 0:
         raise ConfigurationError(f"duration must be non-negative, got {duration}")
-    n_steps = max(1, int(math.ceil(duration / cfg.dt)))
-    step = make_stepper(matrix, duration / n_steps, "implicit_euler")
+    n_steps = max(1, int(math.ceil(duration / dt)))
+    step = make_stepper(matrix, duration / n_steps)
     rows = max(1, BLOCK_BYTES // y.nbytes)
     for start in range(0, n_steps, rows):
         block = np.empty((min(rows, n_steps - start),) + y.shape)
         for row in block:
             y = step(y)
             row[...] = y
-        _require_finite(block, "implicit_euler")
+        _require_finite(block)
         yield block
 
 

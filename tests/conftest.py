@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from swarmctrl.ctmc import TransitionGraph
 from swarmctrl.grid import ScalarField, build_grid
-from swarmctrl.pde import StepperConfig, assemble_advection_diffusion, march
+from swarmctrl.pde import assemble_advection_diffusion, march
 
 
 @pytest.fixture
@@ -28,9 +28,9 @@ def cosine_target(domain, amplitude=0.3, mode=1):
     return ScalarField(domain, 1.0 + amplitude * np.cos(mode * np.pi * x)).normalized()
 
 
-def march_to_end(matrix, y, duration, cfg):
+def march_to_end(matrix, y, duration, dt):
     """The field on ``y``'s grid after ``march`` of y' = matrix @ y over ``duration``."""
-    for block in march(matrix, y.flat, duration, cfg):
+    for block in march(matrix, y.flat, duration, dt):
         pass
     return ScalarField(y.domain, block[-1])
 
@@ -39,7 +39,7 @@ def implicit_step(y, velocity, diffusion, dt):
     """One implicit Euler step of y_t = D lap(y) - div(v y) with the
     exponential-fitted flux and zero-flux boundary."""
     matrix = assemble_advection_diffusion(y.domain, velocity, diffusion)
-    return march_to_end(matrix, y, dt, StepperConfig(dt=dt))
+    return march_to_end(matrix, y, dt, dt)
 
 
 @st.composite

@@ -54,7 +54,6 @@ from swarmctrl.hybrid import (
 )
 from swarmctrl.particles import ParticleEnsemble, empirical_density, sde_step
 from swarmctrl.pde import (
-    StepperConfig,
     fit_decay_rate,
     march,
     relaxation_operator,
@@ -73,11 +72,11 @@ def test_01_mass_conservation():
     rng = np.random.default_rng(101)
     d = build_grid(1, [1.0], [128])
     y = ScalarField(d, rng.random(128)).normalized()
-    cfg = StepperConfig(dt=1e-3)
+    dt = 1e-3
     worst = 0.0
     for _ in range(1000):
         v = FaceField(d, (rng.uniform(-4.0, 4.0, 127),))
-        y = implicit_step(y, v, 1.0, cfg.dt)
+        y = implicit_step(y, v, 1.0, dt)
         worst = max(worst, abs(math.fsum(y.flat) * d.cell_volume - 1.0))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-12 and elapsed < 5.0
@@ -92,11 +91,11 @@ def test_02_heat_decay_rate():
     heat = weighted_heat_operator(ScalarField.constant(d, 1.0))
     gap = heat.spectral_gap()
     y = ScalarField(d, 1.0 + 0.5 * np.cos(np.pi * x))
-    cfg = StepperConfig(dt=1e-3)
+    dt = 1e-3
     times, errors = [], []
     t = 0.0
     for _ in range(8):
-        y = march_to_end(heat.matrix, y, 0.02, cfg)
+        y = march_to_end(heat.matrix, y, 0.02, dt)
         t += 0.02
         times.append(t)
         errors.append(np.max(np.abs(y.values - 1.0)))
@@ -111,14 +110,14 @@ def test_02_heat_decay_rate():
 def test_03_weighted_sup_bound_invariance():
     rng = np.random.default_rng(103)
     d = build_grid(1, [1.0], [64])
-    cfg = StepperConfig(dt=5e-3)
+    dt = 5e-3
     worst = -np.inf
     for _ in range(10):
         a = ScalarField(d, 0.5 + rng.random(64))
         raw = rng.random(64) / a.values
         raw /= np.max(a.values * raw)  # max(a*y0) = 1
         # every state of 500 steps of the flow with gain 1.2
-        for block in march(1.2 * weighted_heat_operator(a).matrix, raw, 500 * cfg.dt, cfg):
+        for block in march(1.2 * weighted_heat_operator(a).matrix, raw, 500 * dt, dt):
             worst = max(worst, float(np.max(a.values * block)) - 1.0)
     ok = worst <= 1e-10
     assert report(3, "weighted sup bound excess over 500 steps x 10", worst, 1e-10, ok)
@@ -127,7 +126,7 @@ def test_03_weighted_sup_bound_invariance():
 def test_04_lower_bound_preservation():
     rng = np.random.default_rng(104)
     d = build_grid(1, [1.0], [64])
-    cfg = StepperConfig(dt=2e-3)
+    dt = 2e-3
     worst = np.inf
     for _ in range(10):
         a_vals = 0.6 + rng.random(64)
@@ -141,7 +140,7 @@ def test_04_lower_bound_preservation():
         relax = relaxation_operator(f).matrix
         state = y
         for _ in range(12):
-            state = march_to_end(relax, state, 0.05, cfg)
+            state = march_to_end(relax, state, 0.05, dt)
             worst = min(worst, float(np.min(state.values)) - (bound - 1e-10))
     ok = worst >= 0.0
     assert report(4, "relaxation lower-bound margin (min over runs)", worst, 0.0, ok)
@@ -455,7 +454,7 @@ def test_15_particle_mean_field_agreement():
     target = TargetDensity.create(f)
     v = stabilizing_velocity(target, 1.0)
     y0 = ScalarField.constant(d, 1.0)
-    y_pde = march_to_end(relaxation_operator(f).matrix, y0, 1.0, StepperConfig(dt=1e-3))
+    y_pde = march_to_end(relaxation_operator(f).matrix, y0, 1.0, 1e-3)
 
     def run(seed):
         ens = ParticleEnsemble.uniform(d, 100000, state=1, seed=seed)

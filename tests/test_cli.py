@@ -386,6 +386,15 @@ def test_hsdp_stabilize_ends_at_t_final(tmp_path):
     np.testing.assert_allclose(masses, scipy.linalg.expm(0.305 * q) @ m0, rtol=1e-10)
 
 
+def test_hsdp_stabilize_huge_dt_runs_one_step(tmp_path):
+    # 10 * dt overflows to inf: the run takes one split step over t_final
+    # and reports its checks, instead of dividing by zero steps
+    path = write_cfg(tmp_path, HSDP_STAB_CFG.replace("dt = 1e-3", "dt = 1e308"))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) in (0, 1)
+    assert (out / "summary.json").exists()
+
+
 def test_particles_scenario(tmp_path):
     path = write_cfg(tmp_path, PARTICLES_CFG)
     out = tmp_path / "out"
@@ -704,6 +713,28 @@ def test_non_finite_density_is_usage_error(tmp_path, capfd, spelling):
         assert run_scenario(path, out_dir=out) == 2
     err = capfd.readouterr().err
     assert "ConfigurationError" in err and "[target]" in err and "non-finite" in err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("expr", ["0", "-1"], ids=["zero", "negative"])
+@pytest.mark.parametrize(
+    "text, section",
+    [
+        (STABILIZE_CFG, "target"),
+        (STEER_CFG, "initial"),
+        (PATH_CFG, "path_end"),
+        (PARTICLES_CFG, "target"),
+    ],
+    ids=["stabilize", "steer", "path-follow", "particles"],
+)
+def test_non_positive_density_is_usage_error(tmp_path, capsys, text, section, expr):
+    spec = re.compile(rf"(\[{section}\]\n)expr = .*\n")
+    assert spec.search(text)
+    path = write_cfg(tmp_path, spec.sub(rf"\g<1>expr = {expr}\n", text))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 2
+    err = capsys.readouterr().err
+    assert "ConfigurationError" in err and f"[{section}]" in err and "mass" in err
     assert not (out / "summary.json").exists()
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,9 +30,8 @@ from swarmctrl.errors import (
     TargetError,
     TruncationWarning,
 )
-from swarmctrl.grid import ScalarField, build_grid, l2_norm, mass
+from swarmctrl.grid import FaceField, ScalarField, build_grid, l2_norm, mass
 from swarmctrl.pde import (
-    StepperConfig,
     assemble_advection_diffusion,
     fit_decay_rate,
     make_stepper,
@@ -43,7 +43,7 @@ def centered_step(y, v, dt):
     """One implicit Euler step of y_t = lap(y) - div(v y) with the centered
     flux, the flux the feedback and path laws are exact for."""
     matrix = assemble_advection_diffusion(y.domain, v, 1.0, "centered")
-    return ScalarField(y.domain, make_stepper(matrix, dt, "implicit_euler")(y.flat))
+    return ScalarField(y.domain, make_stepper(matrix, dt)(y.flat))
 
 
 class TestTargetDensity:
@@ -85,12 +85,12 @@ class TestStabilizingVelocity:
         target = TargetDensity.create(f)
         v = stabilizing_velocity(target, 1.0)
         y = random_density(unit_grid_64, rng)
-        cfg = StepperConfig(dt=1e-3)
+        dt = 1e-3
         times, errors = [], []
         t = 0.0
         for k in range(300):
-            y = implicit_step(y, v, 1.0, cfg.dt)
-            t += cfg.dt
+            y = implicit_step(y, v, 1.0, dt)
+            t += dt
             if k % 30 == 0:
                 times.append(t)
                 errors.append(l2_norm(ScalarField(unit_grid_64, y.values - f.values)))
@@ -118,9 +118,7 @@ class TestFeedbackVelocity:
         target = TargetDensity.create(f)
         y = random_density(unit_grid_128, rng)
         alpha, j, dt = 0.4, 3, 1e-3
-        open_step = make_stepper(
-            alpha * j * weighted_heat_operator(target.a).matrix, dt, "implicit_euler"
-        )
+        open_step = make_stepper(alpha * j * weighted_heat_operator(target.a).matrix, dt)
         for _ in range(5):
             y_open = ScalarField(unit_grid_128, open_step(y.flat))
             v = feedback_velocity(y_open, target, alpha, j)
@@ -331,7 +329,7 @@ class TestSteeringPlan:
         assert peak <= 16 * 2**20
 
 
-def witness_by_phase(plan, y0, cfg):
+def witness_by_phase(plan, y0, dt):
     """Per-phase velocity sup-norms from a plain step loop that evaluates
     the public feedback law after every step."""
     target = plan.target
@@ -349,8 +347,8 @@ def witness_by_phase(plan, y0, cfg):
         else:
             law = (1.0, 1) if phase.tag == "smooth" else (phase.alpha, phase.j)
             matrix, sup = law[0] * law[1] * heat, 0.0
-        n_steps = max(1, math.ceil(phase.duration / cfg.dt))
-        step = make_stepper(matrix, phase.duration / n_steps, "implicit_euler")
+        n_steps = max(1, math.ceil(phase.duration / dt))
+        step = make_stepper(matrix, phase.duration / n_steps)
         for _ in range(n_steps):
             y = step(y)
             if law is not None:
@@ -388,15 +386,15 @@ class TestExecutePlan:
         target = TargetDensity.create(random_density(d, rng, floor=0.5))
         y0 = random_density(d, rng)
         plan = synthesize_steering_plan(y0, target, 0.5, 1e-3)
-        cfg = StepperConfig(dt=2e-4)
+        dt = 2e-4
         if len(cells) == 1:
             # the witness phases span several blocks of march and end on
             # a ragged one
             rows = pde.BLOCK_BYTES // y0.flat.nbytes
-            n_steps = [math.ceil(p.duration / cfg.dt) for p in plan.phases[2:]]
+            n_steps = [math.ceil(p.duration / dt) for p in plan.phases[2:]]
             assert any(n > rows and n % rows for n in n_steps)
-        run = execute_plan(plan, y0, cfg)
-        assert [r.max_velocity for r in run.records] == witness_by_phase(plan, y0, cfg)
+        run = execute_plan(plan, y0, dt)
+        assert [r.max_velocity for r in run.records] == witness_by_phase(plan, y0, dt)
 
     def test_one_factorization_per_phase_one_step_call_per_step(self, unit_grid_64, monkeypatch):
         # pins the work the benchmark traces as pde.factor_calls and
@@ -407,10 +405,10 @@ class TestExecutePlan:
         target = TargetDensity.create(random_density(unit_grid_64, rng, floor=0.5))
         y0 = random_density(unit_grid_64, rng)
         plan = synthesize_steering_plan(y0, target, 0.5, 1e-3)
-        cfg = StepperConfig(dt=2e-3)
-        execute_plan(plan, y0, cfg)
+        dt = 2e-3
+        execute_plan(plan, y0, dt)
         assert counts["factor"] == len(plan.phases)
-        assert counts["step"] == sum(max(1, math.ceil(p.duration / cfg.dt)) for p in plan.phases)
+        assert counts["step"] == sum(max(1, math.ceil(p.duration / dt)) for p in plan.phases)
 
     def test_step_count_does_not_grow_with_the_grid(self, monkeypatch):
         # steps of dt whatever the grid: on 4096 cells, steps of min(dt, h^2)
@@ -423,11 +421,11 @@ class TestExecutePlan:
         )
         y0 = ScalarField(d, np.exp(-((x - 0.5) ** 2) / 0.005)).normalized()
         plan = synthesize_steering_plan(y0, target, 1.0, 1e-3)
-        cfg = StepperConfig(dt=1e-3)
-        run = execute_plan(plan, y0, cfg)
+        dt = 1e-3
+        run = execute_plan(plan, y0, dt)
         assert run.final_error_l2 <= 1e-3
-        assert counts["step"] == sum(max(1, math.ceil(p.duration / cfg.dt)) for p in plan.phases)
-        assert counts["step"] <= 1.0 / cfg.dt + len(plan.phases)
+        assert counts["step"] == sum(max(1, math.ceil(p.duration / dt)) for p in plan.phases)
+        assert counts["step"] <= 1.0 / dt + len(plan.phases)
 
     def test_plan_assembles_two_operators(self, unit_grid_64, monkeypatch):
         # the weighted-heat generator serves the gap and every smoothing
@@ -505,6 +503,54 @@ class TestPathFollowing:
         assert np.isfinite(res.max_velocity)
 
 
+def check_path_step(domain, flux, diffusion, dt, rng):
+    """One ``follow_path`` step, with its generator replaced by a random
+    one, against a dense Crank-Nicolson solve of (I - dt/2 A) y1 =
+    (I + dt/2 A) y; the generator's columns sum to zero, so the step also
+    conserves mass to roundoff."""
+    comps = tuple(5.0 * rng.standard_normal(domain.face_shape(k)) for k in range(domain.dim))
+    matrix = assemble_advection_diffusion(domain, FaceField(domain, comps), diffusion, flux)
+    y = rng.random(domain.cell_count)
+    y[rng.random(y.size) < 0.3] = 0.0
+    start = ScalarField(domain, y)
+    positive = ScalarField.constant(domain, 1.0)  # the law needs a positive path
+    zero = ScalarField.constant(domain, 0.0)
+    with mock.patch.object(control, "assemble_advection_diffusion", lambda *args: matrix):
+        res = follow_path(lambda t: start if t == 0.0 else positive, lambda t: zero, dt, 1)
+    out = res.final_state.flat
+    dense = matrix.toarray()
+    eye = np.eye(domain.cell_count)
+    expected = np.linalg.solve(eye - 0.5 * dt * dense, (eye + 0.5 * dt * dense) @ y)
+    assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+    eps = np.finfo(float).eps
+    assert abs(out.sum() - y.sum()) <= 4 * domain.cell_count * eps * np.abs(out).sum()
+
+
+class TestPathStep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 512),
+        st.sampled_from(["exponential", "centered"]),
+        st.sampled_from([0.0, 0.05, 1.0]),
+        st.sampled_from([1e-3, 1e-2]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_step_matches_dense_crank_nicolson(self, cells, flux, diffusion, dt, seed):
+        check_path_step(build_grid(1, [1.0], [cells]), flux, diffusion, dt, np.random.default_rng(seed))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.integers(2, 24), min_size=2, max_size=2),
+        st.sampled_from(["exponential", "centered"]),
+        st.sampled_from([0.0, 0.05, 1.0]),
+        st.sampled_from([1e-3, 1e-2]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_2d_step_matches_dense_crank_nicolson(self, cells, flux, diffusion, dt, seed):
+        domain = build_grid(2, [1.0, 1.5], cells)
+        check_path_step(domain, flux, diffusion, dt, np.random.default_rng(seed))
+
+
 def plain_follow_path(gamma, dgamma_dt, t_final, n_steps):
     """The per-step path-following loop that the blocked one replaced, kept
     as its oracle: one velocity, assembly, factorization and finiteness
@@ -519,7 +565,7 @@ def plain_follow_path(gamma, dgamma_dt, t_final, n_steps):
         v = path_following_velocity(gamma(t_mid), dgamma_dt(t_mid))
         max_v = max(max_v, v.max_abs())
         matrix = assemble_advection_diffusion(domain, v, 1.0, "centered")
-        y = make_stepper(matrix, dt, "crank_nicolson")(y)
+        y = 2.0 * make_stepper(matrix, 0.5 * dt)(y) - y
         assert np.all(np.isfinite(y))
         t = (k + 1) * dt
         times.append(t)

@@ -78,9 +78,7 @@ class TestSplitStep:
         stack = random_stack(d, n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
         gains = SpatialGainSet(g, d, tuple(rates))
         out = SplitStepper(d, [None] * n, [1.0] * n, gains, dt).step(stack).as_array()
-        heat = make_stepper(
-            weighted_heat_operator(ScalarField.constant(d, 1.0)).matrix, dt, "implicit_euler"
-        )
+        heat = make_stepper(weighted_heat_operator(ScalarField.constant(d, 1.0)).matrix, dt)
         heated = np.stack([heat(f.flat) for f in stack.fields])
         ref = scipy.linalg.expm(dt * generator(g, rates)) @ heated
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -442,6 +440,8 @@ class TestCoupledSpectrum:
         a = ScalarField.constant(unit_grid_64, 1.0)
         report = coupled_spectrum([a, a], [0.0, 0.0], None)
         np.testing.assert_array_equal(report.eigenvalues, 0.0)
+        # a multiple zero eigenvalue (gap 0) is not simple
+        assert not report.zero_simple
 
     def test_uniform_two_state_gap(self):
         d = build_grid(1, [1.0], [128])

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 import warnings
 from unittest import mock
@@ -26,7 +25,6 @@ from swarmctrl.errors import (
 )
 from swarmctrl.grid import FaceField, ScalarField, build_grid, mass
 from swarmctrl.pde import (
-    StepperConfig,
     assemble_advection_diffusion,
     bernoulli,
     fit_decay_rate,
@@ -36,10 +34,7 @@ from swarmctrl.pde import (
     weighted_heat_operator,
 )
 
-SCHEMES = ["implicit_euler", "crank_nicolson"]
-
-
-def scipy_make_stepper(matrix, dt, scheme):
+def scipy_make_stepper(matrix, dt):
     """The scipy-arithmetic stepper, kept as the bitwise oracle: identity
     minus the scaled matrix, then ``tocsc``.  When no entry of ``matrix``
     lies off the three central diagonals, the system's bands go into LAPACK
@@ -49,8 +44,7 @@ def scipy_make_stepper(matrix, dt, scheme):
     the step."""
     n = matrix.shape[0]
     eye = sp.identity(n, format="csr")
-    theta = 1.0 if scheme == "implicit_euler" else 0.5
-    system = (eye - theta * dt * matrix).tocsc()
+    system = (eye - dt * matrix).tocsc()
     pattern = matrix.tocoo()
     if np.all(np.abs(pattern.row - pattern.col) <= 1):
         coo = system.tocoo()
@@ -63,8 +57,7 @@ def scipy_make_stepper(matrix, dt, scheme):
     else:
         ab = None
         solve = spla.splu(system, permc_spec="MMD_AT_PLUS_A").solve
-    rhs_op = None if theta == 1.0 else (eye + 0.5 * dt * matrix).tocsr()
-    return system, ab, lambda y: solve(y if rhs_op is None else rhs_op @ y)
+    return system, ab, solve
 
 
 def recording(fn, calls):
@@ -76,20 +69,14 @@ def recording(fn, calls):
     return wrapper
 
 
-def test_stepper_config_validation():
-    from swarmctrl.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        StepperConfig(dt=-1.0)
-    with pytest.raises(ConfigurationError):
-        StepperConfig(dt=0.0)
-    assert [f.name for f in dataclasses.fields(StepperConfig)] == ["dt"]
-
-
-@pytest.mark.parametrize("dt", [math.nan, math.inf], ids=["nan", "inf"])
-def test_stepper_config_rejects_non_finite_dt(dt):
-    with pytest.raises(ConfigurationError):
-        StepperConfig(dt=dt)
+@pytest.mark.parametrize(
+    "dt", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"]
+)
+def test_march_rejects_bad_dt(unit_grid_64, dt):
+    matrix = weighted_heat_operator(ScalarField.constant(unit_grid_64, 1.0)).matrix
+    y = ScalarField.constant(unit_grid_64, 1.0).flat
+    with pytest.raises(ConfigurationError, match="dt must be finite and positive"):
+        list(march(matrix, y, 0.01, dt))
 
 
 def test_spectral_gap_sparse_branch():
@@ -147,10 +134,10 @@ class TestStepAdvectionDiffusion:
     def test_mass_conserved_for_any_velocity(self, unit_grid_128):
         rng = np.random.default_rng(0)
         y = random_density(unit_grid_128, rng)
-        cfg = StepperConfig(dt=1e-3)
+        dt = 1e-3
         for _ in range(20):
             v = FaceField(unit_grid_128, (rng.uniform(-5, 5, 127),))
-            y = implicit_step(y, v, 1.0, cfg.dt)
+            y = implicit_step(y, v, 1.0, dt)
             assert abs(mass(y) - 1.0) <= 1e-12
 
     def test_positivity_under_implicit_euler(self, unit_grid_64):
@@ -180,9 +167,9 @@ class TestStepAdvectionDiffusion:
             d,
             (rng.uniform(-3, 3, d.face_shape(0)), rng.uniform(-3, 3, d.face_shape(1))),
         )
-        cfg = StepperConfig(dt=5e-3)
+        dt = 5e-3
         for _ in range(10):
-            y = implicit_step(y, v, 1.0, cfg.dt)
+            y = implicit_step(y, v, 1.0, dt)
             assert abs(mass(y) - 1.0) <= 1e-12
             assert np.min(y.values) >= -1e-14
 
@@ -207,7 +194,6 @@ class TestFixedPatternOperators:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         diffusion = data.draw(st.sampled_from([0.0, 0.05, 1.0]))
         flux = data.draw(st.sampled_from(["exponential", "centered"]))
-        scheme = data.draw(st.sampled_from(SCHEMES))
         dt = data.draw(st.sampled_from([0.0, 1e-3, 0.05]))
         velocity = None
         if data.draw(st.booleans()):
@@ -224,8 +210,8 @@ class TestFixedPatternOperators:
         factored = []
         with mock.patch.object(lapack, "dgbtrf", recording(lapack.dgbtrf, factored)), \
                 mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
-            step = make_stepper(matrix, dt, scheme)
-        system, ab, oracle_step = scipy_make_stepper(expected, dt, scheme)
+            step = make_stepper(matrix, dt)
+        system, ab, oracle_step = scipy_make_stepper(expected, dt)
         if ab is None:
             assert not factored
             assert_bitwise_equal(splu.call_args.args[0], system)
@@ -238,16 +224,15 @@ class TestFixedPatternOperators:
             y, y_oracle = step(y), oracle_step(y_oracle)
             assert y.tobytes() == y_oracle.tobytes()
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_pruned_diagonal_steps_like_the_oracle(self, scheme):
+    def test_pruned_diagonal_steps_like_the_oracle(self):
         # upwind transport out of cell 0 only: cells 1-3 lose no mass, so
         # their diagonal entries are exact zeros and get pruned
         d = build_grid(1, [1.0], [4])
         matrix = assemble_advection_diffusion(d, FaceField(d, (np.array([1.0, 0.0, 0.0]),)), 0.0)
         assert matrix.nnz == 2
         y = np.array([1.0, 2.0, 3.0, 4.0])
-        out = make_stepper(matrix, 0.1, scheme)(y)
-        assert out.tobytes() == scipy_make_stepper(matrix, 0.1, scheme)[2](y).tobytes()
+        out = make_stepper(matrix, 0.1)(y)
+        assert out.tobytes() == scipy_make_stepper(matrix, 0.1)[2](y).tobytes()
         assert out.sum() == pytest.approx(y.sum(), rel=1e-15)
 
     def test_2d_stepper_orders_for_low_fill(self):
@@ -255,11 +240,10 @@ class TestFixedPatternOperators:
         # symmetric 2D pattern: 62,670 L+U nonzeros on 48x48, 106,036 under COLAMD
         d = build_grid(2, [1.0, 1.0], [48, 48])
         matrix = weighted_heat_operator(ScalarField.constant(d, 1.0)).matrix
-        lu = make_stepper(matrix, 1e-3, "implicit_euler").__self__
+        lu = make_stepper(matrix, 1e-3).__self__
         assert lu.L.nnz + lu.U.nnz <= 70_000
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_only_non_tridiagonal_steppers_call_splu(self, unit_grid_128, scheme):
+    def test_only_non_tridiagonal_steppers_call_splu(self, unit_grid_128):
         # 1D systems go to the banded LU; 2D ones to SuperLU with MMD on A^T + A
         rng = np.random.default_rng(3)
         velocity = FaceField(unit_grid_128, (rng.standard_normal(127),))
@@ -267,9 +251,9 @@ class TestFixedPatternOperators:
         d = build_grid(2, [1.0, 1.0], [6, 5])
         matrix_2d = weighted_heat_operator(ScalarField.constant(d, 1.0)).matrix
         with mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
-            make_stepper(matrix_1d, 1e-2, scheme)
+            make_stepper(matrix_1d, 1e-2)
             assert not splu.called
-            make_stepper(matrix_2d, 1e-2, scheme)
+            make_stepper(matrix_2d, 1e-2)
         assert splu.call_count == 1
         assert splu.call_args.kwargs["permc_spec"] == "MMD_AT_PLUS_A"
 
@@ -277,50 +261,45 @@ class TestFixedPatternOperators:
     def test_bad_dt_rejected(self, unit_grid_64, dt):
         matrix = weighted_heat_operator(ScalarField.constant(unit_grid_64, 1.0)).matrix
         with pytest.raises(ConfigurationError):
-            make_stepper(matrix, dt, "implicit_euler")
+            make_stepper(matrix, dt)
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_unfactorable_system_is_numerical_error(self, scheme):
-        # dt = 1 / theta cancels the identity: every entry of I - theta*dt*I
-        # is an exact zero, so the banded LU meets an exactly zero pivot
+    def test_unfactorable_system_is_numerical_error(self):
+        # dt = 1 cancels the identity: every entry of I - dt*I is an exact
+        # zero, so the banded LU meets an exactly zero pivot
         matrix = sp.identity(4, format="csr")
-        dt = 1.0 if scheme == "implicit_euler" else 2.0
         with pytest.raises(NumericalError, match="cannot be factored"):
-            make_stepper(matrix, dt, scheme)
+            make_stepper(matrix, 1.0)
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("case", ["superlu-singular", "banded-non-finite"])
-    def test_unfactorable_pattern_is_numerical_error(self, scheme, case):
+    def test_unfactorable_pattern_is_numerical_error(self, case):
         # SuperLU: the identity plus one entry off the band, cancelled as
         # above; banded: an overflowed entry leaves an infinite pivot in the
         # factor, which LAPACK does not flag
         if case == "superlu-singular":
             matrix = sp.csr_matrix(np.eye(4) + np.eye(4, k=3))
-            dt = 1.0 if scheme == "implicit_euler" else 2.0
+            dt = 1.0
         else:
             matrix = sp.csr_matrix(np.diag([np.inf, 1.0, 1.0]) + np.eye(3, k=1))
             dt = 1e-2
         with pytest.raises(NumericalError, match="cannot be factored"):
-            make_stepper(matrix, dt, scheme)
+            make_stepper(matrix, dt)
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_zero_dt_is_identity(self, unit_grid_64, scheme):
+    def test_zero_dt_is_identity(self, unit_grid_64):
         matrix = weighted_heat_operator(ScalarField.constant(unit_grid_64, 1.0)).matrix
         y = random_density(unit_grid_64, np.random.default_rng(0)).flat
-        np.testing.assert_array_equal(make_stepper(matrix, 0.0, scheme)(y), y)
+        np.testing.assert_array_equal(make_stepper(matrix, 0.0)(y), y)
 
 
 class TestBandedStep:
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(2, 512),
-        st.sampled_from(SCHEMES),
         st.sampled_from(["exponential", "centered"]),
         st.sampled_from([0.0, 0.05, 1.0]),
         st.sampled_from([1e-3, 1e-2]),
         st.integers(0, 2**32 - 1),
     )
-    def test_step_matches_dense_solve(self, cells, scheme, flux, diffusion, dt, seed):
+    def test_step_matches_dense_solve(self, cells, flux, diffusion, dt, seed):
         # one banded step equals a dense solve of the same system; implicit
         # Euler with the exponential-fitted flux (an M-matrix step) also
         # conserves mass to roundoff and keeps non-negative states
@@ -331,23 +310,19 @@ class TestBandedStep:
         matrix = assemble_advection_diffusion(domain, velocity, diffusion, flux)
         y = rng.random(cells)
         y[rng.random(cells) < 0.3] = 0.0
-        theta = 1.0 if scheme == "implicit_euler" else 0.5
-        dense = matrix.toarray()
-        eye = np.eye(cells)
-        rhs = y if theta == 1.0 else (eye + 0.5 * dt * dense) @ y
-        expected = np.linalg.solve(eye - theta * dt * dense, rhs)
-        out = make_stepper(matrix, dt, scheme)(y)
+        expected = np.linalg.solve(np.eye(cells) - dt * matrix.toarray(), y)
+        out = make_stepper(matrix, dt)(y)
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
-        if scheme == "implicit_euler" and flux == "exponential":
+        if flux == "exponential":
             eps = np.finfo(float).eps
             assert abs(out.sum() - y.sum()) <= 4 * cells * eps * y.sum()
             assert out.min() >= 0.0
 
 
-def plain_march(matrix, y, duration, cfg):
+def plain_march(matrix, y, duration, dt):
     """The states after each step of a plain implicit Euler ``make_stepper`` loop."""
-    n_steps = max(1, math.ceil(duration / cfg.dt))
-    step = make_stepper(matrix, duration / n_steps, "implicit_euler")
+    n_steps = max(1, math.ceil(duration / dt))
+    step = make_stepper(matrix, duration / n_steps)
     states = []
     for _ in range(n_steps):
         y = step(y)
@@ -369,11 +344,11 @@ class TestMarch:
         rng = np.random.default_rng(seed)
         a = ScalarField(domain, 0.5 + rng.random(domain.shape))
         matrix = weighted_heat_operator(a).matrix
-        cfg = StepperConfig(dt=2e-3)
+        dt = 2e-3
         stack = rng.random((domain.cell_count, k))
-        stacked = np.concatenate(list(march(matrix, stack, duration, cfg)))
+        stacked = np.concatenate(list(march(matrix, stack, duration, dt)))
         for col in range(k):
-            single = np.concatenate(list(march(matrix, stack[:, col], duration, cfg)))
+            single = np.concatenate(list(march(matrix, stack[:, col], duration, dt)))
             np.testing.assert_array_equal(stacked[:, :, col], single)
 
     @settings(max_examples=60, deadline=None)
@@ -388,11 +363,10 @@ class TestMarch:
         rng = np.random.default_rng(seed)
         a = ScalarField(domain, 0.5 + rng.random(domain.shape))
         matrix = weighted_heat_operator(a).matrix
-        cfg = StepperConfig(dt=dt)
         y = rng.random(domain.cell_count if k is None else (domain.cell_count, k))
-        blocks = list(march(matrix, y, duration, cfg))
-        expected = plain_march(matrix, y, duration, cfg)
-        n_steps = max(1, math.ceil(duration / cfg.dt))
+        blocks = list(march(matrix, y, duration, dt))
+        expected = plain_march(matrix, y, duration, dt)
+        n_steps = max(1, math.ceil(duration / dt))
         assert len(expected) == n_steps
         # every block is full but the last, and within the byte budget
         # unless one state alone exceeds it
@@ -418,8 +392,8 @@ class TestMarch:
         assert d.cell_count * 8 > pde.BLOCK_BYTES
         matrix = weighted_heat_operator(ScalarField.constant(d, 1.0)).matrix
         y = random_density(d, np.random.default_rng(1)).flat
-        cfg = StepperConfig(dt=1e-3)
-        blocks = list(march(matrix, y, 4.5 * cfg.dt, cfg))
+        dt = 1e-3
+        blocks = list(march(matrix, y, 4.5 * dt, dt))
         assert [b.shape for b in blocks] == [(1, d.cell_count)] * 5
 
     def test_non_finite_state_raises(self, unit_grid_64):
@@ -427,13 +401,13 @@ class TestMarch:
         y = random_density(unit_grid_64, np.random.default_rng(0)).flat.copy()
         y[5] = np.inf
         with pytest.raises(NumericalError, match="non-finite"):
-            list(march(matrix, y, 0.01, StepperConfig(dt=1e-3)))
+            list(march(matrix, y, 0.01, 1e-3))
 
     def test_negative_duration_rejected(self, unit_grid_64):
         matrix = weighted_heat_operator(ScalarField.constant(unit_grid_64, 1.0)).matrix
         y = ScalarField.constant(unit_grid_64, 1.0).flat
         with pytest.raises(ConfigurationError):
-            list(march(matrix, y, -0.1, StepperConfig()))
+            list(march(matrix, y, -0.1, 1e-3))
 
 
 @st.composite
@@ -494,7 +468,7 @@ class TestMarchOracle:
         exact = spla.expm_multiply(t * matrix, y0)
         errors = []
         for step in (dt, dt / 2):
-            blocks = list(march(matrix, y0, t, StepperConfig(dt=step)))
+            blocks = list(march(matrix, y0, t, step))
             assert sum(len(b) for b in blocks) == round(t / step)
             errors.append(float(np.sum(np.abs(blocks[-1][-1] - exact))))
         bound = t * dt / 2 * float(np.sum(np.abs(matrix @ (matrix @ y0))))
@@ -511,7 +485,7 @@ class TestWeightedHeat:
         rng = np.random.default_rng(3)
         a = ScalarField(unit_grid_64, 0.5 + rng.random(64))
         y = ScalarField(unit_grid_64, 1.0 / a.values).normalized()
-        y1 = march_to_end(weighted_heat_operator(a).matrix, y, 0.2, StepperConfig(dt=1e-3))
+        y1 = march_to_end(weighted_heat_operator(a).matrix, y, 0.2, 1e-3)
         assert np.max(np.abs(y1.values - y.values)) <= 1e-12
 
     def test_cosine_decays_at_spectral_gap(self):
@@ -523,9 +497,9 @@ class TestWeightedHeat:
         y = ScalarField(d, 1.0 + np.cos(np.pi * x))
         times, errors = [], []
         t = 0.0
-        cfg = StepperConfig(dt=1e-3)
+        dt = 1e-3
         for _ in range(8):
-            y = march_to_end(op.matrix, y, 0.02, cfg)
+            y = march_to_end(op.matrix, y, 0.02, dt)
             t += 0.02
             times.append(t)
             errors.append(np.max(np.abs(y.values - 1.0)))
@@ -538,10 +512,10 @@ class TestWeightedHeat:
         y = ScalarField(unit_grid_64, rng.random(64) / a.values)
         scale = np.max(a.values * y.values)
         y = ScalarField(unit_grid_64, y.values / scale)  # max(a*y) = 1
-        cfg = StepperConfig(dt=5e-3)
+        dt = 5e-3
         matrix = 1.5 * weighted_heat_operator(a).matrix
         for _ in range(50):
-            y = march_to_end(matrix, y, 5e-3, cfg)
+            y = march_to_end(matrix, y, 5e-3, dt)
             assert np.max(a.values * y.values) <= 1.0 + 1e-10
 
     def test_nonpositive_weight_rejected(self, unit_grid_64):
@@ -555,7 +529,7 @@ class TestStabilizingFlow:
 
     def test_target_is_fixed_point(self, unit_grid_128):
         f = cosine_target(unit_grid_128)
-        y1 = march_to_end(relaxation_operator(f).matrix, f, 0.3, StepperConfig(dt=1e-3))
+        y1 = march_to_end(relaxation_operator(f).matrix, f, 0.3, 1e-3)
         assert np.max(np.abs(y1.values - f.values)) <= 1e-12
 
     def test_lower_bound_preserved(self, unit_grid_64):
@@ -571,11 +545,11 @@ class TestStabilizingFlow:
             y = ScalarField(unit_grid_64, y_vals)
             c1 = np.min(a_vals)
             bound = c1 * np.min(y.values) / np.max(a_vals)
-            cfg = StepperConfig(dt=2e-3)
+            dt = 2e-3
             matrix = relaxation_operator(f).matrix
             state = y
             for _ in range(10):
-                state = march_to_end(matrix, state, 0.05, cfg)
+                state = march_to_end(matrix, state, 0.05, dt)
                 assert np.min(state.values) >= bound - 1e-10
 
     def test_exponential_convergence_to_target(self, unit_grid_64):
@@ -586,7 +560,7 @@ class TestStabilizingFlow:
         times, errors = [], []
         t = 0.0
         for _ in range(10):
-            y = march_to_end(matrix, y, 0.05, StepperConfig(dt=1e-3))
+            y = march_to_end(matrix, y, 0.05, 1e-3)
             t += 0.05
             times.append(t)
             errors.append(np.sqrt(np.sum((y.values - f.values) ** 2) / 64))
