@@ -183,6 +183,17 @@ class TestStepAdvectionDiffusion:
         assert np.max(np.abs(y1.values - f.values)) <= 1e-12
 
 
+def path_stepper(matrix, dt):
+    """The Crank-Nicolson step of ``control.follow_path``: one implicit Euler
+    solve of dt/2, extrapolated, 2 (I - dt/2 L)^-1 y - y."""
+    half = make_stepper(matrix, 0.5 * dt)
+    return lambda y: 2.0 * half(y) - y
+
+
+# the two step forms built on make_stepper's one factorization
+STEPS = {"implicit_euler": make_stepper, "crank_nicolson": path_stepper}
+
+
 class TestFixedPatternOperators:
     @settings(max_examples=150, deadline=None)
     @given(random_grids(), st.data())
@@ -243,7 +254,8 @@ class TestFixedPatternOperators:
         lu = make_stepper(matrix, 1e-3).__self__
         assert lu.L.nnz + lu.U.nnz <= 70_000
 
-    def test_only_non_tridiagonal_steppers_call_splu(self, unit_grid_128):
+    @pytest.mark.parametrize("scheme", STEPS)
+    def test_only_non_tridiagonal_steppers_call_splu(self, unit_grid_128, scheme):
         # 1D systems go to the banded LU; 2D ones to SuperLU with MMD on A^T + A
         rng = np.random.default_rng(3)
         velocity = FaceField(unit_grid_128, (rng.standard_normal(127),))
@@ -251,9 +263,9 @@ class TestFixedPatternOperators:
         d = build_grid(2, [1.0, 1.0], [6, 5])
         matrix_2d = weighted_heat_operator(ScalarField.constant(d, 1.0)).matrix
         with mock.patch.object(spla, "splu", wraps=spla.splu) as splu:
-            make_stepper(matrix_1d, 1e-2)
+            STEPS[scheme](matrix_1d, 1e-2)
             assert not splu.called
-            make_stepper(matrix_2d, 1e-2)
+            STEPS[scheme](matrix_2d, 1e-2)
         assert splu.call_count == 1
         assert splu.call_args.kwargs["permc_spec"] == "MMD_AT_PLUS_A"
 
@@ -263,12 +275,15 @@ class TestFixedPatternOperators:
         with pytest.raises(ConfigurationError):
             make_stepper(matrix, dt)
 
-    def test_unfactorable_system_is_numerical_error(self):
-        # dt = 1 cancels the identity: every entry of I - dt*I is an exact
-        # zero, so the banded LU meets an exactly zero pivot
+    @pytest.mark.parametrize("scheme", STEPS)
+    def test_unfactorable_system_is_numerical_error(self, scheme):
+        # a system step of 1 cancels the identity: every entry of I - 1*I is
+        # an exact zero, so the banded LU meets an exactly zero pivot; the
+        # Crank-Nicolson step factors the system of dt/2
         matrix = sp.identity(4, format="csr")
+        dt = 1.0 if scheme == "implicit_euler" else 2.0
         with pytest.raises(NumericalError, match="cannot be factored"):
-            make_stepper(matrix, 1.0)
+            STEPS[scheme](matrix, dt)
 
     @pytest.mark.parametrize("case", ["superlu-singular", "banded-non-finite"])
     def test_unfactorable_pattern_is_numerical_error(self, case):
@@ -284,10 +299,12 @@ class TestFixedPatternOperators:
         with pytest.raises(NumericalError, match="cannot be factored"):
             make_stepper(matrix, dt)
 
-    def test_zero_dt_is_identity(self, unit_grid_64):
+    @pytest.mark.parametrize("scheme", STEPS)
+    def test_zero_dt_is_identity(self, unit_grid_64, scheme):
+        # for Crank-Nicolson, 2*y - y is y exactly
         matrix = weighted_heat_operator(ScalarField.constant(unit_grid_64, 1.0)).matrix
         y = random_density(unit_grid_64, np.random.default_rng(0)).flat
-        np.testing.assert_array_equal(make_stepper(matrix, 0.0)(y), y)
+        np.testing.assert_array_equal(STEPS[scheme](matrix, 0.0)(y), y)
 
 
 class TestBandedStep:
