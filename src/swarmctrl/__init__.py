@@ -2,9 +2,10 @@
 
 Subpackages:
 
-- :mod:`swarmctrl.grid`: rectangular grids, fields, divergence-form operators
-- :mod:`swarmctrl.pde`: forward-equation steppers and relaxation flows
-- :mod:`swarmctrl.control`: velocity laws, steering plans, path following
+- :mod:`swarmctrl.grid`: rectangular grids, fields, two-point-flux operators
+- :mod:`swarmctrl.pde`: forward-equation generators and steppers
+- :mod:`swarmctrl.control`: velocity laws, the stabilizing flow, steering
+  plans, path following
 - :mod:`swarmctrl.ctmc`: finite-state transfer plans and rate synthesis
 - :mod:`swarmctrl.hybrid`: coupled multi-state splitting and stabilization
 - :mod:`swarmctrl.particles`: reflected switching-diffusion simulation

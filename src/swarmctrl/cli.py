@@ -27,7 +27,7 @@ from . import ctmc, hybrid, particles
 from .errors import SwarmCtrlError, ConfigurationError, GraphError
 from .expressions import evaluate
 from .grid import RectDomain, ScalarField, build_grid, l2_norm, mass
-from .pde import fit_decay_rate, march, relaxation_operator
+from .pde import fit_decay_rate, march
 
 CONTROLLERS = (
     "stabilize",
@@ -351,7 +351,7 @@ def _run_stabilize(sc: Scenario, out_dir: Path) -> bool:
     t_final = _number(sc, "run", "t_final", 1.0, positive=True)
     n_snapshots = _number(sc, "run", "snapshots", 6, int, positive=True)
     velocity = ctl.stabilizing_velocity(td, 1.0)
-    relax = relaxation_operator(target).matrix  # D = 1, assembled once
+    relax = td.relaxation_operator.matrix  # the flow of that velocity, D = 1
 
     step_t = t_final / n_snapshots
     snapshots = [(0.0, y)]
@@ -446,7 +446,14 @@ def _run_hsdp_steer(sc: Scenario, out_dir: Path) -> bool:
     dt = _stepper_config(sc)
     graph = _graph_from_config(sc)
     n = graph.n_vertices
-    target = hybrid.HybridTarget.create(_stacked_fields(sc, domain, "target", n))
+    fields = _stacked_fields(sc, domain, "target", n)
+    for k, field in enumerate(fields, start=1):
+        if not np.min(field.values) > 0:
+            raise ConfigurationError(
+                f"[target.{k}] must be positive in every cell: steering needs every state's "
+                f"target bounded below, got min {np.min(field.values)}"
+            )
+    target = hybrid.HybridTarget.create(fields)
     initial = hybrid.StackedDensity(_stacked_fields(sc, domain, "initial", n, optional=True))
     t_final = _number(sc, "run", "t_final", 2.0, positive=True)
     tol = _number(sc, "run", "tolerance", 1e-2, positive=True)
@@ -547,7 +554,7 @@ def _run_particles(sc: Scenario, out_dir: Path) -> bool:
         particles.sde_step(ens, [velocity], [1.0], None, dt)
     emp = particles.empirical_density(ens, domain, 1)
     y0 = ScalarField.constant(domain, 1.0 / float(np.prod(domain.lengths)))
-    for block in march(relaxation_operator(target).matrix, y0.flat, t_final, pde_dt):
+    for block in march(td.relaxation_operator.matrix, y0.flat, t_final, pde_dt):
         pass  # the mean-field reference is the last state
     ypde = block[-1].reshape(domain.shape)
     l1 = float(np.sum(np.abs(emp.density.fields[0].values - ypde)) * domain.cell_volume)

@@ -45,7 +45,6 @@ from .pde import (
     assemble_advection_diffusion,
     make_stepper,
     march,
-    relaxation_operator,
     weighted_heat_operator,
 )
 
@@ -74,8 +73,9 @@ class TargetDensity:
     """Unit-mass target bounded below by a positive constant.
 
     Caches ``a = 1/f``, the weighted-heat generator built from it (every
-    smoothing and gain phase of a plan scales this one operator) and the
-    measured spectral gaps that size steering gains.
+    smoothing and gain phase of a plan scales this one operator), the
+    stabilizing-flow generator and the measured spectral gaps that size
+    steering gains.
     """
 
     f: ScalarField
@@ -106,8 +106,18 @@ class TargetDensity:
         return self.heat_operator.spectral_gap()
 
     @functools.cached_property
+    def relaxation_operator(self) -> SparseOperator:
+        """Generator of the stabilizing flow y_t = lap(y) - div(v y) with the
+        feedback velocity v = grad(f)/f and the exponential-fitted flux,
+        assembled once; f is its kernel, and the flux is reversible with
+        respect to f, so a = 1/f symmetrizes it."""
+        matrix = assemble_advection_diffusion(self.domain, stabilizing_velocity(self, 1.0), 1.0)
+        return SparseOperator(self.domain, matrix, self.a.values)
+
+    @functools.cached_property
     def relaxation_gap(self) -> float:
-        return relaxation_operator(self.f).spectral_gap()
+        """Smallest nonzero eigenvalue of the stabilizing-flow generator."""
+        return self.relaxation_operator.spectral_gap()
 
 
 def stabilizing_velocity(target: TargetDensity, diffusion: float = 1.0) -> FaceField:
@@ -351,9 +361,7 @@ def _phase_operator(plan: SteeringPlan, phase: Phase):
     if phase.tag == "zero":
         return assemble_advection_diffusion(target.domain, None, 1.0), None, 0.0
     if phase.tag == "stabilize":
-        v = stabilizing_velocity(target, 1.0)
-        matrix = assemble_advection_diffusion(target.domain, v, 1.0, "exponential")
-        return matrix, None, v.max_abs()
+        return target.relaxation_operator.matrix, None, stabilizing_velocity(target, 1.0).max_abs()
     if phase.tag == "smooth":
         return target.heat_operator.matrix, 1.0, 0.0  # unit gain
     if phase.tag == "gain":

@@ -1,12 +1,12 @@
 """Rectangular-domain discretization and divergence-form operator assembly.
 
 Cell-centered finite volumes on an axis-aligned box with zero-flux
-boundaries.  The central object is the conservative two-point-flux
-discretization of ``u -> div(w grad(a u))``: face coefficients come from
-harmonic averaging of ``w`` while ``a`` is differenced exactly through
-``g = a*u``, which makes ``u = 1/a`` an exact kernel element, keeps all
-off-diagonal entries non-negative, and telescopes fluxes so that column
-sums vanish identically.
+boundaries.  Every generator is a conservative two-point-flux matrix
+(:func:`two_point_flux_matrix`).  The weighted-heat one discretizes
+``u -> div(grad(a u))``: ``a`` is differenced exactly through ``g = a*u``,
+which makes ``u = 1/a`` an exact kernel element, keeps all off-diagonal
+entries non-negative, and telescopes fluxes so that column sums vanish
+identically.
 """
 
 from __future__ import annotations
@@ -229,11 +229,14 @@ def face_log_difference(field: ScalarField, axis: int) -> np.ndarray:
 
 @dataclasses.dataclass(eq=False)
 class SparseOperator:
-    """Assembled divergence-form operator with its coefficient fields.
+    """Assembled zero-flux generator with its symmetrizing weight.
 
-    ``matrix`` maps flat cell vectors to flat cell vectors and represents
-    ``u -> div(w grad(a u))`` with zero-flux faces.  Treat instances as
-    immutable after assembly; they are safe to share across threads.
+    ``matrix`` maps flat cell vectors to flat cell vectors and has the
+    kernel ``1/a``: the weighted heat ``u -> div(grad(a u))``, or the
+    exponential-fitted flow toward a target ``f = 1/a``.  Either is
+    reversible with respect to ``1/a``, so ``diag(a) @ matrix`` is
+    symmetric.  Treat instances as immutable after assembly; they are safe
+    to share across threads.
     """
 
     domain: RectDomain
@@ -335,44 +338,32 @@ def two_point_flux_matrix(
     return build(np.append(off_diag, diagonal))
 
 
-def divergence_form_operator(a: ScalarField, w: ScalarField | None = None) -> SparseOperator:
-    """Assemble the conservative discretization of div(w grad(a u)).
+def divergence_form_operator(a: ScalarField) -> SparseOperator:
+    """Assemble the conservative discretization of div(grad(a u)), the
+    weighted-heat generator.
 
-    With ``w = 1`` this is the weighted-heat generator; with ``w = 1/a``
-    it is the generator of the flow that relaxes toward ``f = 1/a``.
-
-    Preconditions: both coefficients strictly positive cellwise.
+    Precondition: ``a`` strictly positive cellwise.
     """
     domain = a.domain
-    if w is None:
-        w = ScalarField.constant(domain, 1.0)
-    if w.domain != domain:
-        raise ConfigurationError("coefficient fields live on different grids")
     if np.min(a.values) <= 0:
         raise CoefficientError(f"coefficient a must be positive, min = {np.min(a.values)}")
-    if np.min(w.values) <= 0:
-        raise CoefficientError(f"coefficient w must be positive, min = {np.min(w.values)}")
 
     a_flat = a.flat
     face_rates = []
     for axis in range(domain.dim):
         h = domain.spacing[axis]
         left, right = domain.face_pairs(axis)
-        wl = w.flat[left]
-        wr = w.flat[right]
         # a degenerate box overflows here; the factorization reports it
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            wf = 2.0 * wl * wr / (wl + wr)  # harmonic face conductance
-            coef = wf / (h * h)
-        # flux = wf * (a_R u_R - a_L u_L)/h leaving the left cell
-        face_rates.append((coef * a_flat[left], coef * a_flat[right]))
+            coef = np.float64(1.0) / (h * h)
+            # flux = (a_R u_R - a_L u_L)/h leaving the left cell
+            face_rates.append((coef * a_flat[left], coef * a_flat[right]))
     matrix = two_point_flux_matrix(domain, face_rates)
     return SparseOperator(domain, matrix, a.values.copy())
 
 
 def neumann_laplacian(domain: RectDomain) -> SparseOperator:
-    ones = ScalarField.constant(domain, 1.0)
-    return divergence_form_operator(ones, ones)
+    return divergence_form_operator(ScalarField.constant(domain, 1.0))
 
 
 def neumann_heat_gap(domain: RectDomain) -> float:

@@ -7,7 +7,9 @@ an essentially non-negative matrix, so they preserve positivity and move
 mass between states exactly as the rate ODE does; the transport substep
 conserves each state's mass.  Total mass is therefore conserved exactly
 and the per-state mass vector follows the constant-rate ODE without
-splitting error.
+splitting error.  The spectral certificate (:func:`coupled_spectrum`) is
+taken of the generator whose pieces the split step advances: the same
+exponential-fitted transport blocks plus the reaction coupling.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .grid import (
     FaceField,
     RectDomain,
     ScalarField,
-    divergence_form_operator,
     l2_norm,
     mass,
     neumann_laplacian,
@@ -154,16 +155,6 @@ class HybridTarget:
 
     def full_support(self) -> bool:
         return len(self.support) == self.n_states
-
-    def weight_fields(self) -> list[ScalarField]:
-        """a_i = 1/f_i on supported states, 1 elsewhere."""
-        out = []
-        for i, f in enumerate(self.fields, start=1):
-            if i in self.support:
-                out.append(ScalarField(self.domain, 1.0 / f.values))
-            else:
-                out.append(ScalarField.constant(self.domain, 1.0))
-        return out
 
 
 @dataclasses.dataclass(eq=False)
@@ -347,14 +338,15 @@ def zero_mass_stabilizing_gains(
     sub_edges = [
         (relabel[i], relabel[j]) for (i, j) in graph.edges if i in support and j in support
     ]
-    if len(sub_vertices) < 2 or not sub_edges:
-        raise SynthesisError("support subgraph has no edges; cannot stabilize")
     subgraph = TransitionGraph(len(sub_vertices), tuple(sub_edges))
     if not is_strongly_connected(subgraph):
         raise SynthesisError("support subgraph is not strongly connected")
     masses = target.mass_vector()
     sub_mass = np.array([masses[v - 1] for v in sub_vertices])
-    sub_rates = synthesize_stationary_rates(subgraph, sub_mass / np.sum(sub_mass))
+    # a one-state support has no internal edge: the drain gains alone stabilize it
+    sub_rates = (
+        synthesize_stationary_rates(subgraph, sub_mass / np.sum(sub_mass)) if sub_edges else ()
+    )
 
     sub_index = {e: k for k, e in enumerate(subgraph.edges)}
     gains = []
@@ -390,19 +382,18 @@ class CoupledSpectrumReport:
 
 
 def _coupled_generator(
-    weights: Sequence[ScalarField],
+    target: HybridTarget,
     diffusion: Sequence[float],
     gains: SpatialGainSet | None,
 ) -> sp.csc_matrix:
-    """Block generator: per-state D_i * div(f_i grad(./f_i)) with
-    f_i = 1/a_i on the diagonal, plus the cellwise reaction coupling."""
-    n_states = len(weights)
-    domain = weights[0].domain
+    """Block generator: on the diagonal, each state's transport generator as
+    :class:`SplitStepper` assembles it from :func:`stabilizing_velocities`;
+    off it, the cellwise reaction coupling."""
+    n_states = target.n_states
+    velocities = stabilizing_velocities(target, diffusion)
     blocks = [[None] * n_states for _ in range(n_states)]
-    for k, a in enumerate(weights):
-        f = ScalarField(domain, 1.0 / a.values)
-        op = divergence_form_operator(a, f)
-        blocks[k][k] = float(diffusion[k]) * op.matrix
+    for k, v in enumerate(velocities):
+        blocks[k][k] = assemble_advection_diffusion(target.domain, v, float(diffusion[k]))
     if gains is not None:
         for g, (i, j) in zip(gains.gains, gains.graph.edges):
             d = sp.diags(g.reshape(-1))
@@ -413,7 +404,7 @@ def _coupled_generator(
 
 
 def coupled_spectrum(
-    weights,
+    target: HybridTarget,
     diffusion: Sequence[float],
     gains: SpatialGainSet | None,
 ) -> CoupledSpectrumReport:
@@ -421,21 +412,19 @@ def coupled_spectrum(
     assembled coupled generator's spectrum (which ones: see
     :class:`CoupledSpectrumReport`) and the eigenvector of the rightmost.
 
-    ``weights`` is either a :class:`HybridTarget` or the per-state weight
-    fields a_i directly.  Blocks: per-state D_i * div(f_i grad(./f_i))
-    with f_i = 1/a_i plus the cellwise reaction coupling.  All real parts
-    are non-positive; for a full-support stationary configuration the
+    The generator is the one the stabilizing split step advances: per
+    state, D_i lap - div(v_i .) with the stabilizing velocity
+    v_i = D_i grad(f_i)/f_i (zero off the support) and the
+    exponential-fitted flux, plus the cellwise reaction coupling.  All real
+    parts are non-positive; for a full-support stationary configuration the
     zero eigenvector is the stacked target.
 
     One shift-invert Arnoldi solve (ARPACK ``eigs``) about a point just
     right of the zero eigenvalue finds them from a sparse LU of the
     shifted generator; generators too small for ARPACK use dense ``eig``.
     """
-    if isinstance(weights, HybridTarget):
-        weights = weights.weight_fields()
-    weights = list(weights)
-    domain = weights[0].domain
-    matrix = _coupled_generator(weights, diffusion, gains)
+    domain = target.domain
+    matrix = _coupled_generator(target, diffusion, gains)
     n = matrix.shape[0]
     if n <= SPECTRUM_EIGENVALUES + 1:
         vals, vecs = scipy.linalg.eig(matrix.toarray())
@@ -460,7 +449,7 @@ def coupled_spectrum(
         max_real_part=max_real,
         gap=gap,
         zero_simple=zero_simple,
-        zero_vector=vec.reshape(len(weights), domain.cell_count),
+        zero_vector=vec.reshape(target.n_states, domain.cell_count),
     )
 
 

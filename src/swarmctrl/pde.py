@@ -1,9 +1,13 @@
-"""Time integration of the forward equation and the two relaxation flows.
+"""Time integration of the forward equation and its two generators.
 
-Two entry points evolve a state: :func:`march` runs a fixed generator (times
-a gain, if any) over a duration in equal steps, and :func:`make_stepper` is
-the prefactorized one-step map beneath it, which path following and the
-hybrid splitting call directly.
+The generators are the weighted heat div(grad(a y)) and
+:func:`assemble_advection_diffusion`; the stabilizing flow toward a target
+is the latter with the feedback velocity D grad(f)/f
+(``control.TargetDensity.relaxation_operator``).  Two entry points evolve
+a state: :func:`march` runs a fixed generator (times a gain, if any) over a
+duration in equal steps, and :func:`make_stepper` is the prefactorized
+one-step map beneath it, which path following and the hybrid splitting
+call directly.
 
 The advective flux is exponential-fitted by default (Scharfetter-Gummel
 form), so a density whose face velocity is the log-gradient of a positive
@@ -32,7 +36,6 @@ from .errors import (
     ConfigurationError,
     FitError,
     NumericalError,
-    TargetError,
 )
 from .grid import (
     FaceField,
@@ -49,7 +52,6 @@ __all__ = [
     "fit_decay_rate",
     "assemble_advection_diffusion",
     "weighted_heat_operator",
-    "relaxation_operator",
     "make_stepper",
     "march",
     "bernoulli",
@@ -131,15 +133,7 @@ def assemble_advection_diffusion(
 
 def weighted_heat_operator(a: ScalarField) -> SparseOperator:
     """Generator of y_t = div(grad(a y)) (zero-flux)."""
-    return divergence_form_operator(a, None)
-
-
-def relaxation_operator(f: ScalarField) -> SparseOperator:
-    """Generator of y_t = div(f grad(y / f)): relaxes toward f."""
-    if np.min(f.values) <= 0:
-        raise TargetError(f"target has non-positive cells, min = {np.min(f.values)}")
-    a = ScalarField(f.domain, 1.0 / f.values)
-    return divergence_form_operator(a, f)
+    return divergence_form_operator(a)
 
 
 def make_stepper(matrix: sp.csr_matrix, dt: float) -> Callable[[np.ndarray], np.ndarray]:

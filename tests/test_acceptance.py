@@ -56,7 +56,6 @@ from swarmctrl.particles import ParticleEnsemble, empirical_density, sde_step
 from swarmctrl.pde import (
     fit_decay_rate,
     march,
-    relaxation_operator,
     weighted_heat_operator,
 )
 
@@ -137,7 +136,7 @@ def test_04_lower_bound_preservation():
         y = ScalarField(d, c2 + bump * budget / mass(ScalarField(d, bump)))
         c1, amax = float(np.min(a_vals)), float(np.max(a_vals))
         bound = c1 * float(np.min(y.values)) / amax
-        relax = relaxation_operator(f).matrix
+        relax = TargetDensity.create(f.normalized()).relaxation_operator.matrix
         state = y
         for _ in range(12):
             state = march_to_end(relax, state, 0.05, dt)
@@ -327,7 +326,7 @@ def test_11_spectral_certificates():
     target = HybridTarget.create([f1, f2])
     rates = synthesize_stationary_rates(g2, target.mass_vector())
     gains = stabilizing_gains(g2, target, rates)
-    rep = coupled_spectrum(target.weight_fields(), [1.0, 1.0], gains)
+    rep = coupled_spectrum(target, [1.0, 1.0], gains)
     stacked = np.stack([f.flat for f in target.fields])
     vec_err = float(np.max(np.abs(rep.zero_vector - stacked)))
     elapsed = time.monotonic() - start
@@ -420,7 +419,7 @@ def test_13_zero_mass_stabilization():
     # oracle: eigenvalues of the off-support block D*lap - drain*I
     drain = float(np.max(gains.gains[g.edges.index((3, 1))]))
     ones = ScalarField.constant(d, 1.0)
-    block = divergence_form_operator(ones, ones).matrix.toarray() - drain * np.eye(64)
+    block = divergence_form_operator(ones).matrix.toarray() - drain * np.eye(64)
     bound = -float(np.max(np.linalg.eigvals(block).real))
     rel = abs(fit.rate - bound) / bound
     ok = rel <= 0.10
@@ -454,7 +453,7 @@ def test_15_particle_mean_field_agreement():
     target = TargetDensity.create(f)
     v = stabilizing_velocity(target, 1.0)
     y0 = ScalarField.constant(d, 1.0)
-    y_pde = march_to_end(relaxation_operator(f).matrix, y0, 1.0, 1e-3)
+    y_pde = march_to_end(target.relaxation_operator.matrix, y0, 1.0, 1e-3)
 
     def run(seed):
         ens = ParticleEnsemble.uniform(d, 100000, state=1, seed=seed)

@@ -817,3 +817,37 @@ def test_hsdp_steer_tiny_target_state(tmp_path):
     # an entry interval, then at most 1 + ceil(2N*L) segments with N = 2 and
     # L <= 2, each a covering walk of length 2
     assert json.loads((out / "metadata.json").read_text())["intervals"] <= 1 + (1 + 8) * 2
+
+
+def test_hsdp_stabilize_one_state_support(tmp_path):
+    # the target empties state 1: the support is one state with no internal
+    # edge, and the drain gain 1 on the edge into it sets the decay rate
+    example = (EXAMPLES[0].parent / "hsdp-stabilize.cfg").read_text()
+    edits = [("[target.1]\nexpr = 0.4", "[target.1]\nexpr = 0"), ("t_final = 4.0", "t_final = 16.0")]
+    for old, new in edits:
+        assert old in example
+        example = example.replace(old, new)
+    path = write_cfg(tmp_path, example)
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 0
+    assert json.loads((out / "summary.json").read_text())["pass"] is True
+    measured = json.loads((out / "metadata.json").read_text())["measured"]
+    assert measured["decay_rate"] == pytest.approx(1.0, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "state, expr",
+    [("1", "0"), ("2", "0"), ("2", "x - 0.75")],
+    ids=["zero-state-1", "zero-state-2", "sign-change"],
+)
+def test_hsdp_steer_non_positive_target_state_is_usage_error(tmp_path, capsys, state, expr):
+    # steering shapes every state onto its target, so each one must be
+    # bounded below; a zero-mass or sign-changing state is a config fault
+    spec = re.compile(rf"(\[target\.{state}\]\n)expr = .*\n")
+    assert spec.search(HSDP_STEER_CFG)
+    path = write_cfg(tmp_path, spec.sub(rf"\g<1>expr = {expr}\n", HSDP_STEER_CFG))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 2
+    err = capsys.readouterr().err
+    assert "ConfigurationError" in err and f"[target.{state}]" in err
+    assert not (out / "summary.json").exists()

@@ -428,24 +428,31 @@ class TestExecutePlan:
         assert counts["step"] <= 1.0 / dt + len(plan.phases)
 
     def test_plan_assembles_two_operators(self, unit_grid_64, monkeypatch):
-        # the weighted-heat generator serves the gap and every smoothing
-        # and gain phase; the relaxation generator serves its gap
-        calls = []
-        original = grid.divergence_form_operator
+        # the weighted-heat generator serves its gap and every smoothing and
+        # gain phase; the relaxation generator serves its gap and the
+        # stabilize phase; the zero phase's heat generator is the other
+        # advection-diffusion assembly
+        calls = {"divergence_form_operator": 0, "assemble_advection_diffusion": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
 
-        for module in (grid, pde):
-            monkeypatch.setattr(module, "divergence_form_operator", counting)
+            return wrapper
+
+        importers = {"divergence_form_operator": (grid, pde), "assemble_advection_diffusion": (pde, control)}
+        for name, modules in importers.items():
+            wrapper = counting(name, getattr(modules[0], name))
+            for module in modules:
+                monkeypatch.setattr(module, name, wrapper)
         rng = np.random.default_rng(6)
         target = TargetDensity.create(cosine_target(unit_grid_64))
         y0 = random_density(unit_grid_64, rng)
         plan = synthesize_steering_plan(y0, target, 1.0, 1e-3)
         assert plan.schedule.truncation > 1
         execute_plan(plan, y0)
-        assert len(calls) == 2
+        assert calls == {"divergence_form_operator": 1, "assemble_advection_diffusion": 2}
 
     @pytest.mark.parametrize("alpha, j", [(-1.0, 1), (float("nan"), 1), (1.0, 0)])
     def test_bad_gain_phase_rejected(self, unit_grid_64, alpha, j):

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import gap_grids, random_grids
 from swarmctrl import grid
-
+from swarmctrl.control import TargetDensity
 from swarmctrl.errors import (
     CoefficientError,
     CompatibilityError,
@@ -26,11 +26,7 @@ from swarmctrl.grid import (
     neumann_laplacian,
     neumann_poisson_solve,
 )
-from swarmctrl.pde import (
-    assemble_advection_diffusion,
-    relaxation_operator,
-    weighted_heat_operator,
-)
+from swarmctrl.pde import assemble_advection_diffusion, weighted_heat_operator
 
 
 class TestBuildGrid:
@@ -87,8 +83,7 @@ class TestDivergenceFormOperator:
         rng = np.random.default_rng(2)
         d = build_grid(1, [1.0], [40])
         a = ScalarField(d, 0.5 + rng.random(40))
-        w = ScalarField(d, 0.2 + rng.random(40))
-        op = divergence_form_operator(a, w)
+        op = divergence_form_operator(a)
         u = ScalarField(d, 1.0 / a.values)
         scale = np.max(np.abs(op.matrix.diagonal()))
         assert np.max(np.abs(op.matrix @ u.flat)) <= 1e-14 * scale
@@ -97,8 +92,7 @@ class TestDivergenceFormOperator:
         rng = np.random.default_rng(3)
         d = build_grid(2, [1.0, 2.0], [6, 9])
         a = ScalarField(d, 0.5 + rng.random(d.shape))
-        w = ScalarField(d, 0.5 + rng.random(d.shape))
-        op = divergence_form_operator(a, w)
+        op = divergence_form_operator(a)
         colsums = np.asarray(op.matrix.sum(axis=0)).ravel()
         scale = np.max(np.abs(op.matrix.diagonal()))
         assert np.max(np.abs(colsums)) <= 1e-14 * scale
@@ -113,8 +107,7 @@ class TestDivergenceFormOperator:
         rng = np.random.default_rng(4)
         d = build_grid(2, [1.0, 1.0], [5, 7])
         a = ScalarField(d, 0.5 + rng.random(d.shape))
-        w = ScalarField(d, 0.5 + rng.random(d.shape))
-        m = divergence_form_operator(a, w).matrix.toarray()
+        m = divergence_form_operator(a).matrix.toarray()
         off = m - np.diag(np.diag(m))
         assert np.min(off) >= 0.0
 
@@ -123,8 +116,7 @@ class TestDivergenceFormOperator:
         rng = np.random.default_rng(5)
         d = build_grid(2, [1.0, 1.0], [8, 8])
         a = ScalarField(d, 0.5 + rng.random(d.shape))
-        w = ScalarField(d, 0.5 + rng.random(d.shape))
-        op = divergence_form_operator(a, w)
+        op = divergence_form_operator(a)
         u = ScalarField(d, rng.standard_normal(d.shape))
         total = abs(mass(ScalarField(d, op.matrix @ u.flat)))
         assert total <= 1e-12 * np.max(np.abs(u.values))
@@ -152,8 +144,7 @@ class TestDivergenceFormOperator:
         rng = np.random.default_rng(8)
         d = build_grid(2, [1.0, 1.0], [12, 12])
         a = ScalarField(d, 0.5 + rng.random(d.shape))
-        w = ScalarField(d, 0.5 + rng.random(d.shape))
-        op = divergence_form_operator(a, w)
+        op = divergence_form_operator(a)
         vals = np.linalg.eigvals(-op.matrix.toarray())
         assert np.min(vals.real) >= -1e-10
 
@@ -165,9 +156,7 @@ class TestDivergenceFormOperator:
         # monotone fluxes (exponential, and upwind at zero diffusion), and
         # the divergence form keeps u = 1/a in its kernel
         d = data.draw(random_grids())
-        cellwise = hnp.arrays(float, d.shape, elements=st.floats(0.2, 5.0))
-        a = ScalarField(d, data.draw(cellwise))
-        w = ScalarField(d, data.draw(cellwise))
+        a = ScalarField(d, data.draw(hnp.arrays(float, d.shape, elements=st.floats(0.2, 5.0))))
         v = FaceField(
             d,
             tuple(
@@ -177,7 +166,7 @@ class TestDivergenceFormOperator:
         )
         diffusion = data.draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0)))
         flux = data.draw(st.sampled_from(["exponential", "centered"]))
-        op = divergence_form_operator(a, w)
+        op = divergence_form_operator(a)
         adv = assemble_advection_diffusion(d, v, diffusion, flux)
         monotone = flux == "exponential" or diffusion == 0.0
         for m, check_sign in ((op.matrix, True), (adv, monotone)):
@@ -189,6 +178,32 @@ class TestDivergenceFormOperator:
         u = ScalarField(d, 1.0 / a.values)
         scale = max(1.0, np.max(np.abs(op.matrix.diagonal())))
         assert np.max(np.abs(op.matrix @ u.flat)) <= 1e-14 * scale
+
+
+class TestRelaxationOperator:
+    """``TargetDensity.relaxation_operator``: the exponential-fitted flux of
+    the stabilizing velocity grad(f)/f, the one generator of the
+    stabilizing flow."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_kernel_signs_and_reversibility(self, data):
+        # f is in the kernel, columns sum to zero and the off-diagonals are
+        # non-negative (an M-matrix step); diag(1/f) L is symmetric, since
+        # the flux is reversible with respect to f, which the spectral
+        # gap's symmetrizer a = 1/f relies on
+        d = data.draw(random_grids())
+        values = data.draw(hnp.arrays(float, d.shape, elements=st.floats(0.2, 5.0)))
+        f = ScalarField(d, values).normalized()
+        op = TargetDensity.create(f).relaxation_operator
+        m = op.matrix
+        scale = float(np.max(np.abs(m.diagonal())))
+        assert np.max(np.abs(m @ f.flat)) <= 1e-14 * scale * np.max(f.values)
+        assert np.max(np.abs(np.asarray(m.sum(axis=0)).ravel())) <= 1e-14 * scale
+        assert (m - sp.diags(m.diagonal())).min() >= 0.0
+        np.testing.assert_array_equal(op.a_values, 1.0 / f.values)
+        weighted = m.multiply(op.a_values.reshape(-1)[:, None]).toarray()
+        assert np.max(np.abs(weighted - weighted.T)) <= 1e-14 * scale * np.max(op.a_values)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +279,8 @@ class TestSpectralGap:
     def test_gap_matches_dense_oracle(self, domain, seed):
         rng = np.random.default_rng(seed)
         a = ScalarField(domain, 0.2 + rng.random(domain.shape))
-        w = ScalarField(domain, 0.2 + rng.random(domain.shape))
-        for op in (weighted_heat_operator(a), relaxation_operator(w)):
+        f = ScalarField(domain, 0.2 + rng.random(domain.shape)).normalized()
+        for op in (weighted_heat_operator(a), TargetDensity.create(f).relaxation_operator):
             assert op.spectral_gap() == pytest.approx(dense_gap(op), rel=1e-8)
 
     @settings(max_examples=30, deadline=None)

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -316,6 +317,22 @@ class TestZeroMassGains:
         drain = np.max(gains.gains[g.edges.index((3, 1))])
         assert report.rate == pytest.approx(drain, rel=0.10)
 
+    def test_one_state_support_is_drained_into(self, unit_grid_64):
+        # no support-internal edge to synthesize rates for: the drain gains
+        # alone stabilize, so the coupled generator has a simple zero
+        # eigenvalue at the target and the drain rate 1 as its gap
+        empty = ScalarField.constant(unit_grid_64, 0.0)
+        target = HybridTarget.create([cosine_target(unit_grid_64), empty])
+        gains = zero_mass_stabilizing_gains(BIG2, target)
+        by_edge = dict(zip(BIG2.edges, gains.gains))
+        assert np.max(by_edge[(1, 2)]) == 0.0
+        np.testing.assert_array_equal(by_edge[(2, 1)], 1.0)
+        report = coupled_spectrum(target, [1.0, 1.0], gains)
+        assert report.zero_simple
+        assert report.gap == pytest.approx(1.0, rel=1e-8)
+        stacked = np.stack([f.flat for f in target.fields])
+        assert np.max(np.abs(report.zero_vector - stacked)) <= 1e-8
+
     def test_disconnected_support_rejected(self, unit_grid_64):
         g = TransitionGraph(3, ((1, 3), (3, 1), (2, 3), (3, 2)))
         x = unit_grid_64.axis_centers(0)
@@ -366,7 +383,7 @@ class TestCoupledSpectrum:
         rates = synthesize_stationary_rates(graph, target.mass_vector())
         gains = stabilizing_gains(graph, target, rates)
         report = coupled_spectrum(target, diffusion, gains)
-        matrix = hybrid._coupled_generator(target.weight_fields(), diffusion, gains)
+        matrix = hybrid._coupled_generator(target, diffusion, gains)
         vals, vecs = scipy.linalg.eig(matrix.toarray())
         tol = 1e-9 * float(np.max(np.abs(matrix.diagonal())))
         k = hybrid.SPECTRUM_EIGENVALUES
@@ -393,6 +410,32 @@ class TestCoupledSpectrum:
         assert np.max(np.abs(report.zero_vector.reshape(-1) - dense_zero)) <= 1e-8 * scale
         stacked = np.stack([f.flat for f in target.fields]).reshape(-1)
         assert np.max(np.abs(report.zero_vector.reshape(-1) - stacked)) <= 1e-8 * scale
+
+    def test_blocks_are_the_split_step_generators(self):
+        # the certified generator is the one the split step advances: each
+        # diagonal block is, bit for bit, the transport generator that
+        # SplitStepper factors (zero velocity off the support)
+        d = build_grid(2, [1.0, 1.5], [6, 5])
+        gx, gy = d.center_grids()
+        fields = [
+            1.0 + 0.3 * np.cos(np.pi * gx) * np.cos(np.pi * gy / 1.5),
+            np.zeros(d.shape),
+            0.5 + gx * gy,
+        ]
+        total = sum(f.sum() for f in fields) * d.cell_volume
+        target = HybridTarget.create([ScalarField(d, f / total) for f in fields])
+        graph = TransitionGraph(3, ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3)))
+        gains = zero_mass_stabilizing_gains(graph, target)
+        diffusion = [1.0, 0.3, 0.5]
+        with mock.patch.object(hybrid, "make_stepper", wraps=pde.make_stepper) as spy:
+            SplitStepper(d, stabilizing_velocities(target, diffusion), diffusion, gains, 1e-2)
+        stepped = [call.args[0] for call in spy.call_args_list]
+        assert len(stepped) == 3
+        generator = hybrid._coupled_generator(target, diffusion, None).tocsr()
+        n = d.cell_count
+        for k, matrix in enumerate(stepped):
+            block = generator[k * n:(k + 1) * n, k * n:(k + 1) * n]
+            assert block.toarray().tobytes() == matrix.toarray().tobytes()
 
     def test_budget_at_3x1024_unknowns(self):
         # the benchmark's three-state graph on 1024 cells: one sparse LU and
@@ -427,9 +470,7 @@ class TestCoupledSpectrum:
         assert report.zero_simple
 
     def test_single_state_reduces_to_scalar(self, unit_grid_64):
-        f = cosine_target(unit_grid_64)
-        a = ScalarField(unit_grid_64, 1.0 / f.values)
-        report = coupled_spectrum([a], [1.0], None)
+        report = coupled_spectrum(HybridTarget.create([cosine_target(unit_grid_64)]), [1.0], None)
         assert report.max_real_part <= 1e-8
         assert np.max(np.abs(report.eigenvalues.imag)) <= 1e-8
         assert report.zero_simple
@@ -437,8 +478,8 @@ class TestCoupledSpectrum:
     def test_zero_generator(self, unit_grid_64):
         # no diffusion and no gains: every eigenvalue is zero, and the shift
         # still leaves the shifted generator invertible
-        a = ScalarField.constant(unit_grid_64, 1.0)
-        report = coupled_spectrum([a, a], [0.0, 0.0], None)
+        half = ScalarField.constant(unit_grid_64, 0.5)
+        report = coupled_spectrum(HybridTarget.create([half, half]), [0.0, 0.0], None)
         np.testing.assert_array_equal(report.eigenvalues, 0.0)
         # a multiple zero eigenvalue (gap 0) is not simple
         assert not report.zero_simple
@@ -448,7 +489,7 @@ class TestCoupledSpectrum:
         f = [ScalarField.constant(d, 0.5), ScalarField.constant(d, 0.5)]
         target = HybridTarget.create(f)
         gains = stabilizing_gains(BIG2, target, np.array([1.0, 1.0]))
-        report = coupled_spectrum(target.weight_fields(), [1.0, 1.0], gains)
+        report = coupled_spectrum(target, [1.0, 1.0], gains)
         assert report.gap == pytest.approx(min(np.pi**2, 2.0), rel=0.02)
 
     def test_constant_gains_embed_rate_matrix_spectrum(self):
@@ -465,7 +506,7 @@ class TestCoupledSpectrum:
         assert all(np.ptp(g) == 0.0 for g in gains.gains)
         constants = [float(g.reshape(-1)[0]) for g in gains.gains]
         mass_level = spectrum_check(BIG2, constants)
-        coupled = coupled_spectrum(target.weight_fields(), [1.0, 1.0], gains)
+        coupled = coupled_spectrum(target, [1.0, 1.0], gains)
         for lam in mass_level.eigenvalues:
             dist = np.min(np.abs(coupled.eigenvalues - lam))
             assert dist <= 1e-8
@@ -474,7 +515,7 @@ class TestCoupledSpectrum:
         target = two_state_target(unit_grid_64)
         rates = synthesize_stationary_rates(BIG2, target.mass_vector())
         gains = stabilizing_gains(BIG2, target, rates)
-        report = coupled_spectrum(target.weight_fields(), [1.0, 1.0], gains)
+        report = coupled_spectrum(target, [1.0, 1.0], gains)
         assert report.max_real_part <= 1e-8
         assert report.zero_simple
         stacked = np.stack([f.flat for f in target.fields])
@@ -496,7 +537,7 @@ class TestCoupledSpectrum:
         from swarmctrl.grid import divergence_form_operator
 
         ones = ScalarField.constant(unit_grid_64, 1.0)
-        block = divergence_form_operator(ones, ones).matrix.toarray() - drain * np.eye(64)
+        block = divergence_form_operator(ones).matrix.toarray() - drain * np.eye(64)
         vals = np.linalg.eigvals(block)
         assert np.max(vals.real) <= -drain + 1e-10
 

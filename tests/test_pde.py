@@ -30,7 +30,6 @@ from swarmctrl.pde import (
     fit_decay_rate,
     make_stepper,
     march,
-    relaxation_operator,
     weighted_heat_operator,
 )
 
@@ -472,7 +471,10 @@ class TestMarchOracle:
     def test_end_state_error_is_first_order(self, domain, kind, k, n, seed):
         rng = np.random.default_rng(seed)
         w = ScalarField(domain, 0.5 + 1.5 * rng.random(domain.shape))
-        op = weighted_heat_operator(w) if kind == "weighted_heat" else relaxation_operator(w)
+        if kind == "weighted_heat":
+            op = weighted_heat_operator(w)
+        else:
+            op = TargetDensity.create(w.normalized()).relaxation_operator
         matrix = op.matrix
         off = matrix - sp.diags(matrix.diagonal())
         assert off.min() >= 0
@@ -542,11 +544,12 @@ class TestWeightedHeat:
 
 
 class TestStabilizingFlow:
-    """The flow y_t = div(f grad(y/f)): ``march`` of the relaxation generator."""
+    """The flow y_t = lap(y) - div(y grad(f)/f): ``march`` of the relaxation
+    generator."""
 
     def test_target_is_fixed_point(self, unit_grid_128):
         f = cosine_target(unit_grid_128)
-        y1 = march_to_end(relaxation_operator(f).matrix, f, 0.3, 1e-3)
+        y1 = march_to_end(TargetDensity.create(f).relaxation_operator.matrix, f, 0.3, 1e-3)
         assert np.max(np.abs(y1.values - f.values)) <= 1e-12
 
     def test_lower_bound_preserved(self, unit_grid_64):
@@ -563,7 +566,7 @@ class TestStabilizingFlow:
             c1 = np.min(a_vals)
             bound = c1 * np.min(y.values) / np.max(a_vals)
             dt = 2e-3
-            matrix = relaxation_operator(f).matrix
+            matrix = TargetDensity.create(f.normalized()).relaxation_operator.matrix
             state = y
             for _ in range(10):
                 state = march_to_end(matrix, state, 0.05, dt)
@@ -573,7 +576,7 @@ class TestStabilizingFlow:
         rng = np.random.default_rng(6)
         f = cosine_target(unit_grid_64)
         y = random_density(unit_grid_64, rng)
-        matrix = relaxation_operator(f).matrix
+        matrix = TargetDensity.create(f).relaxation_operator.matrix
         times, errors = [], []
         t = 0.0
         for _ in range(10):
@@ -589,7 +592,7 @@ class TestStabilizingFlow:
     def test_nonpositive_target_rejected(self, unit_grid_64):
         f = ScalarField(unit_grid_64, np.linspace(0.0, 2.0, 64))
         with pytest.raises(TargetError):
-            relaxation_operator(f)
+            TargetDensity.create(f)
 
 
 class TestFitDecayRate:
