@@ -24,7 +24,7 @@ import numpy as np
 
 from . import control as ctl
 from . import ctmc, hybrid, particles
-from .errors import SwarmCtrlError, ConfigurationError, GraphError
+from .errors import SwarmCtrlError, ConfigurationError, GraphError, SynthesisError
 from .expressions import evaluate
 from .grid import RectDomain, ScalarField, build_grid, l2_norm, mass
 from .pde import fit_decay_rate, march
@@ -487,9 +487,24 @@ def _run_hsdp_stabilize(sc: Scenario, out_dir: Path) -> bool:
     pde_dt = _stepper_config(sc)
     graph = _graph_from_config(sc)
     n = graph.n_vertices
-    target = hybrid.HybridTarget.create(_stacked_fields(sc, domain, "target", n))
+    fields = _stacked_fields(sc, domain, "target", n)
+    for k, field in enumerate(fields, start=1):
+        if np.any(field.values) and not np.min(field.values) > 0:
+            raise ConfigurationError(
+                f"[target.{k}] must be positive in every cell or zero in every cell: a "
+                f"stabilized state is positive and a drained one empty, got min "
+                f"{np.min(field.values)}"
+            )
+    target = hybrid.HybridTarget.create(fields)
     diffusion = [_number(sc, "pde", "diffusion", 1.0, nonnegative=True)] * n
-    gains = hybrid.zero_mass_stabilizing_gains(graph, target)
+    try:
+        gains = hybrid.zero_mass_stabilizing_gains(graph, target)
+    except (GraphError, SynthesisError) as exc:
+        # a residual marks a numerical failure; without one the config's
+        # own edges and targets admit no stabilizing gains
+        if getattr(exc, "residual", None) is not None:
+            raise
+        raise ConfigurationError(f"[graph] with the [target.K] masses: {exc}") from exc
     velocities = hybrid.stabilizing_velocities(target, diffusion)
     rng = np.random.Generator(np.random.Philox(sc.seed))
     arrays = [0.2 + rng.random(domain.shape) for _ in range(n)]

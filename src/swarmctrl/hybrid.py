@@ -328,12 +328,30 @@ def zero_mass_stabilizing_gains(
     block-triangular structure of the induced mass-flow matrix.  All
     other edges get unit gain, which drives the unsupported states to
     zero exponentially.
+
+    Raises `SynthesisError` (with no residual) when the graph admits no
+    such gains: the support's own edges are not strongly connected, or
+    some unsupported state has no path to the support, so its mass would
+    never drain.
     """
     if target.full_support():
         sub_rates = synthesize_stationary_rates(graph, target.mass_vector())
         return stabilizing_gains(graph, target, sub_rates)
     support = set(target.support)
     sub_vertices = sorted(support)
+    drained = set(support)  # states with a path to the support
+    frontier = list(support)
+    while frontier:
+        for i in graph.predecessors[frontier.pop()]:
+            if i not in drained:
+                drained.add(i)
+                frontier.append(i)
+    trapped = sorted(set(range(1, graph.n_vertices + 1)) - drained)
+    if trapped:
+        raise SynthesisError(
+            f"zero-mass states {trapped} have no path to the support "
+            f"{sub_vertices}, so their mass cannot drain"
+        )
     relabel = {v: k + 1 for k, v in enumerate(sub_vertices)}
     sub_edges = [
         (relabel[i], relabel[j]) for (i, j) in graph.edges if i in support and j in support

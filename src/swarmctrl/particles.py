@@ -2,10 +2,24 @@
 
 Positions follow Euler-Maruyama with per-state drift and diffusion;
 boundary confinement uses coordinatewise mirror reflection; the discrete
-state switches by thinning with at most one switch per step.  The random
-stream is a seeded counter-based generator (Philox), so identical seeds
-reproduce trajectories bit for bit and the draw order stays fixed even
-though particles are otherwise independent.
+state switches with at most one switch per step, found by thinning
+(Lewis & Shedler 1979): Bernoulli(p_max) candidates, each kept with
+probability p / p_max.  The random stream is a seeded counter-based
+generator (Philox), so identical seeds reproduce trajectories bit for bit.
+
+Draw contract of one `sde_step` on n particles, in this order:
+
+1. the noise, ``standard_normal`` of shape (n, dim);
+2. when switching is on and n * p_max > 0, the geometric gaps between
+   Bernoulli(p_max) successes, in chunks of floor(n p + 4 sqrt(n p)) + 8
+   until one chunk passes n (see `_bernoulli_indices`);
+3. one acceptance uniform per candidate, in index order;
+4. one edge uniform per accepted candidate, in index order.
+
+p_max is the largest 1 - exp(-R dt) over the state x cell table of total
+exit rates R; the `MAX_EXIT_RATE_DT` guard keeps it at most
+1 - exp(-0.1) < 0.0952.  With p_max = 0 a step draws nothing after the
+noise.
 """
 
 from __future__ import annotations
@@ -46,7 +60,7 @@ class _StepWorkspace:
         self.value = np.empty(count)
         self.index = np.empty(count, dtype=np.int64)
         self.state0 = np.empty(count, dtype=np.int64)
-        self.fire = np.empty(count, dtype=bool)  # also the reflection's mask
+        self.mask = np.empty(count, dtype=bool)  # the reflection's scratch
 
 
 @dataclasses.dataclass(eq=False)
@@ -114,20 +128,13 @@ def _locate(
         np.subtract(frac[d], cells[d], out=frac[d])
 
 
-def _flat_cell_index(
-    domain: RectDomain, positions: np.ndarray, work: _StepWorkspace | None = None
-) -> np.ndarray:
-    """C-order flat index of the grid cell holding each position, computed
-    in the scratch arrays of ``work`` (a fresh workspace when not given)
-    and returned in its ``index`` array."""
-    if work is None:
-        work = _StepWorkspace(*positions.shape)
-    _locate(domain, positions, work.frac, work.cells)
-    cell = work.index
-    np.copyto(cell, work.cells[0])
-    for k, m in zip(work.cells[1:], domain.cells[1:]):
-        np.multiply(cell, m, out=cell)
-        np.add(cell, k, out=cell)
+def _flat_cell_index(domain: RectDomain, positions: np.ndarray) -> np.ndarray:
+    """C-order flat index of the grid cell holding each position, points
+    on the upper boundary belonging to the last cell."""
+    cell = np.zeros(len(positions), dtype=np.int64)
+    for d, (h, n) in enumerate(zip(domain.spacing, domain.cells)):
+        k = np.clip((positions[:, d] / h).astype(np.int64), 0, n - 1)
+        cell = cell * n + k
     return cell
 
 
@@ -172,6 +179,33 @@ def _switch_tables(
             dest[s, : len(edges)] = [j for _, j in edges]
             dest[s, len(edges):] = edges[-1][1]
     return cum, dest
+
+
+def _bernoulli_indices(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """Sorted indices of the successes of n independent Bernoulli(p) trials.
+
+    The gaps between successes are geometric, drawn in chunks of
+    floor(n p + 4 sqrt(n p)) + 8 until one chunk passes n, so the draws and
+    the memory are O(n p), not O(n).  Each gap is clipped to n + 1 before
+    the cumulative sum: a clipped gap still passes n from any start, and
+    the sum, below (chunk + 1) * (n + 1), cannot wrap for any n under 2**31
+    (at p = 1e-300 numpy returns gaps of INT64_MAX).  Draws nothing when
+    n * p = 0.
+    """
+    if n == 0 or p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    mean = n * p
+    chunk = int(mean + 4.0 * math.sqrt(mean)) + 8
+    parts = []
+    last = -1  # index of the last success so far
+    while last < n:
+        gaps = rng.geometric(p, size=chunk)
+        np.minimum(gaps, n + 1, out=gaps)
+        gaps[0] += last
+        last = int(np.cumsum(gaps, out=gaps)[-1])
+        parts.append(gaps)
+    idx = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return idx[: np.searchsorted(idx, n)]
 
 
 def _reflect(x: np.ndarray, length: float, mask: np.ndarray | None = None) -> None:
@@ -230,16 +264,20 @@ def sde_step(
     ensemble is partly advanced.
 
     Drift and noise use the particle's current state; switching fires at
-    most once per particle with total-rate probability 1 - exp(-R dt) and
-    the destination edge drawn proportionally to its gain at the particle
-    position.  The guard R*dt <= 0.1 keeps the single-switch error below
-    Monte Carlo noise.
+    most once per particle with total-rate probability p = 1 - exp(-R dt),
+    R the total exit rate at the particle's new position, and the
+    destination edge drawn proportionally to its gain there.  The guard
+    R*dt <= 0.1 keeps the single-switch error below Monte Carlo noise.
 
     Per-state data (padded face velocities, noise scales, switching
     probabilities, cumulative gains) go into small tables of size
-    states x cells; each particle reads its entries with one flat gather on
-    (state - 1) * stride + cell, so a step costs O(particles) whatever the
-    number of states.
+    states x cells; each particle reads its drift and noise scale with one
+    flat gather on (state - 1) * stride + cell, so drift and noise cost
+    O(particles) whatever the number of states.  Switching is exact
+    thinning: Bernoulli(p_max) candidates, p_max the table's largest p,
+    each accepted with probability p / p_max, so the cell lookup and the
+    switching gathers run on about particles * p_max candidates only.
+    The random draws follow the module's draw contract.
     """
     if not 0 < dt < math.inf:
         raise InputError(f"dt must be finite and positive, got {dt}")
@@ -274,8 +312,7 @@ def sde_step(
     positions, noise, frac, cells = ensemble.positions, work.noise, work.frac, work.cells
     state0, index, weight, value = work.state0, work.index, work.weight, work.value
 
-    # fixed draw order keeps trajectories seed-reproducible: the noise,
-    # then the two switching uniforms only when switching is on
+    # the draw order is the module's draw contract: noise first
     rng.standard_normal(out=noise)
     np.subtract(states, 1, out=state0)
     # sigma * noise, folded into the noise (multiplication commutes)
@@ -301,21 +338,21 @@ def sde_step(
         x = positions[:, d]
         np.add(x, drift, out=x)
         np.add(x, noise[:, d], out=x)
-        _reflect(x, length, work.fire)
+        _reflect(x, length, work.mask)
 
     if gains is not None:
-        # row of each new position in the state x cell tables
-        cell = _flat_cell_index(domain, positions, work)
-        key = np.multiply(state0, domain.cell_count, out=cells[0])
-        np.add(key, cell, out=key)
-        # u_switch and then u_edge share one buffer: nothing draws between
-        u = rng.random(out=value)
+        # exact thinning: Bernoulli(p_max) candidates, each kept with
+        # probability p / p_max at its row of the state x cell tables
         p_table = -np.expm1(-totals * dt)
-        fire = np.flatnonzero(np.less(u, p_table.take(key, out=weight, mode="clip"), out=work.fire))
-        u = rng.random(out=value)
-        s = state0[fire]
-        pick = u[fire] * totals.take(key[fire])
-        choice = (pick[:, None] >= cum[s, :, cell[fire]]).sum(axis=1)
+        p_max = float(p_table.max())
+        cand = _bernoulli_indices(rng, ensemble.count, p_max)
+        s = state0[cand]
+        cell = _flat_cell_index(domain, positions[cand])
+        key = s * domain.cell_count + cell
+        keep = rng.random(cand.size) * p_max < p_table[key]
+        fire, s, cell, key = cand[keep], s[keep], cell[keep], key[keep]
+        pick = rng.random(fire.size) * totals[key]
+        choice = (pick[:, None] >= cum[s, :, cell]).sum(axis=1)
         states[fire] = dest[s, np.minimum(choice, dest.shape[1] - 1)]
     return ensemble
 

@@ -851,3 +851,48 @@ def test_hsdp_steer_non_positive_target_state_is_usage_error(tmp_path, capsys, s
     err = capsys.readouterr().err
     assert "ConfigurationError" in err and f"[target.{state}]" in err
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "state, expr",
+    [("1", "x - 0.75"), ("2", "abs(x - 0.5) + x - 0.5")],
+    ids=["sign-change", "zero-in-some-cells"],
+)
+def test_hsdp_stabilize_mixed_sign_target_state_is_usage_error(tmp_path, capsys, state, expr):
+    # a stabilized state must be positive in every cell and a drained one
+    # empty; a field between the two is a config fault, not a TargetError
+    example = (EXAMPLES[0].parent / "hsdp-stabilize.cfg").read_text()
+    spec = re.compile(rf"(\[target\.{state}\]\n)expr = .*\n")
+    assert spec.search(example)
+    path = write_cfg(tmp_path, spec.sub(rf"\g<1>expr = {expr}\n", example))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [swarmctrl.errors.ConfigurationError]:")
+    assert f"[target.{state}]" in err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, names",
+    [
+        ("edges = 1 2\n    2 1", "edges = 1 2\n    2 1\n    1 3\n\n[target.3]\nexpr = 0",
+         "zero-mass states [3] have no path to the support"),
+        ("edges = 1 2\n    2 1", "edges = 1 2",
+         "strongly connected"),
+    ],
+    ids=["trapped-zero-mass-state", "full-support-not-strongly-connected"],
+)
+def test_hsdp_stabilize_graph_without_gains_is_usage_error(tmp_path, capsys, old, new, names):
+    # the config's own edges and targets admit no stabilizing gains: a
+    # sink state 3 outside the support, or a graph that is not strongly
+    # connected, so mass can flow only one way
+    example = (EXAMPLES[0].parent / "hsdp-stabilize.cfg").read_text()
+    assert old in example
+    path = write_cfg(tmp_path, example.replace(old, new))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [swarmctrl.errors.ConfigurationError]:")
+    assert "[graph]" in err and names in err
+    assert not (out / "summary.json").exists()

@@ -346,6 +346,21 @@ class TestZeroMassGains:
         with pytest.raises(SynthesisError):
             zero_mass_stabilizing_gains(g, target)
 
+    def test_trapped_zero_mass_states_named(self, unit_grid_64):
+        # 3 is a sink and 4 leads only into it, so their mass could never
+        # drain; 5 drains through 1, and the support {1, 2} is a cycle
+        g = TransitionGraph(5, ((1, 2), (2, 1), (1, 3), (4, 3), (5, 1), (2, 5)))
+        half = ScalarField(unit_grid_64, 0.5 * np.ones(64))
+        empty = ScalarField.constant(unit_grid_64, 0.0)
+        target = HybridTarget.create([half, half, empty, empty, empty])
+        with pytest.raises(SynthesisError, match=r"states \[3, 4\] have no path") as info:
+            zero_mass_stabilizing_gains(g, target)
+        assert info.value.residual is None
+        # with a way out of 3 every zero-mass state drains
+        g = TransitionGraph(5, g.edges + ((3, 2),))
+        gains = zero_mass_stabilizing_gains(g, target)
+        np.testing.assert_array_equal(gains.gains[g.edges.index((4, 3))], 1.0)
+
 
 @st.composite
 def stabilized_configurations(draw):

@@ -18,6 +18,7 @@ from swarmctrl.particles import (
     MAX_EXIT_RATE_DT,
     MAX_REFLECT_ROUNDS,
     ParticleEnsemble,
+    _bernoulli_indices,
     _reflect,
     empirical_density,
     sde_step,
@@ -28,7 +29,8 @@ G2 = TransitionGraph(2, ((1, 2), (2, 1)))
 
 # ---------------------------------------------------------------------------
 # oracle: the per-state particle step that sde_step replaced (boolean
-# selection per state, face padding per call, full-array reflection)
+# selection per state, face padding per call, full-array reflection), with
+# the switching draws of the module's draw contract in plain loops
 
 
 def _oracle_cells(domain, positions):
@@ -86,27 +88,50 @@ def _oracle_sde_step(ensemble, velocities, diffusion, gains, dt):
         domain, ensemble.positions + drift * dt + sigma[:, None] * noise
     )
     if gains is not None:
-        u_switch = rng.random(n)
-        u_edge = rng.random(n)
+        # the draw contract: geometric gaps between Bernoulli(p_max)
+        # candidates, one acceptance uniform per candidate, one edge
+        # uniform per accepted candidate
         cell = 0
         for k, m in zip(_oracle_cells(domain, ensemble.positions), domain.cells):
             cell = cell * m + k
+        out_edges = [[(k, j) for k, (i, j) in enumerate(gains.graph.edges) if i == s]
+                     for s in range(1, n_states + 1)]
+        p = np.zeros((n_states, domain.cell_count))
+        for s, edges in enumerate(out_edges):
+            if edges:
+                total = np.stack([gains.gains[k].reshape(-1) for k, _ in edges]).sum(axis=0)
+                p[s] = -np.expm1(-total * dt)
+        p_max = float(p.max())
+        candidates = []
+        if n and p_max > 0:
+            chunk = int(n * p_max + 4.0 * math.sqrt(n * p_max)) + 8
+            last = -1
+            while last < n:
+                for gap in rng.geometric(p_max, size=chunk).tolist():
+                    last += gap
+                    if last < n:
+                        candidates.append(last)
+        u_accept = rng.random(len(candidates))
+        accepted = np.array(
+            [i for i, u in zip(candidates, u_accept)
+             if u * p_max < p[ensemble.states[i] - 1, cell[i]]],
+            dtype=np.int64,
+        )
+        u_edge = rng.random(accepted.size)
         new_states = ensemble.states.copy()
         for s in range(1, n_states + 1):
-            sel = np.flatnonzero(ensemble.states == s)
-            out_edges = [(k, j) for k, (i, j) in enumerate(gains.graph.edges) if i == s]
-            if sel.size == 0 or not out_edges:
+            sel = ensemble.states[accepted] == s
+            if not sel.any():
                 continue
-            rate_rows = np.stack([gains.gains[k].reshape(-1)[cell[sel]] for k, _ in out_edges])
+            fired = accepted[sel]
+            edges = out_edges[s - 1]
+            rate_rows = np.stack([gains.gains[k].reshape(-1)[cell[fired]] for k, _ in edges])
             total = rate_rows.sum(axis=0)
-            fire = u_switch[sel] < -np.expm1(-total * dt)
-            if not fire.any():
-                continue
             cum = np.cumsum(rate_rows, axis=0)
             pick = u_edge[sel][None, :] * total[None, :]
-            choice = np.minimum((pick >= cum).sum(axis=0), len(out_edges) - 1)
-            targets = np.array([j for _, j in out_edges], dtype=np.int64)
-            new_states[sel[fire]] = targets[choice[fire]]
+            choice = np.minimum((pick >= cum).sum(axis=0), len(edges) - 1)
+            targets = np.array([j for _, j in edges], dtype=np.int64)
+            new_states[fired] = targets[choice]
         ensemble.states = new_states
     return ensemble
 
@@ -314,6 +339,52 @@ class TestSdeStep:
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
+    def test_spatial_gains_fire_and_split_per_cell(self):
+        # state 1 has two out-edges whose gains vary over the cells; without
+        # drift or noise every particle stays in its cell, so each cell is
+        # its own Bernoulli experiment: fire with 1 - exp(-R(x) dt), then
+        # split in proportion to the gains at x
+        d = build_grid(1, [1.0], [4])
+        g = TransitionGraph(3, ((1, 2), (1, 3), (2, 1), (3, 1)))
+        to_two = np.array([0.0, 4.0, 15.0, 30.0])
+        to_three = np.array([0.0, 12.0, 5.0, 10.0])
+        gains = SpatialGainSet(g, d, (to_two, to_three, np.zeros(4), np.zeros(4)))
+        dt = 2e-3  # R dt <= 0.08
+        per_cell, steps = 50000, 5
+        cell = np.repeat(np.arange(4), per_cell)
+        ens = ParticleEnsemble(
+            d, ((cell + 0.5) * 0.25)[:, None], np.ones(cell.size, dtype=np.int64),
+            np.random.Generator(np.random.Philox(21)),
+        )
+        fired, went_two = np.zeros(4), np.zeros(4)
+        for _ in range(steps):
+            ens.states[:] = 1
+            sde_step(ens, [None] * 3, [0.0] * 3, gains, dt)
+            fired += np.bincount(cell[ens.states != 1], minlength=4)
+            went_two += np.bincount(cell[ens.states == 2], minlength=4)
+        trials = per_cell * steps
+        rate = to_two + to_three
+        p = -np.expm1(-rate * dt)
+        assert fired[0] == 0
+        sigma = np.sqrt(p * (1.0 - p) / trials)
+        assert np.all(np.abs(fired / trials - p) <= 3.0 * sigma)
+        share = to_two[1:] / rate[1:]
+        sigma = np.sqrt(share * (1.0 - share) / fired[1:])
+        assert np.all(np.abs(went_two[1:] / fired[1:] - share) <= 3.0 * sigma)
+
+    def test_zero_gains_draw_only_the_noise(self):
+        d = build_grid(2, [1.0, 2.0], [5, 3])
+        gains = SpatialGainSet(G2, d, (0.0, 0.0))
+        rng = np.random.default_rng(4)
+        positions = rng.uniform(0.0, 1.0, (700, 2)) * d.lengths
+        states = rng.integers(1, 3, 700)
+        ens = ParticleEnsemble(d, positions, states.copy(), np.random.Generator(np.random.Philox(8)))
+        twin = np.random.Generator(np.random.Philox(8))
+        sde_step(ens, [None, None], [0.5, 1.0], gains, 1e-3)
+        twin.standard_normal((700, 2))
+        np.testing.assert_array_equal(ens.states, states)
+        assert ens.rng.random(4).tobytes() == twin.random(4).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(setup=switching_setups())
     def test_matches_per_state_oracle(self, setup):
@@ -423,6 +494,57 @@ class TestInPlaceStep:
             assert new.positions.tobytes() == oracle.positions.tobytes()
             assert new.states.tobytes() == oracle.states.tobytes()
         assert new.rng.random() == oracle.rng.random()
+
+
+class TestBernoulliIndices:
+    @pytest.mark.parametrize("n, p", [(1, 0.5), (1000, 0.002), (40000, 0.095), (50, 0.9)])
+    def test_sorted_unique_in_range_with_binomial_count(self, n, p):
+        rng = np.random.Generator(np.random.Philox(13))
+        counts, index_sum = [], 0
+        for _ in range(400):
+            idx = _bernoulli_indices(rng, n, p)
+            assert idx.dtype == np.int64
+            assert np.all(np.diff(idx) > 0)  # sorted and unique
+            assert idx.size == 0 or (idx[0] >= 0 and idx[-1] < n)
+            counts.append(idx.size)
+            index_sum += int(idx.sum())
+        sigma = math.sqrt(n * p * (1.0 - p) / len(counts))
+        assert abs(np.mean(counts) - n * p) <= 4.0 * sigma
+        # every index equally likely: the mean success index is (n - 1) / 2
+        total = sum(counts)
+        sigma = math.sqrt((n * n - 1) / 12.0 / total)
+        assert abs(index_sum / total - (n - 1) / 2.0) <= 4.0 * sigma + 1e-12
+
+    @pytest.mark.parametrize("p", [0.0, 1e-300])
+    @pytest.mark.parametrize("n", [0, 1, 40000])
+    def test_vanishing_p_gives_no_candidates(self, n, p):
+        # at 1e-300 numpy's geometric returns INT64_MAX gaps, whose plain
+        # cumulative sum wraps to negative indices
+        rng = np.random.Generator(np.random.Philox(2))
+        with np.errstate(all="raise"):
+            for _ in range(20):
+                idx = _bernoulli_indices(rng, n, p)
+                assert idx.size == 0 and idx.dtype == np.int64
+
+    def test_nothing_drawn_without_trials(self):
+        for n, p in ((0, 0.5), (40000, 0.0)):
+            rng, twin = (np.random.Generator(np.random.Philox(3)) for _ in range(2))
+            _bernoulli_indices(rng, n, p)
+            assert rng.random() == twin.random()
+
+    def test_memory_is_of_candidate_size(self):
+        n, p = 40000, 0.095
+        rng = np.random.Generator(np.random.Philox(5))
+        _bernoulli_indices(rng, n, p)
+        tracemalloc.start()
+        try:
+            idx = _bernoulli_indices(rng, n, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert idx.size > 0
+        # one int64 array of n entries is 8 * n bytes
+        assert peak < 4 * n
 
 
 class TestReflect:
