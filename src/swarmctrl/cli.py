@@ -201,8 +201,10 @@ def _stepper_config(sc: Scenario) -> float:
     return _number(sc, "pde", "dt", 1e-3, positive=True)
 
 
-def _graph_from_config(sc: Scenario) -> ctmc.TransitionGraph:
-    """[graph] edges or file; a malformed edge list is a ConfigurationError naming the key."""
+def _graph_from_config(sc: Scenario, strongly_connected_for: str = "") -> ctmc.TransitionGraph:
+    """[graph] edges or file; a malformed edge list, or one that is not strongly
+    connected when ``strongly_connected_for`` names a use that needs it, is a
+    ConfigurationError naming the key."""
     cfg = sc.config
     if not cfg.has_section("graph"):
         raise ConfigurationError("config is missing the [graph] section")
@@ -216,9 +218,15 @@ def _graph_from_config(sc: Scenario) -> ctmc.TransitionGraph:
     else:
         raise ConfigurationError("[graph] needs either 'edges' or 'file'")
     try:
-        return ctmc.read_edge_list(source)
+        graph = ctmc.read_edge_list(source)
     except GraphError as exc:
         raise ConfigurationError(f"{where}: {exc}") from exc
+    if strongly_connected_for and not ctmc.is_strongly_connected(graph):
+        raise ConfigurationError(
+            f"{where}: {strongly_connected_for} requires a strongly connected graph, "
+            "a directed path from every state to every other"
+        )
+    return graph
 
 
 _CSV_BLOCK_ROWS = 4096  # CSV lines formatted per write
@@ -260,6 +268,15 @@ def _stacked_lines(snapshots):
         for t, stacked in snapshots
         for s, field in enumerate(stacked.fields, start=1)
     )
+
+
+def _control_lines(control: ctmc.PiecewiseConstantControl):
+    """``t_start,t_end,edge,rate`` lines, one per interval and edge."""
+    edges = [f"{i}->{j}" for i, j in control.graph.edges]
+    times = control.breakpoints.tolist()
+    for t0, t1, rates in zip(times, times[1:], control.rates.tolist()):
+        for edge, rate in zip(edges, rates):
+            yield f"{_fmt(t0)},{_fmt(t1)},{edge},{_fmt(rate)}"
 
 
 def _write_particles_csv(path: Path, ens: particles.ParticleEnsemble) -> None:
@@ -421,7 +438,7 @@ def _run_path(sc: Scenario, out_dir: Path) -> bool:
 
 
 def _run_ctmc_plan(sc: Scenario, out_dir: Path) -> bool:
-    graph = _graph_from_config(sc)
+    graph = _graph_from_config(sc, strongly_connected_for="ctmc-plan")
     mu0 = _distribution_option(sc, "mu0", graph.n_vertices)
     mu_target = _distribution_option(sc, "mu_target", graph.n_vertices)
     duration = _number(sc, "run", "t_final", 1.0, positive=True)
@@ -429,7 +446,7 @@ def _run_ctmc_plan(sc: Scenario, out_dir: Path) -> bool:
     traj = ctmc.propagate(mu0, ctrl)
     endpoint_error = float(np.max(np.abs(traj[-1] - mu_target)))
 
-    ctmc.control_to_csv(ctrl, out_dir / "control.csv")
+    _write_csv(out_dir / "control.csv", "t_start,t_end,edge,rate", _control_lines(ctrl))
     _write_csv(
         out_dir / "trajectory.csv",
         "t," + ",".join(f"mu{v}" for v in range(1, graph.n_vertices + 1)),
@@ -444,7 +461,7 @@ def _run_ctmc_plan(sc: Scenario, out_dir: Path) -> bool:
 def _run_hsdp_steer(sc: Scenario, out_dir: Path) -> bool:
     domain = _build_domain(sc)
     dt = _stepper_config(sc)
-    graph = _graph_from_config(sc)
+    graph = _graph_from_config(sc, strongly_connected_for="hsdp-steer")
     n = graph.n_vertices
     fields = _stacked_fields(sc, domain, "target", n)
     for k, field in enumerate(fields, start=1):
@@ -467,7 +484,9 @@ def _run_hsdp_steer(sc: Scenario, out_dir: Path) -> bool:
             [(0.0, initial), (t_final / 2.0, run.switch_state), (t_final, run.final_state)]
         ),
     )
-    ctmc.control_to_csv(plan.mass_control, out_dir / "control.csv")
+    _write_csv(
+        out_dir / "control.csv", "t_start,t_end,edge,rate", _control_lines(plan.mass_control)
+    )
     measured = {
         "final_error": float(np.max(run.per_state_error_l2)),
         "max_velocity": run.max_velocity,
@@ -587,8 +606,11 @@ def _run_particles(sc: Scenario, out_dir: Path) -> bool:
 
 
 def _run_spectrum(sc: Scenario, out_dir: Path) -> bool:
-    graph = _graph_from_config(sc)
-    if sc.config.has_option("run", "rates"):
+    explicit = sc.config.has_option("run", "rates")  # explicit rates may sit on any graph
+    graph = _graph_from_config(
+        sc, strongly_connected_for="" if explicit else "spectrum with [run] mu_eq"
+    )
+    if explicit:
         rates = _distribution_option(sc, "rates", graph.n_edges)
     else:
         mu_eq = _distribution_option(sc, "mu_eq", graph.n_vertices)

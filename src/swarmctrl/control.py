@@ -110,9 +110,9 @@ class TargetDensity:
         """Generator of the stabilizing flow y_t = lap(y) - div(v y) with the
         feedback velocity v = grad(f)/f and the exponential-fitted flux,
         assembled once; f is its kernel, and the flux is reversible with
-        respect to f, so a = 1/f symmetrizes it."""
+        respect to f, so its spectrum is real."""
         matrix = assemble_advection_diffusion(self.domain, stabilizing_velocity(self, 1.0), 1.0)
-        return SparseOperator(self.domain, matrix, self.a.values)
+        return SparseOperator(self.domain, matrix)
 
     @functools.cached_property
     def relaxation_gap(self) -> float:

@@ -49,7 +49,6 @@ __all__ = [
     "validate_distribution",
     "is_interior",
     "read_edge_list",
-    "control_to_csv",
 ]
 
 Edge = tuple[int, int]
@@ -734,22 +733,3 @@ def read_edge_list(source) -> TransitionGraph:
     if not edges:
         raise GraphError("edge list is empty")
     return TransitionGraph(max_vertex, tuple(edges))
-
-
-def control_to_csv(control: PiecewiseConstantControl, handle) -> None:
-    """Rows (t_start, t_end, edge, rate); full round-trip float precision."""
-    own = False
-    if not hasattr(handle, "write"):
-        handle = open(handle, "w", encoding="utf-8")
-        own = True
-    try:
-        handle.write("t_start,t_end,edge,rate\n")
-        for k in range(control.n_intervals):
-            t0 = float(control.breakpoints[k])
-            t1 = float(control.breakpoints[k + 1])
-            for e_idx, (i, j) in enumerate(control.graph.edges):
-                rate = float(control.rates[k, e_idx])
-                handle.write(f"{t0!r},{t1!r},{i}->{j},{rate!r}\n")
-    finally:
-        if own:
-            handle.close()

@@ -2,7 +2,10 @@
 
 Supports numbers, the variables supplied by the caller (x, and y in 2D),
 constants pi and e, the usual operators (+ - * / ^, unary minus), and a
-small function set.  Evaluation is vectorized over numpy arrays.
+small function set.  Evaluation is vectorized over numpy arrays.  Numbers
+and constants are ``np.float64``, so scalar arithmetic follows numpy's
+rules as array arithmetic does: ``1/0`` or ``10^400`` is inf and
+``(-1)^0.5`` nan (with numpy's warnings), never a Python exception.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ _FUNCTIONS = {
     "abs": np.abs,
 }
 
-_CONSTANTS = {"pi": math.pi, "e": math.e}
+_CONSTANTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -119,7 +122,7 @@ class _Parser:
         kind, text = self.take()
         if kind == "num":
             try:
-                return float(text)
+                return np.float64(text)
             except ValueError as exc:
                 raise ExpressionError(f"bad number literal {text!r}") from exc
         if kind == "(":

@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import control as ctl
 from .ctmc import (
@@ -45,6 +44,7 @@ from .grid import (
     FaceField,
     RectDomain,
     ScalarField,
+    _generator_spectrum,
     l2_norm,
     mass,
     neumann_laplacian,
@@ -384,12 +384,10 @@ class CoupledSpectrumReport:
     """Right end of the coupled generator's spectrum.
 
     ``eigenvalues`` holds ``SPECTRUM_EIGENVALUES`` eigenvalues by decreasing
-    real part.  On generators too small for ARPACK they are the rightmost
-    ones; otherwise they are the ones nearest the shift just right of
-    zero.  These are the rightmost ones where the eigenvalues near zero
-    are real, but a complex pair can rank behind a real eigenvalue further
-    left and nearer zero.  ``max_real_part`` is the first one's real part
-    and ``gap`` minus the second one's.
+    real part, the ones nearest a shift just right of zero (the rule and
+    when they are the rightmost: ``grid._generator_spectrum``).
+    ``max_real_part`` is the first one's real part and ``gap`` minus the
+    second one's.
     """
 
     eigenvalues: np.ndarray
@@ -435,30 +433,17 @@ def coupled_spectrum(
     v_i = D_i grad(f_i)/f_i (zero off the support) and the
     exponential-fitted flux, plus the cellwise reaction coupling.  All real
     parts are non-positive; for a full-support stationary configuration the
-    zero eigenvector is the stacked target.
-
-    One shift-invert Arnoldi solve (ARPACK ``eigs``) about a point just
-    right of the zero eigenvalue finds them from a sparse LU of the
-    shifted generator; generators too small for ARPACK use dense ``eig``.
+    zero eigenvector is the stacked target.  The eigensolve is
+    ``grid._generator_spectrum``'s.
     """
     domain = target.domain
-    matrix = _coupled_generator(target, diffusion, gains)
-    n = matrix.shape[0]
-    if n <= SPECTRUM_EIGENVALUES + 1:
-        vals, vecs = scipy.linalg.eig(matrix.toarray())
-    else:
-        # the shift sits right of the zero eigenvalue, so the factorization
-        # never touches the singular point (a zero generator gets the shift
-        # 1e-6), and the seeded start vector makes reruns bitwise repeatable
-        sigma = 1e-6 * (float(np.max(np.abs(matrix.diagonal()))) or 1.0)
-        v0 = np.random.default_rng(0).standard_normal(n)
-        vals, vecs = spla.eigs(matrix, k=SPECTRUM_EIGENVALUES, sigma=sigma, which="LM", v0=v0)
-    order = np.argsort(-vals.real, kind="stable")[:SPECTRUM_EIGENVALUES]
-    vals = vals[order]
+    vals, vecs = _generator_spectrum(
+        _coupled_generator(target, diffusion, gains), SPECTRUM_EIGENVALUES
+    )
     max_real = float(vals[0].real)
     gap = float(-vals[1].real) if vals.size > 1 else 0.0
     zero_simple = vals.size > 1 and gap > 0 and abs(vals[0].real) < 0.5 * gap
-    vec = vecs[:, order[0]].real.copy()
+    vec = vecs[:, 0].real.copy()
     total = float(np.sum(vec)) * domain.cell_volume
     if abs(total) > 1e-12:
         vec /= total

@@ -59,10 +59,10 @@ def random_grids(draw):
 
 @st.composite
 def gap_grids(draw):
-    """Grids on both sides of the dense spectral-gap cutoff
-    (``grid.DENSE_GAP_CELLS``): 1D up to 600 cells, 2D up to 30x30."""
+    """Grids for the spectral-gap oracles: 1D of 2 to 600 cells (the
+    smallest take the dense branch, n <= k + 1), 2D of 2x2 up to 30x30."""
     dim = draw(st.integers(1, 2))
-    low, high = (3, 600) if dim == 1 else (2, 30)
+    low, high = (2, 600) if dim == 1 else (2, 30)
     cells = draw(st.lists(st.integers(low, high), min_size=dim, max_size=dim))
     lengths = draw(st.lists(st.floats(0.2, 5.0), min_size=dim, max_size=dim))
     return build_grid(dim, lengths, cells)

@@ -164,6 +164,9 @@ def test_ctmc_plan_scenario(tmp_path):
     out = tmp_path / "out"
     assert main(["ctmc-plan", "--config", str(path), "--out", str(out)]) == 0
     assert_control_csv_numeric(out / "control.csv")
+    # one row per interval and edge of the 3-cycle
+    rows = (out / "control.csv").read_text().splitlines()[1:]
+    assert len(rows) == json.loads((out / "metadata.json").read_text())["intervals"] * 3
     assert (out / "trajectory.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["pass"] is True
@@ -699,10 +702,16 @@ def test_malformed_density_table_is_usage_error(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("spelling", ["expr", "table"])
+@pytest.mark.parametrize(
+    "spelling",
+    ["expr", "table", "expr = 1/0", "expr = 10^400", "expr = (-1)^0.5"],
+    ids=["expr", "table", "divide-by-zero", "overflow", "complex-power"],
+)
 def test_non_finite_density_is_usage_error(tmp_path, capfd, spelling):
     if spelling == "expr":
         density = "expr = log(x - 2)"
+    elif spelling.startswith("expr ="):
+        density = spelling  # scalar arithmetic that Python floats would raise on
     else:
         (tmp_path / "nan.csv").write_text("1.0\n" * 63 + "nan\n")
         density = "table = nan.csv"
@@ -896,3 +905,37 @@ def test_hsdp_stabilize_graph_without_gains_is_usage_error(tmp_path, capsys, old
     assert err.startswith("error [swarmctrl.errors.ConfigurationError]:")
     assert "[graph]" in err and names in err
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "example, old, new",
+    [
+        ("transfer", "edges = 1 2\n    2 3\n    3 1", "edges = 1 2\n    2 3"),
+        ("hsdp-steer", "edges = 1 2\n    2 1", "edges = 1 2"),
+        ("spectrum", "    3 1\n    1 3\n\n[run]\nrates = 1.0 2.0 0.5 0.25",
+         "    1 3\n\n[run]\nmu_eq = 0.2 0.3 0.5"),
+    ],
+    ids=["ctmc-plan", "hsdp-steer", "spectrum-mu_eq"],
+)
+def test_graph_not_strongly_connected_is_usage_error(tmp_path, capsys, example, old, new):
+    # transfer, hybrid steering and stationary-rate synthesis need a
+    # directed path between every two states; spectrum with explicit
+    # rates accepts any graph (test_spectrum_accepts_any_graph_with_rates)
+    text = (EXAMPLES[0].parent / f"{example}.cfg").read_text()
+    assert old in text
+    path = write_cfg(tmp_path, text.replace(old, new))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [swarmctrl.errors.ConfigurationError]: [graph]")
+    assert "strongly connected" in err
+    assert not (out / "summary.json").exists()
+
+
+def test_spectrum_accepts_any_graph_with_rates(tmp_path):
+    text = (EXAMPLES[0].parent / "spectrum.cfg").read_text()
+    text = text.replace("    3 1\n    1 3\n\n[run]\nrates = 1.0 2.0 0.5 0.25",
+                        "    1 3\n\n[run]\nrates = 1.0 2.0 0.25")
+    out = tmp_path / "out"
+    assert run_scenario(write_cfg(tmp_path, text), out_dir=out) == 0
+    assert json.loads((out / "summary.json").read_text())["pass"] is True

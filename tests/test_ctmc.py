@@ -14,7 +14,6 @@ from swarmctrl.ctmc import (
     PiecewiseConstantControl,
     TransitionGraph,
     breakpoint_states,
-    control_to_csv,
     find_covering_closed_walk,
     generator,
     global_transfer_plan,
@@ -585,13 +584,3 @@ class TestTextInterfaces:
     def test_bad_line_rejected(self):
         with pytest.raises(GraphError):
             read_edge_list(io.StringIO("1 2 3\n"))
-
-    def test_control_csv_format(self, tmp_path):
-        mu = np.array([1 / 3, 1 / 3, 1 / 3])
-        ctrl, _ = local_step_control(CYCLE3, mu, mu, 1.0)
-        out = tmp_path / "control.csv"
-        control_to_csv(ctrl, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "t_start,t_end,edge,rate"
-        assert len(lines) == 1 + ctrl.n_intervals * CYCLE3.n_edges
-        assert "->" in lines[1]

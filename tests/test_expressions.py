@@ -42,3 +42,14 @@ def test_trailing_garbage_rejected():
 def test_empty_rejected():
     with pytest.raises(ExpressionError):
         evaluate("   ")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("1/0", np.inf), ("0^-1", np.inf), ("-1/0", -np.inf), ("10^400", np.inf), ("(-1)^0.5", np.nan)],
+)
+def test_scalar_faults_follow_numpy(text, expected):
+    # numbers are numpy floats, so scalar arithmetic gives inf or nan as
+    # array arithmetic does instead of raising a Python exception
+    with np.errstate(all="ignore"):
+        np.testing.assert_equal(evaluate(text), expected)

@@ -79,8 +79,8 @@ def test_march_rejects_bad_dt(unit_grid_64, dt):
 
 
 def test_spectral_gap_sparse_branch():
-    # above the dense cutoff the shifted Lanczos path takes over; it must
-    # stay sparse (a dense n^2 copy at 72x72 cells alone is 215 MB)
+    # the shift-invert eigensolve must stay sparse (a dense n^2 copy at
+    # 72x72 cells alone is 215 MB)
     d = build_grid(2, [1.0, 1.0], [72, 72])
     op = weighted_heat_operator(ScalarField.constant(d, 1.0))
     tracemalloc.start()

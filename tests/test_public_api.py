@@ -47,15 +47,24 @@ UNREFERENCED_ALLOWED = {
 }
 
 
+# the package's modules; ``__init__`` only re-exports
+PACKAGE_SOURCES = sorted(
+    p for p in (ROOT / "src" / "swarmctrl").glob("*.py") if p.name != "__init__.py"
+)
+
+
+def syntax_nodes(path: Path):
+    """Every node of a source file's syntax tree."""
+    return ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
 def referenced_names() -> set[str]:
     """Every identifier used as a Name, an Attribute or an import in the
     package's modules (``__init__`` re-exports do not count) and the
     benchmark scripts."""
-    sources = [p for p in (ROOT / "src" / "swarmctrl").glob("*.py") if p.name != "__init__.py"]
-    sources += sorted((ROOT / "benchmarks").glob("*.py"))
     names = set()
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path in PACKAGE_SOURCES + sorted((ROOT / "benchmarks").glob("*.py")):
+        for node in syntax_nodes(path):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -74,3 +83,31 @@ def test_every_public_name_has_a_caller():
     assert not unreferenced, f"public names without a caller: {unreferenced}"
     stale = sorted(set(UNREFERENCED_ALLOWED) - (public - used))
     assert not stale, f"allowlisted names that are gone or now have a caller: {stale}"
+
+
+def dotted_name(node) -> str | None:
+    """``a.b.c`` for a Name or an attribute chain on one, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute) and (base := dotted_name(node.value)):
+        return f"{base}.{node.attr}"
+    return None
+
+
+def test_no_unused_imports():
+    # no linter runs on the package: an import that a deletion leaves behind
+    # fails here.  ``import a.b`` counts as used only where ``a.b`` is read.
+    unused = []
+    for path in PACKAGE_SOURCES:
+        nodes = list(syntax_nodes(path))
+        used = {dotted_name(node) for node in nodes}
+        for node in nodes:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                unused += [
+                    f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name) not in used
+                ]
+    assert not unused, f"unused imports: {unused}"
