@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import strongly_connected_graphs
+from swarmctrl.cli import _control_lines, _write_csv
 from swarmctrl.ctmc import (
     ENTRY_FLOOR,
     PiecewiseConstantControl,
@@ -584,3 +585,13 @@ class TestTextInterfaces:
     def test_bad_line_rejected(self):
         with pytest.raises(GraphError):
             read_edge_list(io.StringIO("1 2 3\n"))
+
+    def test_control_csv_format(self, tmp_path):
+        mu = np.array([1 / 3, 1 / 3, 1 / 3])
+        ctrl, _ = local_step_control(CYCLE3, mu, mu, 1.0)
+        out = tmp_path / "control.csv"
+        _write_csv(out, "t_start,t_end,edge,rate", _control_lines(ctrl))
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t_start,t_end,edge,rate"
+        assert len(lines) == 1 + ctrl.n_intervals * CYCLE3.n_edges
+        assert "->" in lines[1]
