@@ -281,15 +281,17 @@ def _control_lines(control: ctmc.PiecewiseConstantControl):
 
 def _write_particles_csv(path: Path, ens: particles.ParticleEnsemble) -> None:
     """One row per particle: id, state, coordinates (``_fmt`` numbers); the
-    arrays become Python lists one block of rows at a time."""
-    lines = (
-        f"{pid},{state},{','.join(map(repr, coords))}"
-        for start in range(0, ens.count, _CSV_BLOCK_ROWS)
-        for pid, state, coords in zip(
+    arrays become per-column Python lists one block of rows at a time, and
+    each row is one ``str.format`` call."""
+    row = ("{},{}" + ",{!r}" * ens.domain.dim).format
+    lines = itertools.chain.from_iterable(
+        map(
+            row,
             range(start, ens.count),
             ens.states[start:start + _CSV_BLOCK_ROWS].tolist(),
-            ens.positions[start:start + _CSV_BLOCK_ROWS].tolist(),
+            *ens.positions[start:start + _CSV_BLOCK_ROWS].T.tolist(),
         )
+        for start in range(0, ens.count, _CSV_BLOCK_ROWS)
     )
     _write_csv(path, "id,state," + ",".join(f"x{d}" for d in range(ens.domain.dim)), lines)
 

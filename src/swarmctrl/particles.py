@@ -54,12 +54,9 @@ class _StepWorkspace:
     def __init__(self, count: int, dim: int):
         self.shape = (count, dim)
         self.noise = np.empty((count, dim))
-        self.frac = np.empty((dim, count))  # positions in cell widths, then in-cell fractions
-        self.cells = np.empty((dim, count), dtype=np.int64)
-        self.weight = np.empty(count)
-        self.value = np.empty(count)
-        self.index = np.empty(count, dtype=np.int64)
-        self.state0 = np.empty(count, dtype=np.int64)
+        self.value = np.empty(count)  # gathered table entries
+        self.key = np.empty(count, dtype=np.int64)  # flat (state, cell) index
+        self.cell = np.empty(count, dtype=np.int64)  # one axis's cell index
         self.mask = np.empty(count, dtype=bool)  # the reflection's scratch
 
 
@@ -114,46 +111,54 @@ class ParticleEnsemble:
         return self._work
 
 
-def _locate(
-    domain: RectDomain, positions: np.ndarray, frac: np.ndarray, cells: np.ndarray
-) -> None:
-    """Fill ``cells`` (dim, n) with the per-axis index of the grid cell
-    holding each position, points on the upper boundary belonging to the
-    last cell, and ``frac`` (dim, n) with the position in cell widths
-    minus that index."""
+def _flat_keys(
+    domain: RectDomain,
+    states: np.ndarray,
+    positions: np.ndarray,
+    rows: np.ndarray | slice = slice(None),
+) -> np.ndarray:
+    """(state - 1) * cell_count + C-order flat index of the grid cell
+    holding each position, for the particles ``rows``; points on the upper
+    boundary belong to the last cell."""
+    key = states[rows] - 1
     for d, (h, n) in enumerate(zip(domain.spacing, domain.cells)):
-        np.divide(positions[:, d], h, out=frac[d])
-        np.copyto(cells[d], frac[d], casting="unsafe")
-        np.clip(cells[d], 0, n - 1, out=cells[d])
-        np.subtract(frac[d], cells[d], out=frac[d])
+        cell = (positions[rows, d] / h).astype(np.int64)
+        key *= n
+        key += np.clip(cell, 0, n - 1, out=cell)
+    return key
 
 
-def _flat_cell_index(domain: RectDomain, positions: np.ndarray) -> np.ndarray:
-    """C-order flat index of the grid cell holding each position, points
-    on the upper boundary belonging to the last cell."""
-    cell = np.zeros(len(positions), dtype=np.int64)
-    for d, (h, n) in enumerate(zip(domain.spacing, domain.cells)):
-        k = np.clip((positions[:, d] / h).astype(np.int64), 0, n - 1)
-        cell = cell * n + k
-    return cell
+def _affine_tables(
+    domain: RectDomain,
+    velocities: Sequence[FaceField | None],
+    n_states: int,
+    dt: float,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis, the drift step x + dt * v(x) of every (state, cell) as the
+    affine map x * scale + shift, flattened state-major in C order.
 
-
-def _face_tables(
-    domain: RectDomain, velocities: Sequence[FaceField | None], n_states: int
-) -> list[np.ndarray]:
-    """Per axis, the face velocities of every state with zero boundary
-    faces appended along the axis, stacked state-major and flattened;
-    ``None`` reads as zero velocity."""
+    v interpolates linearly between the cell's lower and upper face
+    velocities v_lo and v_hi (boundary faces zero, ``None`` reads as zero
+    velocity), so with h the spacing and x_lo the lower face,
+    scale = 1 + dt * (v_hi - v_lo) / h and
+    shift = dt * v_lo - (scale - 1) * x_lo.
+    """
     tables = []
-    for d in range(domain.dim):
+    for d, (h, m) in enumerate(zip(domain.spacing, domain.cells)):
         shape = list(domain.cells)
         shape[d] += 1
-        table = np.zeros([n_states] + shape)
+        faces = np.zeros([n_states] + shape)
         interior = tuple(slice(1, -1) if k == d else slice(None) for k in range(domain.dim))
         for s in range(n_states):
             if velocities[s] is not None:
-                table[s][interior] = velocities[s].components[d]
-        tables.append(table.reshape(-1))
+                faces[s][interior] = velocities[s].components[d]
+        lower = np.arange(m)
+        v_lo = faces.take(lower, axis=d + 1)
+        v_hi = faces.take(lower + 1, axis=d + 1)
+        x_lo = (lower * h).reshape([m if k == d else 1 for k in range(domain.dim)])
+        scale = 1.0 + dt * (v_hi - v_lo) / h
+        shift = dt * v_lo - (scale - 1.0) * x_lo
+        tables.append((scale.reshape(-1), shift.reshape(-1)))
     return tables
 
 
@@ -269,15 +274,17 @@ def sde_step(
     destination edge drawn proportionally to its gain there.  The guard
     R*dt <= 0.1 keeps the single-switch error below Monte Carlo noise.
 
-    Per-state data (padded face velocities, noise scales, switching
-    probabilities, cumulative gains) go into small tables of size
-    states x cells; each particle reads its drift and noise scale with one
-    flat gather on (state - 1) * stride + cell, so drift and noise cost
-    O(particles) whatever the number of states.  Switching is exact
-    thinning: Bernoulli(p_max) candidates, p_max the table's largest p,
-    each accepted with probability p / p_max, so the cell lookup and the
-    switching gathers run on about particles * p_max candidates only.
-    The random draws follow the module's draw contract.
+    Per-state data go into small tables of size states x cells: along
+    each axis the drift step x + dt * v(x) is affine on a cell, so every
+    (state, cell) stores its map x * scale + shift (see `_affine_tables`)
+    and its noise scale.  One flat key (state - 1) * cells + C-order cell
+    is computed once per step; each axis then costs two gathers on it, a
+    multiply and two adds, so drift and noise cost O(particles) whatever
+    the number of states.  Switching is exact thinning: Bernoulli(p_max)
+    candidates, p_max the table's largest p, each accepted with
+    probability p / p_max, so the cell lookup and the switching gathers
+    run on about particles * p_max candidates only.  The random draws
+    follow the module's draw contract.
     """
     if not 0 < dt < math.inf:
         raise InputError(f"dt must be finite and positive, got {dt}")
@@ -302,41 +309,44 @@ def sde_step(
                 f"dt {dt} too large: max exit rate {max_rate:.3g} "
                 f"requires dt <= {MAX_EXIT_RATE_DT / max_rate:.3g}"
             )
-    sigma_table = np.array([math.sqrt(2.0 * float(D) * dt) for D in diffusion])
-    faces = _face_tables(domain, velocities, n_states)
+    sigma = np.array([math.sqrt(2.0 * float(D) * dt) for D in diffusion])
+    steps = _affine_tables(domain, velocities, n_states, dt)
 
     # every index gathered below is in range (states checked, cells
     # clipped), so take() runs in mode "clip", which writes straight into
     # its output; mode "raise" buffers it
     work = ensemble._workspace()
-    positions, noise, frac, cells = ensemble.positions, work.noise, work.frac, work.cells
-    state0, index, weight, value = work.state0, work.index, work.weight, work.value
+    positions, noise, value = ensemble.positions, work.noise, work.value
 
     # the draw order is the module's draw contract: noise first
     rng.standard_normal(out=noise)
-    np.subtract(states, 1, out=state0)
+    # the flat key (state - 1) * cells + C-order cell, by Horner's rule;
+    # with one state the first axis's cell index starts it
+    key = np.subtract(states, 1, out=work.key) if n_states > 1 else None
+    for d, (h, m) in enumerate(zip(domain.spacing, domain.cells)):
+        cell = work.key if key is None else work.cell
+        np.divide(positions[:, d], h, out=value)
+        # clipped before the cast: numpy clips float64 about twice as fast
+        # as int64, and both orders give a finite position the same index
+        np.clip(value, 0, m - 1, out=value)
+        np.copyto(cell, value, casting="unsafe")
+        if key is None:
+            key = cell
+        else:
+            np.multiply(key, m, out=key)
+            np.add(key, cell, out=key)
     # sigma * noise, folded into the noise (multiplication commutes)
-    sigma_table.take(state0, out=weight, mode="clip")
-    for d in range(domain.dim):
-        np.multiply(noise[:, d], weight, out=noise[:, d])
-    _locate(domain, positions, frac, cells)
+    if n_states == 1:
+        np.multiply(noise, sigma[0], out=noise)
+    else:
+        np.repeat(sigma, domain.cell_count).take(key, out=value, mode="clip")
+        np.multiply(noise, value[:, None], out=noise)
     for d, length in enumerate(domain.lengths):
-        # flat index of the cell's lower face in the stacked padded table
-        lo = state0
-        for k, m in enumerate(domain.cells):
-            lo = np.multiply(lo, m + (k == d), out=index)
-            np.add(lo, cells[k], out=lo)
-        upper = math.prod(domain.cells[d + 1:])
-        # drift = (1 - frac) * lower face + frac * upper face
-        drift = np.subtract(1.0, frac[d], out=weight)
-        np.multiply(drift, faces[d].take(lo, out=value, mode="clip"), out=drift)
-        np.add(lo, upper, out=lo)
-        np.multiply(frac[d], faces[d].take(lo, out=value, mode="clip"), out=value)
-        np.add(drift, value, out=drift)
-        # x + drift * dt + sigma * noise
-        np.multiply(drift, dt, out=drift)
+        # x * scale + shift + sigma * noise
+        scale, shift = steps[d]
         x = positions[:, d]
-        np.add(x, drift, out=x)
+        np.multiply(x, scale.take(key, out=value, mode="clip"), out=x)
+        np.add(x, shift.take(key, out=value, mode="clip"), out=x)
         np.add(x, noise[:, d], out=x)
         _reflect(x, length, work.mask)
 
@@ -346,11 +356,10 @@ def sde_step(
         p_table = -np.expm1(-totals * dt)
         p_max = float(p_table.max())
         cand = _bernoulli_indices(rng, ensemble.count, p_max)
-        s = state0[cand]
-        cell = _flat_cell_index(domain, positions[cand])
-        key = s * domain.cell_count + cell
+        key = _flat_keys(domain, states, positions, cand)
         keep = rng.random(cand.size) * p_max < p_table[key]
-        fire, s, cell, key = cand[keep], s[keep], cell[keep], key[keep]
+        fire, key = cand[keep], key[keep]
+        s, cell = np.divmod(key, domain.cell_count)
         pick = rng.random(fire.size) * totals[key]
         choice = (pick[:, None] >= cum[s, :, cell]).sum(axis=1)
         states[fire] = dest[s, np.minimum(choice, dest.shape[1] - 1)]
@@ -375,8 +384,8 @@ def empirical_density(
     """Histogram the ensemble on the grid cells, one field per state."""
     if grid.dim != ensemble.domain.dim:
         raise InputError("grid dimension does not match the ensemble")
-    combined = (ensemble.states - 1) * grid.cell_count + _flat_cell_index(grid, ensemble.positions)
-    counts = np.bincount(combined, minlength=n_states * grid.cell_count)
+    keys = _flat_keys(grid, ensemble.states, ensemble.positions)
+    counts = np.bincount(keys, minlength=n_states * grid.cell_count)
     norm = ensemble.count * grid.cell_volume
     arr = counts.reshape(n_states, grid.cell_count).astype(float) / norm
     return EmpiricalDensity(

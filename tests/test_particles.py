@@ -30,7 +30,9 @@ G2 = TransitionGraph(2, ((1, 2), (2, 1)))
 # ---------------------------------------------------------------------------
 # oracle: the per-state particle step that sde_step replaced (boolean
 # selection per state, face padding per call, full-array reflection), with
-# the switching draws of the module's draw contract in plain loops
+# the drift step in the affine form x * scale + shift of the particle's
+# cell (sde_step's operation order, so the two agree bit for bit) and the
+# switching draws of the module's draw contract in plain loops
 
 
 def _oracle_cells(domain, positions):
@@ -40,17 +42,21 @@ def _oracle_cells(domain, positions):
     )
 
 
-def _oracle_velocity_at(domain, field, positions):
-    out = np.zeros_like(positions)
+def _oracle_drift_step(domain, field, positions, dt):
+    """x + dt * v(x) per axis, v interpolated between the cell's faces,
+    written as the affine map x * scale + shift of the cell."""
+    out = np.empty_like(positions)
     cell = _oracle_cells(domain, positions)
-    frac = [positions[:, d] / h - cell[d] for d, h in enumerate(domain.spacing)]
-    for d in range(domain.dim):
+    for d, h in enumerate(domain.spacing):
         pad = [(0, 0)] * domain.dim
         pad[d] = (1, 1)
         faces = np.pad(field.components[d], pad)
         hi_idx = list(cell)
         hi_idx[d] = cell[d] + 1
-        out[:, d] = (1.0 - frac[d]) * faces[cell] + frac[d] * faces[tuple(hi_idx)]
+        v_lo, v_hi = faces[cell], faces[tuple(hi_idx)]
+        scale = 1.0 + dt * (v_hi - v_lo) / h
+        shift = dt * v_lo - (scale - 1.0) * (cell[d] * h)
+        out[:, d] = positions[:, d] * scale + shift
     return out
 
 
@@ -74,7 +80,7 @@ def _oracle_sde_step(ensemble, velocities, diffusion, gains, dt):
     rng = ensemble.rng
     n_states = len(diffusion)
     noise = rng.standard_normal((n, domain.dim))
-    drift = np.zeros((n, domain.dim))
+    moved = ensemble.positions.copy()
     sigma = np.zeros(n)
     for s in range(1, n_states + 1):
         sel = ensemble.states == s
@@ -82,11 +88,9 @@ def _oracle_sde_step(ensemble, velocities, diffusion, gains, dt):
             continue
         v = velocities[s - 1]
         if v is not None:
-            drift[sel] = _oracle_velocity_at(domain, v, ensemble.positions[sel])
+            moved[sel] = _oracle_drift_step(domain, v, ensemble.positions[sel], dt)
         sigma[sel] = math.sqrt(2.0 * float(diffusion[s - 1]) * dt)
-    ensemble.positions = _oracle_reflect(
-        domain, ensemble.positions + drift * dt + sigma[:, None] * noise
-    )
+    ensemble.positions = _oracle_reflect(domain, moved + sigma[:, None] * noise)
     if gains is not None:
         # the draw contract: geometric gaps between Bernoulli(p_max)
         # candidates, one acceptance uniform per candidate, one edge
@@ -182,6 +186,33 @@ def switching_setups(draw):
         if exit_rate.max() > 0:
             dt = min(dt, 0.9 * MAX_EXIT_RATE_DT / exit_rate.max())
     return domain, velocities, diffusion, gains, dt, positions, states, seed
+
+
+@st.composite
+def drift_setups(draw):
+    """A grid, 1-4 states with face velocities (some None), a step with
+    dt * max|v| at most the shortest length, and positions on faces, at 0
+    and at the upper boundary besides random ones."""
+    domain = draw(random_grids())
+    n_states = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vmax = draw(st.sampled_from([1.0, 30.0, 1e3]))
+    velocities = [
+        FaceField(domain, tuple(
+            rng.uniform(-vmax, vmax, domain.face_shape(d)) for d in range(domain.dim)
+        )) if draw(st.booleans()) else None
+        for _ in range(n_states)
+    ]
+    count = draw(st.integers(2, 200))
+    lengths = np.asarray(domain.lengths)
+    positions = rng.uniform(0.0, 1.0, (count, domain.dim)) * lengths
+    faces = rng.integers(0, np.asarray(domain.cells) + 1, (count, domain.dim)) * np.asarray(domain.spacing)
+    positions = np.where(rng.random((count, domain.dim)) < 0.4, np.minimum(faces, lengths), positions)
+    positions[0] = 0.0
+    positions[1] = lengths
+    states = rng.integers(1, n_states + 1, count)
+    dt = min(draw(st.floats(1e-4, 0.1)), lengths.min() / vmax)
+    return domain, velocities, dt, positions, states
 
 
 class TestEnsemble:
@@ -403,6 +434,50 @@ class TestSdeStep:
         assert new.states.tobytes() == oracle.states.tobytes()
         assert new.rng.random() == oracle.rng.random()
 
+    @settings(max_examples=60, deadline=None)
+    @given(setup=drift_setups())
+    def test_affine_step_matches_two_face_form(self, setup):
+        # The bound, derived: u = eps / 2, X = |x|, W = dt * max|v| and m
+        # cells on the axis; a rounding errs by at most u times its result.
+        # Affine form: a = dt * (v_hi - v_lo) / h (three roundings,
+        # |a| <= 2W / h) times |x - x_lo| <= h gives 6uW; 1 + a gives
+        # u(X + 2W) through x - x_lo; scale - 1, k * h and their product
+        # 2uWm each; dt * v_lo uW; the shift u(W + 2Wm); x * scale
+        # u(X + 2Wm) (X / h <= m); the sum u(X + W): u(3X + 11W + 10Wm)
+        # in all.  Two-face form: f = x / h - k is off by u(m + 1), times
+        # dt * |v_hi - v_lo| <= 2W; 1 - f, both products, their sum,
+        # dt * (.) and x + (.): u(X + 8W + 2Wm).  Together at most
+        # 19u(X + W(1 + m)) < 10 eps (X + W(1 + m)).  dt * max|v| <= L
+        # keeps each step in [-L, 2L], where a mirror fold is exact and
+        # 1-Lipschitz, so the reflected positions keep the bound.
+        domain, velocities, dt, positions, states = setup
+        n_states = len(velocities)
+        ens = ParticleEnsemble(domain, positions.copy(), states.copy(),
+                               np.random.Generator(np.random.Philox(0)))
+        sde_step(ens, velocities, [0.0] * n_states, None, dt)
+        expected = positions.copy()
+        cell = _oracle_cells(domain, positions)
+        for d, h in enumerate(domain.spacing):
+            pad = [(0, 0)] * domain.dim
+            pad[d] = (1, 1)
+            hi_idx = list(cell)
+            hi_idx[d] = cell[d] + 1
+            f = positions[:, d] / h - cell[d]
+            for s, v in enumerate(velocities, start=1):
+                sel = states == s
+                if v is None or not sel.any():
+                    continue
+                faces = np.pad(v.components[d], pad)
+                v_lo, v_hi = faces[cell][sel], faces[tuple(hi_idx)][sel]
+                expected[sel, d] += dt * ((1.0 - f[sel]) * v_lo + f[sel] * v_hi)
+        _oracle_reflect(domain, expected)
+        for d, m in enumerate(domain.cells):
+            vmax = max((np.abs(v.components[d]).max(initial=0.0)
+                        for v in velocities if v is not None), default=0.0)
+            bound = 10.0 * np.finfo(float).eps * (np.abs(positions[:, d]) + dt * vmax * (1 + m))
+            assert np.all(np.abs(ens.positions[:, d] - expected[:, d]) <= bound)
+        np.testing.assert_array_equal(ens.states, states)
+
 
 def _three_state_2d_setup(seed):
     """A 2D grid, a 3-state graph with spatial gains near the exit-rate
@@ -434,15 +509,21 @@ def _twin_ensembles(domain, count, seed):
 
 
 class TestInPlaceStep:
-    @pytest.mark.parametrize("switching", [False, True], ids=["plain", "switching"])
-    def test_step_allocates_nothing_of_particle_size(self, switching):
+    @pytest.mark.parametrize(
+        "case", ["plain", "switching", "2d-three-states"]
+    )
+    def test_step_allocates_nothing_of_particle_size(self, case):
         d = build_grid(1, [1.0], [16])
         v = FaceField(d, (np.linspace(-1.0, 1.0, 15),))
         count = 40000
         ens = ParticleEnsemble.uniform(d, count, seed=3)
-        if switching:
+        if case == "switching":
             gains = SpatialGainSet(G2, d, (2.0, 3.0))
             args = ([v, None], [1.0, 0.5], gains, 2e-3)
+        elif case == "2d-three-states":
+            domain, velocities, diffusion, gains, dt = _three_state_2d_setup(13)
+            ens = _twin_ensembles(domain, count, seed=7)[0]
+            args = (velocities, diffusion, gains, dt)
         else:
             args = ([v], [1.0], None, 2e-3)
         sde_step(ens, *args)  # builds the workspace
