@@ -33,13 +33,13 @@ from .control import (
 )
 from .ctmc import (
     TransitionGraph,
-    global_transfer_plan,
     is_strongly_connected,
     local_step_control,
     monotone_certificate,
     propagate,
     spectrum_check,
     synthesize_stationary_rates,
+    transfer_control,
 )
 from .hybrid import (
     HybridTarget,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import control as ctl
 from . import ctmc, hybrid, particles
-from .errors import SwarmCtrlError, ConfigurationError, GraphError, SynthesisError
+from .errors import SwarmCtrlError, ConfigurationError, GraphError, InputError, SynthesisError
 from .expressions import evaluate
 from .grid import RectDomain, ScalarField, build_grid, l2_norm, mass
 from .pde import fit_decay_rate, march
@@ -101,17 +101,29 @@ def _number(
     return value
 
 
-def _distribution_option(sc: Scenario, key: str, n: int) -> np.ndarray:
-    """[run] key: exactly ``n`` whitespace-separated finite, non-negative numbers
-    (zeros allowed: boundary starts need them)."""
+def _vector_option(sc: Scenario, key: str, n: int) -> np.ndarray:
+    """[run] key: exactly ``n`` whitespace-separated finite, non-negative numbers."""
     raw = sc.config.get("run", key, fallback=None)
     if raw is None:
         raise ConfigurationError(f"[run] needs '{key}'")
     values = np.array([_parse(float, v, f"[run] {key}") for v in raw.split()])
     if values.size != n:
-        raise ConfigurationError(f"'{key}' needs {n} entries")
+        raise ConfigurationError(f"[run] {key} needs {n} entries")
     if not np.all((0 <= values) & (values < math.inf)):
         raise ConfigurationError(f"[run] {key} entries must be finite and non-negative, got {raw}")
+    return values
+
+
+def _distribution_option(sc: Scenario, key: str, n: int, interior: bool) -> np.ndarray:
+    """[run] key as a probability vector of ``n`` entries that sum to 1;
+    zeros are allowed unless ``interior`` (boundary starts need them)."""
+    values = _vector_option(sc, key, n)
+    try:
+        ctmc.validate_distribution(values)
+    except InputError as exc:
+        raise ConfigurationError(f"[run] {key}: {exc}") from exc
+    if interior and not ctmc.is_interior(values):
+        raise ConfigurationError(f"[run] {key} entries must be positive, got {values}")
     return values
 
 
@@ -441,8 +453,8 @@ def _run_path(sc: Scenario, out_dir: Path) -> bool:
 
 def _run_ctmc_plan(sc: Scenario, out_dir: Path) -> bool:
     graph = _graph_from_config(sc, strongly_connected_for="ctmc-plan")
-    mu0 = _distribution_option(sc, "mu0", graph.n_vertices)
-    mu_target = _distribution_option(sc, "mu_target", graph.n_vertices)
+    mu0 = _distribution_option(sc, "mu0", graph.n_vertices, interior=False)
+    mu_target = _distribution_option(sc, "mu_target", graph.n_vertices, interior=True)
     duration = _number(sc, "run", "t_final", 1.0, positive=True)
     ctrl = ctmc.transfer_control(graph, mu0, mu_target, duration)
     traj = ctmc.propagate(mu0, ctrl)
@@ -613,9 +625,9 @@ def _run_spectrum(sc: Scenario, out_dir: Path) -> bool:
         sc, strongly_connected_for="" if explicit else "spectrum with [run] mu_eq"
     )
     if explicit:
-        rates = _distribution_option(sc, "rates", graph.n_edges)
+        rates = _vector_option(sc, "rates", graph.n_edges)
     else:
-        mu_eq = _distribution_option(sc, "mu_eq", graph.n_vertices)
+        mu_eq = _distribution_option(sc, "mu_eq", graph.n_vertices, interior=True)
         rates = ctmc.synthesize_stationary_rates(graph, mu_eq)
     report = ctmc.spectrum_check(graph, rates)
 

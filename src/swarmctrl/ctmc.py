@@ -41,8 +41,6 @@ __all__ = [
     "breakpoint_states",
     "propagate",
     "transition_matrix",
-    "global_transfer_plan",
-    "interior_entry_control",
     "transfer_control",
     "synthesize_stationary_rates",
     "spectrum_check",
@@ -53,8 +51,6 @@ __all__ = [
 
 Edge = tuple[int, int]
 
-ENTRY_FLOOR = 1e-6  # min coordinate a boundary start is driven to first
-ENTRY_DOUBLINGS = 64  # rate-time products tried by interior_entry_control
 MIN_RATE = 1e-3     # smallest stationary rate on a graph that is not bidirected
 
 
@@ -131,21 +127,21 @@ def generator(graph: TransitionGraph, rates: Sequence[float]) -> np.ndarray:
     return q
 
 
-def validate_distribution(mu: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def validate_distribution(mu: np.ndarray) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1:
         raise InputError("distribution must be a 1D vector")
     if not np.all(np.isfinite(mu)):
         raise InputError(f"distribution has non-finite entries: {mu}")
-    if np.any(mu < -tol):
+    if np.any(mu < -1e-12):
         raise InputError(f"distribution has negative entries, min = {np.min(mu):.3e}")
-    if abs(float(np.sum(mu)) - 1.0) > max(tol, 1e-12):
+    if abs(float(np.sum(mu)) - 1.0) > 1e-12:
         raise InputError(f"distribution must sum to 1, got {np.sum(mu)!r}")
     return mu
 
 
-def is_interior(mu: np.ndarray, tol: float = 0.0) -> bool:
-    return bool(np.min(np.asarray(mu, dtype=float)) > tol)
+def is_interior(mu: np.ndarray) -> bool:
+    return bool(np.min(np.asarray(mu, dtype=float)) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +367,9 @@ class LocalStepCertificate:
 
     ``acc[i]`` accumulates the gated per-vertex increments through
     interval i; the residual carried mass on interval i is
-    ``rho - acc[i]``.  ``gate[i-1]`` is 1 exactly when edge i is the last
-    of the walk leaving its source vertex.
+    ``rho - acc[i]``.  ``gate[i-1]`` is 1 exactly when edge i is the first
+    of the walk leaving its source vertex: there the vertex drops from its
+    start value to its endpoint value, which it keeps on every revisit.
     """
 
     walk: tuple[Edge, ...]
@@ -391,6 +388,14 @@ def _carried_mass(mu: np.ndarray) -> tuple[int, float]:
     return k + 1, 0.5 * float(mu[k])
 
 
+def _first_exits(walk: Sequence[Edge]) -> dict[int, int]:
+    """1-based index of the first walk edge leaving each vertex."""
+    first: dict[int, int] = {}
+    for idx, (src, _) in enumerate(walk, start=1):
+        first.setdefault(src, idx)
+    return first
+
+
 def local_step_control(
     graph: TransitionGraph,
     mu0: np.ndarray,
@@ -401,13 +406,16 @@ def local_step_control(
 
     One edge of a covering closed walk is active per interval: a probe
     mass rho = mu0[v0]/2 leaves the heaviest vertex v0, circulates around
-    the walk and back, and each vertex is left with its endpoint value on
-    the last interval leaving it.  For interior endpoints with
-    |mu1 - mu0|_1 <= rho every rate is finite and non-negative: the
-    carried mass stays at least rho/2, v0 keeps at least rho/2, and every
-    other vertex keeps its start mass until its last exit.  Each rate is
-    (log denom - log numer)/dt, where numer is what the source vertex
-    keeps, so endpoint coordinates of any size are met to roundoff.
+    the walk and back, and each vertex drops to its endpoint value on the
+    first interval leaving it and keeps that value on every revisit.  So
+    every exit leaves its source at end[src] (mu1, with v0 net of rho),
+    each rate is (log(end + carried) - log end)/dt, and the start enters
+    only through the increment mu1 - mu0.  For an interior mu1 with
+    |mu1 - mu0|_1 <= rho every rate is finite and non-negative, from any
+    start: partial sums and entries of a zero-sum increment are at most
+    half its 1-norm, so the carried mass stays at least rho/2 and v0
+    keeps at least rho/2.  Endpoint coordinates of any size are met to
+    roundoff.
     """
     mu0 = validate_distribution(mu0)
     mu1 = validate_distribution(mu1)
@@ -416,10 +424,8 @@ def local_step_control(
         raise InputError("distribution size does not match the graph")
     if not 0 < duration < math.inf:
         raise InputError(f"duration must be finite and positive, got {duration}")
-    if not (is_interior(mu0) and is_interior(mu1)):
-        raise InteriorityError(
-            f"need interior endpoints, min coordinates {np.min(mu0)!r} and {np.min(mu1)!r}"
-        )
+    if not is_interior(mu1):
+        raise InteriorityError(f"need an interior endpoint, min coordinate {np.min(mu1)!r}")
     v0, rho = _carried_mass(mu0)
     delta_mu = mu1 - mu0
     if float(np.sum(np.abs(delta_mu))) > rho * (1 + 1e-12):
@@ -430,16 +436,14 @@ def local_step_control(
     s = len(walk)
     dt = duration / s
 
-    last_exit = {src: idx for idx, (src, _) in enumerate(walk, start=1)}
+    first_exit = _first_exits(walk)
     gate = np.array(
-        [1.0 if last_exit[src] == idx else 0.0 for idx, (src, _) in enumerate(walk, start=1)]
+        [1.0 if first_exit[src] == idx else 0.0 for idx, (src, _) in enumerate(walk, start=1)]
     )
     acc = np.zeros(s + 1)
     for idx, (src, _) in enumerate(walk, start=1):
         acc[idx] = acc[idx - 1] + gate[idx - 1] * delta_mu[src - 1]
 
-    # what each vertex keeps when the probe leaves it: its start value
-    # before its last exit, its endpoint value at it (v0 net of rho)
     base = mu0.copy()
     base[v0 - 1] -= rho
     end = mu1.copy()
@@ -447,8 +451,7 @@ def local_step_control(
 
     rates = np.zeros((s, graph.n_edges))
     for idx, edge in enumerate(walk, start=1):
-        src = edge[0] - 1
-        numer = end[src] if gate[idx - 1] else base[src]
+        numer = end[edge[0] - 1]
         denom = numer + (rho - acc[idx])
         rates[idx - 1, graph.edge_index[edge]] = (math.log(denom) - math.log(numer)) / dt
 
@@ -471,42 +474,41 @@ def breakpoint_states(mu0: np.ndarray, cert: LocalStepCertificate) -> np.ndarray
     """Closed-form state at every interval breakpoint of a local step.
 
     At breakpoint i the walk's carried mass sits on the head vertex and
-    every vertex whose last exit has passed holds its final value:
-    value(v, i) = base_v + delta_v*[last_exit(v) <= i] + (rho - acc_i)*[v = head_i].
+    every vertex whose first exit has passed holds its final value:
+    value(v, i) = base_v + delta_v*[first_exit(v) <= i] + (rho - acc_i)*[v = head_i].
     """
     mu0 = np.asarray(mu0, dtype=float)
     walk = cert.walk
     s = len(walk)
     n = mu0.size
-    last_exit: dict[int, int] = {}
-    for idx, (src, _) in enumerate(walk, start=1):
-        last_exit[src] = idx
+    first_exit = _first_exits(walk)
     states = np.empty((s + 1, n))
     for i in range(s + 1):
         head = walk[0][0] if i == 0 else walk[i - 1][1]
         vals = cert.base.copy()
         for v in range(1, n + 1):
-            if last_exit.get(v, s + 1) <= i:
+            if first_exit[v] <= i:
                 vals[v - 1] += cert.delta_mu[v - 1]
         vals[head - 1] += cert.rho - cert.acc[i]
         states[i] = vals
     return states
 
 
-def global_transfer_plan(
+def transfer_control(
     graph: TransitionGraph,
     mu0: np.ndarray,
     mu_target: np.ndarray,
     duration: float,
 ) -> PiecewiseConstantControl:
-    """Concatenated local steps along the straight segment mu0 -> target.
+    """Concatenated local steps along the straight segment mu0 -> target,
+    from any start to an interior target.
 
     From each waypoint w the step carries rho = max(w)/2 (see
     ``local_step_control``) and moves to (1 - theta)*w + theta*target with
     theta = rho/|target - w|_1, or onto the target itself once the rest is
-    at most rho.  All segments take equal time.  Equal endpoints give one
-    zero-increment step that circulates the carried mass over the whole
-    duration.
+    at most rho.  Every waypoint after mu0 is interior, since theta > 0.
+    All segments take equal time.  Equal endpoints give one zero-increment
+    step that circulates the carried mass over the whole duration.
 
     Interval bound.  max(w) >= 1/N, so rho >= 1/(2N), and every step but
     the last moves rho along the segment of length L = |target - mu0|_1
@@ -522,11 +524,8 @@ def global_transfer_plan(
         )
     if not 0 < duration < math.inf:
         raise InputError(f"duration must be finite and positive, got {duration}")
-    if not (is_interior(mu0) and is_interior(mu_target)):
-        raise InteriorityError(
-            "both endpoints must be interior simplex points; "
-            "precondition boundary states with interior_entry_control"
-        )
+    if not is_interior(mu_target):
+        raise InteriorityError("target must be an interior simplex point")
     waypoints = [mu0]
     while True:
         w = waypoints[-1]
@@ -535,70 +534,15 @@ def global_transfer_plan(
         if dist <= rho:
             break
         # a convex combination, not w + theta*(target - w), keeps tiny
-        # coordinates exact
+        # coordinates exact; the floor keeps theta times a subnormal target
+        # coordinate from rounding an empty start coordinate to zero
         theta = rho / dist
-        waypoints.append((1.0 - theta) * w + theta * mu_target)
+        waypoints.append(np.maximum((1.0 - theta) * w + theta * mu_target, 5e-324))
     waypoints.append(mu_target)
     dt = duration / (len(waypoints) - 1)
     return PiecewiseConstantControl.concatenate(
         [local_step_control(graph, a, b, dt)[0] for a, b in zip(waypoints, waypoints[1:])]
     )
-
-
-def interior_entry_control(
-    graph: TransitionGraph,
-    mu0: np.ndarray,
-    max_duration: float,
-) -> PiecewiseConstantControl:
-    """Short uniform-rate stage driving a boundary state into the interior.
-
-    Strong connectivity makes every coordinate positive under uniform
-    rates.  Uniform rate r over a duration T gives exp(r T Q_1) mu0, so
-    only the product s = r T matters: s starts at max_duration / 64 and
-    doubles until min(mu) >= ENTRY_FLOOR, with T = min(s, max_duration)
-    and r = s / T.  Up to s = max_duration the rate stays 1; beyond it
-    the stage keeps the full max_duration and raises the rate, so short
-    horizons reach the floor as long ones do.
-    """
-    mu0 = validate_distribution(mu0)
-    if not is_strongly_connected(graph):
-        raise GraphError("interior entry requires a strongly connected graph")
-    s = max_duration / 64.0
-    for _ in range(ENTRY_DOUBLINGS):
-        duration = min(s, max_duration)
-        rates = np.full(graph.n_edges, s / duration)
-        mu = scipy.linalg.expm(duration * generator(graph, rates)) @ mu0
-        if float(np.min(mu)) >= ENTRY_FLOOR:
-            return PiecewiseConstantControl(
-                graph, np.array([0.0, duration]), rates[None, :]
-            )
-        s *= 2.0
-    raise SynthesisError(
-        f"could not reach min coordinate {ENTRY_FLOOR} within {max_duration} time units "
-        f"at uniform rates up to {s / 2.0 / max_duration:.3g}"
-    )
-
-
-def transfer_control(
-    graph: TransitionGraph,
-    mu0: np.ndarray,
-    mu_target: np.ndarray,
-    duration: float,
-) -> PiecewiseConstantControl:
-    """Global transfer with automatic preconditioning of boundary starts."""
-    if not 0 < duration < math.inf:
-        raise InputError(f"duration must be finite and positive, got {duration}")
-    mu0 = validate_distribution(mu0)
-    mu_target = validate_distribution(mu_target)
-    if not is_interior(mu_target, tol=0.0):
-        raise InteriorityError("target must be an interior simplex point")
-    if is_interior(mu0, tol=ENTRY_FLOOR / 2):
-        return global_transfer_plan(graph, mu0, mu_target, duration)
-    entry = interior_entry_control(graph, mu0, max_duration=0.5 * duration)
-    mu_entry = propagate(mu0, entry)[-1]
-    remaining = duration - entry.total_duration
-    rest = global_transfer_plan(graph, mu_entry, mu_target, remaining)
-    return PiecewiseConstantControl.concatenate([entry, rest])
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ class ParticleEnsemble:
             raise InputError("one state per particle required")
         for d, length in enumerate(self.domain.lengths):
             x = self.positions[:, d]
-            if np.any(x < 0) or np.any(x > length):
+            if not np.all((0 <= x) & (x <= length)):
                 raise InputError(f"positions leave the domain along axis {d}")
 
     @classmethod

@@ -23,13 +23,13 @@ from swarmctrl.ctmc import (
     TransitionGraph,
     breakpoint_states,
     generator,
-    global_transfer_plan,
     is_strongly_connected,
     local_step_control,
     monotone_certificate,
     propagate,
     spectrum_check,
     synthesize_stationary_rates,
+    transfer_control,
 )
 from swarmctrl.grid import (
     FaceField,
@@ -180,7 +180,7 @@ def test_06_global_transfer():
             mu0 /= mu0.sum()
             mu1 = 0.04 + rng.random(g.n_vertices)
             mu1 /= mu1.sum()
-            ctrl = global_transfer_plan(g, mu0, mu1, 1.0)
+            ctrl = transfer_control(g, mu0, mu1, 1.0)
             assert np.all(ctrl.rates >= 0.0) and np.isfinite(ctrl.rates).all()
             traj = propagate(mu0, ctrl)
             worst = max(worst, float(np.max(np.abs(traj[-1] - mu1))))

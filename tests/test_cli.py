@@ -558,17 +558,26 @@ def test_zero_hsdp_diffusion_accepted(tmp_path):
         (SPECTRUM_CFG, "mu_eq = 0.3333333333333333 0.6666666666666666", "mu_eq = -1 2"),
         (SPECTRUM_CFG, "mu_eq = 0.3333333333333333 0.6666666666666666", "rates = 1 nan"),
         (SPECTRUM_CFG, "mu_eq = 0.3333333333333333 0.6666666666666666", "rates = -1 1"),
+        (CTMC_CFG, "mu0 = 0.6 0.2 0.2", "mu0 = 0.5 0.2 0.2"),
+        (CTMC_CFG, "mu_target = 0.2 0.3 0.5", "mu_target = 1 0 0"),
+        (SPECTRUM_CFG, "mu_eq = 0.3333333333333333 0.6666666666666666", "mu_eq = 0.5 0.6"),
+        (SPECTRUM_CFG, "mu_eq = 0.3333333333333333 0.6666666666666666", "mu_eq = 1 0"),
     ],
     ids=[
         "ctmc-mu0-nan", "ctmc-mu0-negative", "ctmc-mu_target-inf", "spectrum-mu_eq-negative",
-        "spectrum-rates-nan", "spectrum-rates-negative",
+        "spectrum-rates-nan", "spectrum-rates-negative", "ctmc-mu0-sum", "ctmc-mu_target-zero",
+        "spectrum-mu_eq-sum", "spectrum-mu_eq-zero",
     ],
 )
-def test_bad_distribution_entries_rejected(tmp_path, text, old, new):
+def test_bad_distribution_entries_rejected(tmp_path, capsys, text, old, new):
+    # entries must be finite and non-negative; distributions must sum to
+    # 1, and targets (mu_target, mu_eq) must be positive
     assert old in text
     path = write_cfg(tmp_path, text.replace(old, new))
     out = tmp_path / "out"
     assert run_scenario(path, out_dir=out) == 2
+    key = new.split(" =")[0]
+    assert f"ConfigurationError]: [run] {key}" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
 
 

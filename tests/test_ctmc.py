@@ -11,14 +11,11 @@ from hypothesis import strategies as st
 from conftest import strongly_connected_graphs
 from swarmctrl.cli import _control_lines, _write_csv
 from swarmctrl.ctmc import (
-    ENTRY_FLOOR,
     PiecewiseConstantControl,
     TransitionGraph,
     breakpoint_states,
     find_covering_closed_walk,
     generator,
-    global_transfer_plan,
-    interior_entry_control,
     is_strongly_connected,
     local_step_control,
     monotone_certificate,
@@ -354,7 +351,7 @@ class TestGlobalTransfer:
         g = TransitionGraph(2, ((1, 2), (2, 1)))
         mu0 = np.array([0.5, 0.5])
         mu1 = np.array([0.25, 0.75])
-        ctrl = global_transfer_plan(g, mu0, mu1, 1.0)
+        ctrl = transfer_control(g, mu0, mu1, 1.0)
         # rho = 1/4 at the start and L = 1/2: the first segment moves 1/4
         # to (3/8, 5/8), whose rho = 5/16 covers the remaining 1/4, so
         # 2 segments of a walk of length 2
@@ -368,23 +365,25 @@ class TestGlobalTransfer:
             for _ in range(10):
                 mu0 = interior_point(rng, g.n_vertices)
                 mu1 = interior_point(rng, g.n_vertices)
-                ctrl = global_transfer_plan(g, mu0, mu1, 1.0)
+                ctrl = transfer_control(g, mu0, mu1, 1.0)
                 traj = propagate(mu0, ctrl)
                 assert np.max(np.abs(traj[-1] - mu1)) <= 1e-9
                 assert np.all(ctrl.rates >= 0.0)
                 assert np.isfinite(ctrl.rates).all()
 
-    def test_boundary_start_rejected(self):
-        mu0 = np.array([1.0, 0.0, 0.0])
-        mu1 = np.array([0.4, 0.3, 0.3])
+    def test_boundary_target_rejected(self):
+        # any start is accepted, but every state the target empties would
+        # need an infinite rate at its first exit
+        mu0 = np.array([0.4, 0.3, 0.3])
+        mu1 = np.array([1.0, 0.0, 0.0])
         with pytest.raises(InteriorityError):
-            global_transfer_plan(CYCLE3, mu0, mu1, 1.0)
+            transfer_control(CYCLE3, mu0, mu1, 1.0)
 
     def test_non_sc_graph_rejected_with_certificate(self):
         chain = TransitionGraph(3, ((1, 2), (2, 3)))
         mu = np.array([0.4, 0.3, 0.3])
         with pytest.raises(GraphError) as info:
-            global_transfer_plan(chain, mu, mu[::-1].copy(), 1.0)
+            transfer_control(chain, mu, mu[::-1].copy(), 1.0)
         assert info.value.certificate is not None
 
     def test_transfer_control_preconditions_boundary(self):
@@ -394,7 +393,9 @@ class TestGlobalTransfer:
         traj = propagate(mu0, ctrl)
         assert np.max(np.abs(traj[-1] - mu1)) <= 1e-9
         assert ctrl.total_duration == pytest.approx(1.0, abs=1e-12)
-        assert ctrl.n_intervals <= 300
+        # L = 1.2 on N = 3 states: at most 1 + ceil(7.2) = 9 segments of
+        # the 3-edge cycle
+        assert ctrl.n_intervals <= (1 + math.ceil(2 * 3 * 1.2)) * 3
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -417,11 +418,8 @@ class TestGlobalTransfer:
         mu1 /= mu1.sum()
         duration = data.draw(st.floats(0.05, 10.0))
 
-        # interior starts go to the global plan directly, whatever their
-        # minimum; boundary starts take the entry stage first
-        boundary = mu0.min() == 0.0
-        plan = transfer_control if boundary else global_transfer_plan
-        ctrl = plan(graph, mu0, mu1, duration)
+        # interior and boundary starts take the same plan
+        ctrl = transfer_control(graph, mu0, mu1, duration)
         traj = propagate(mu0, ctrl)
         error = np.abs(traj[-1] - mu1)
         assert np.max(error) <= 1e-12
@@ -430,12 +428,21 @@ class TestGlobalTransfer:
         assert ctrl.breakpoints[0] == 0.0
         assert abs(math.fsum(np.diff(ctrl.breakpoints)) - duration) <= 1e-12
 
-        # the bound derived in global_transfer_plan, counted from the state
-        # where the global stage starts (after the entry stage, if any)
-        entry = int(boundary)
-        length = float(np.sum(np.abs(mu1 - traj[entry])))
+        # the bound derived in transfer_control, counted from mu0
+        length = float(np.sum(np.abs(mu1 - mu0)))
         walk = max(len(find_covering_closed_walk(graph, v)) for v in range(1, n + 1))
-        assert ctrl.n_intervals <= entry + (1 + math.ceil(2 * n * length)) * walk
+        assert ctrl.n_intervals <= (1 + math.ceil(2 * n * length)) * walk
+
+        # rate bound.  An exit leaves its source at its endpoint value e and
+        # the interval's rate-time product is log1p(c/e), with c the carried
+        # mass after it.  Every e is at least min(mu1)/(4N): a waypoint
+        # (1 - theta)*w + theta*mu1 has theta = rho/|mu1 - w|_1 >= 1/(4N),
+        # since rho >= 1/(2N) and the distance is at most 2, and the walk's
+        # start vertex keeps e >= rho/2 >= 1/(4N).  The carried mass is at
+        # most 3*rho/2 <= 3/4.  So rate*length <= log1p(3N/min(mu1)),
+        # whatever mu0, and it grows like log(1/min(mu1)).
+        products = ctrl.rates.max(axis=1) * np.diff(ctrl.breakpoints)
+        assert np.max(products) <= math.log1p(3 * n / mu1.min())
 
     def test_interval_count_does_not_depend_on_target_minimum(self):
         # uniform start to (1 - 2m, m, m): the same plan length at every m,
@@ -445,7 +452,7 @@ class TestGlobalTransfer:
         for m in (1e-2, 1e-6, 1e-20, 1e-100, 1e-300, 5e-324):
             mu1 = np.array([1.0 - 2.0 * m, m, m])
             start = time.perf_counter()
-            ctrl = global_transfer_plan(CYCLE3, mu0, mu1, 1.0)
+            ctrl = transfer_control(CYCLE3, mu0, mu1, 1.0)
             elapsed = time.perf_counter() - start
             if m == 1e-6:
                 assert elapsed < 0.1
@@ -453,10 +460,22 @@ class TestGlobalTransfer:
             assert np.max(np.abs(propagate(mu0, ctrl)[-1] - mu1)) <= 1e-12
         assert len(counts) == 1
 
+    @pytest.mark.parametrize("m", [1e-300, 5e-324])
+    def test_vertex_start_to_tiny_target(self, m):
+        # every waypoint gives the empty state 3 about m/4; at the smallest
+        # subnormal that rounds to zero unless floored, and the next step
+        # would then need an infinite rate
+        mu0 = np.array([0.0, 1.0, 0.0])
+        mu1 = np.array([1.0 - 2.0 * m, m, m])
+        ctrl = transfer_control(CYCLE3, mu0, mu1, 1.0)
+        assert np.all(ctrl.rates >= 0.0) and np.isfinite(ctrl.rates).all()
+        error = np.abs(propagate(mu0, ctrl)[-1] - mu1)
+        assert np.max(error) <= 1e-12 and np.all(error <= 1e-9 * mu1)
+
     @pytest.mark.parametrize("t_final", [0.5, 0.1])
     def test_boundary_start_on_short_horizon(self, t_final):
-        # the entry stage on a directed 7-cycle needs a rate-time product
-        # above half of these horizons, so it raises the uniform rate
+        # a vertex start on a directed 7-cycle: six empty states, met
+        # exactly within the full horizon however short
         cycle7 = TransitionGraph(7, tuple((i, i % 7 + 1) for i in range(1, 8)))
         mu0 = np.zeros(7)
         mu0[0] = 1.0
@@ -464,15 +483,7 @@ class TestGlobalTransfer:
         ctrl = transfer_control(cycle7, mu0, mu1, t_final)
         traj = propagate(mu0, ctrl)
         assert np.max(np.abs(traj[-1] - mu1)) <= 1e-9
-        assert traj[1].min() >= ENTRY_FLOOR
-        assert ctrl.rates[0, 0] > 1.0
         assert abs(math.fsum(np.diff(ctrl.breakpoints)) - t_final) <= 1e-12
-
-    def test_interior_entry_reaches_floor(self):
-        mu0 = np.array([0.0, 0.0, 1.0])
-        entry = interior_entry_control(CYCLE3, mu0, 0.5)
-        mu = propagate(mu0, entry)[-1]
-        assert mu.min() >= ENTRY_FLOOR
 
 
 class TestValidateDistribution:
@@ -491,8 +502,6 @@ def test_non_finite_or_nonpositive_duration_rejected(duration):
         transfer_control(CYCLE3, mu0, mu1, duration)
     with pytest.raises(InputError):
         transfer_control(CYCLE3, np.array([1.0, 0.0, 0.0]), mu1, duration)
-    with pytest.raises(InputError):
-        global_transfer_plan(CYCLE3, mu0, mu1, duration)
     with pytest.raises(InputError):
         local_step_control(CYCLE3, mu0, mu0, duration)
     with pytest.raises(InputError):

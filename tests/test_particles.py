@@ -222,12 +222,13 @@ class TestEnsemble:
         assert ens.positions.shape == (500, 2)
         assert ens.positions[:, 1].max() <= 2.0
 
-    def test_positions_outside_rejected(self):
+    @pytest.mark.parametrize("x", [1.5, np.nan])
+    def test_positions_outside_rejected(self, x):
         d = build_grid(1, [1.0], [4])
         with pytest.raises(InputError):
             ParticleEnsemble(
                 d,
-                np.array([[1.5]]),
+                np.array([[x]]),
                 np.array([1]),
                 np.random.default_rng(0),
             )
