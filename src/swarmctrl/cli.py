@@ -60,9 +60,13 @@ class Scenario:
 def _load_scenario(path: Path) -> Scenario:
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # no interpolation: a '%' in a value is the value's own text
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     with open(path, "r", encoding="utf-8") as handle:
-        parser.read_file(handle)
+        try:
+            parser.read_file(handle)
+        except configparser.Error as exc:
+            raise ConfigurationError(f"malformed config: {' '.join(str(exc).split())}") from exc
     if not parser.has_section("scenario"):
         raise ConfigurationError("config is missing the [scenario] section")
     controller = parser.get("scenario", "controller", fallback=None)
@@ -166,6 +170,11 @@ def _field_from_spec(sc: Scenario, domain: RectDomain, section: str) -> ScalarFi
             values = np.loadtxt(table, delimiter=",", ndmin=1)
         except ValueError as exc:
             raise ConfigurationError(f"{where}: {exc}") from exc
+        if values.shape not in ((domain.cell_count,), domain.shape):
+            raise ConfigurationError(
+                f"{where}: table of shape {values.shape} does not match grid {domain.shape}; "
+                "give one value per cell as a column, a row or the grid's shape"
+            )
     else:
         raise ConfigurationError(f"[{section}] needs either 'expr' or 'table'")
     if not np.all(np.isfinite(values)):
@@ -424,8 +433,8 @@ def _run_steer(sc: Scenario, out_dir: Path) -> bool:
     }
     return _finish(
         sc, out_dir, measured, domain=domain, t_final=t_final, tolerance=tol,
-        gain_intervals=plan.schedule.truncation, alpha=plan.schedule.alpha,
-        spectral_gap=plan.schedule.gap,
+        gain_intervals=len(plan.intervals), alpha=plan.alpha,
+        spectral_gap=plan.target.spectral_gap,
     )
 
 

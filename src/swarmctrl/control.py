@@ -50,7 +50,6 @@ from .pde import (
 
 __all__ = [
     "TargetDensity",
-    "GainSchedule",
     "Phase",
     "SteeringPlan",
     "PhaseRecord",
@@ -145,16 +144,11 @@ def feedback_velocity(
     the forward equation closes the loop into the weighted-heat flow with
     gain alpha*j.
     """
-    beta = _feedback_gain(alpha, j)
-    return FaceField(y.domain, _feedback_faces(y.values, target.a.values, beta, y.domain))
-
-
-def _feedback_gain(alpha: float, j: int) -> float:
     if alpha < 0 or not math.isfinite(alpha):
         raise InputError(f"gain must be non-negative, got {alpha}")
     if j < 1:
         raise InputError(f"interval index must be >= 1, got {j}")
-    return alpha * j
+    return FaceField(y.domain, _feedback_faces(y.values, target.a.values, alpha * j, y.domain))
 
 
 def _feedback_faces(y: np.ndarray, a: np.ndarray, beta: float, domain: RectDomain) -> tuple:
@@ -185,24 +179,6 @@ def _feedback_faces(y: np.ndarray, a: np.ndarray, beta: float, domain: RectDomai
     return tuple(comps)
 
 
-@dataclasses.dataclass
-class GainSchedule:
-    """Rescaled 1/j^2 interval lengths with gains alpha*j.
-
-    ``alpha >= 1/gap`` always holds; the intervals sum to the allotted
-    duration exactly.
-    """
-
-    alpha: float
-    intervals: tuple[float, ...]
-    gap: float
-    predicted_error: float
-
-    @property
-    def truncation(self) -> int:
-        return len(self.intervals)
-
-
 @dataclasses.dataclass(frozen=True)
 class Phase:
     """One plan segment: velocity-law tag plus parameters."""
@@ -213,31 +189,42 @@ class Phase:
     j: int = 0
 
 
-@dataclasses.dataclass(eq=False)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SteeringPlan:
-    """Open-loop schedule steering an initial density to the target."""
+    """Open-loop schedule steering an initial density to the target.
+
+    Three preparation phases of ``epsilon/3`` each (free diffusion,
+    relaxation toward the target, a unit-gain smoothing flow), then one
+    gain phase per entry of ``intervals`` with gain ``alpha*j``.  A plan
+    whose durations are not finite and positive or do not sum to
+    ``t_final`` raises :class:`PlanError`, and one whose gain is negative
+    or not finite :class:`InputError`, at construction.
+    """
 
     target: TargetDensity
     t_final: float
     epsilon: float
-    phases: tuple[Phase, ...]
-    schedule: GainSchedule
+    alpha: float
+    intervals: tuple[float, ...]
     predicted_error: float
 
-    def validate(self) -> None:
-        if not self.phases:
-            raise PlanError("plan has no phases")
-        if any(p.duration <= 0 for p in self.phases):
-            raise PlanError("phase durations must be positive")
+    def __post_init__(self):
+        if not all(0 < d < math.inf for d in (self.epsilon, *self.intervals)):
+            raise PlanError("phase durations must be finite and positive")
+        if not 0 <= self.alpha < math.inf:
+            raise InputError(f"gain must be non-negative, got {self.alpha}")
         total = math.fsum(p.duration for p in self.phases)
-        if abs(total - self.t_final) > 1e-12 * max(1.0, self.t_final):
+        if not abs(total - self.t_final) <= 1e-12 * max(1.0, total):
             raise PlanError(
                 f"phase durations sum to {total!r}, expected {self.t_final!r}"
             )
-        tags = [p.tag for p in self.phases]
-        expected_head = ["zero", "stabilize", "smooth"]
-        if tags[:3] != expected_head or any(t != "gain" for t in tags[3:]):
-            raise PlanError(f"unexpected phase ordering {tags}")
+
+    @property
+    def phases(self) -> tuple[Phase, ...]:
+        prep = self.epsilon / 3.0
+        return (Phase("zero", prep), Phase("stabilize", prep), Phase("smooth", prep)) + tuple(
+            Phase("gain", dur, self.alpha, j) for j, dur in enumerate(self.intervals, start=1)
+        )
 
     def to_text(self) -> str:
         lines = [f"t_final {self.t_final!r}", f"epsilon {self.epsilon!r}"]
@@ -308,28 +295,14 @@ def synthesize_steering_plan(
             )
         )
 
-    intervals = tuple(scale / j**2 for j in range(1, trunc + 1))
-    schedule = GainSchedule(
-        alpha=alpha, intervals=intervals, gap=gap, predicted_error=predicted
-    )
-    phases = [
-        Phase("zero", eps / 3.0),
-        Phase("stabilize", eps / 3.0),
-        Phase("smooth", eps / 3.0),
-    ]
-    phases += [
-        Phase("gain", dur, alpha, j) for j, dur in enumerate(intervals, start=1)
-    ]
-    plan = SteeringPlan(
+    return SteeringPlan(
         target=target,
         t_final=t_final,
         epsilon=eps,
-        phases=tuple(phases),
-        schedule=schedule,
+        alpha=alpha,
+        intervals=tuple(scale / j**2 for j in range(1, trunc + 1)),
         predicted_error=predicted,
     )
-    plan.validate()
-    return plan
 
 
 @dataclasses.dataclass
@@ -364,10 +337,8 @@ def _phase_operator(plan: SteeringPlan, phase: Phase):
         return target.relaxation_operator.matrix, None, stabilizing_velocity(target, 1.0).max_abs()
     if phase.tag == "smooth":
         return target.heat_operator.matrix, 1.0, 0.0  # unit gain
-    if phase.tag == "gain":
-        beta = _feedback_gain(phase.alpha, phase.j)
-        return beta * target.heat_operator.matrix, beta, 0.0
-    raise PlanError(f"unknown phase tag {phase.tag!r}")
+    beta = phase.alpha * phase.j  # gain
+    return beta * target.heat_operator.matrix, beta, 0.0
 
 
 def execute_plan(
@@ -384,7 +355,6 @@ def execute_plan(
     once per block of step states from :func:`march`, so a state below the
     positivity floor is reported at most one block late.
     """
-    plan.validate()
     target = plan.target
     domain = target.domain
     if y0.domain != domain:

@@ -365,19 +365,17 @@ def transition_matrix(control: PiecewiseConstantControl) -> np.ndarray:
 class LocalStepCertificate:
     """Bookkeeping behind one exact local transfer along a covering walk.
 
-    ``acc[i]`` accumulates the gated per-vertex increments through
-    interval i; the residual carried mass on interval i is
-    ``rho - acc[i]``.  ``gate[i-1]`` is 1 exactly when edge i is the first
-    of the walk leaving its source vertex: there the vertex drops from its
-    start value to its endpoint value, which it keeps on every revisit.
+    ``acc[i]`` sums the increments ``delta_mu[src]`` of the walk's first i
+    edges that are the first to leave their source vertex: there the vertex
+    drops from its start value to its endpoint value, which it keeps on
+    every revisit.  The residual carried mass on interval i is
+    ``rho - acc[i]``.
     """
 
     walk: tuple[Edge, ...]
-    gate: np.ndarray    # shape (s,), 0/1
     acc: np.ndarray     # shape (s+1,), acc[0] = 0
     rho: float
     delta_mu: np.ndarray
-    dt: float
     base: np.ndarray    # mu0 with rho removed at the walk's start vertex
 
 
@@ -437,12 +435,9 @@ def local_step_control(
     dt = duration / s
 
     first_exit = _first_exits(walk)
-    gate = np.array(
-        [1.0 if first_exit[src] == idx else 0.0 for idx, (src, _) in enumerate(walk, start=1)]
-    )
     acc = np.zeros(s + 1)
     for idx, (src, _) in enumerate(walk, start=1):
-        acc[idx] = acc[idx - 1] + gate[idx - 1] * delta_mu[src - 1]
+        acc[idx] = acc[idx - 1] + (delta_mu[src - 1] if first_exit[src] == idx else 0.0)
 
     base = mu0.copy()
     base[v0 - 1] -= rho
@@ -460,11 +455,9 @@ def local_step_control(
     )
     cert = LocalStepCertificate(
         walk=tuple(walk),
-        gate=gate,
         acc=acc,
         rho=rho,
         delta_mu=delta_mu,
-        dt=dt,
         base=base,
     )
     return control, cert

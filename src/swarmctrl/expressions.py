@@ -150,5 +150,8 @@ def evaluate(text: str, **variables):
     if not text or not text.strip():
         raise ExpressionError("empty expression")
     parser = _Parser(_tokenize(text), variables)
-    value = parser.parse()
+    try:
+        value = parser.parse()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
     return np.asarray(value, dtype=float)

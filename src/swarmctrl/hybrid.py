@@ -25,6 +25,7 @@ import scipy.sparse as sp
 from . import control as ctl
 from .ctmc import (
     PiecewiseConstantControl,
+    SpectrumReport,
     TransitionGraph,
     generator,
     is_strongly_connected,
@@ -105,17 +106,16 @@ class StackedDensity:
         """(n_states, n_cells) value matrix."""
         return np.stack([f.flat for f in self.fields])
 
-    @classmethod
-    def from_array(cls, domain: RectDomain, arr: np.ndarray) -> "StackedDensity":
-        return cls(tuple(ScalarField(domain, row) for row in arr))
+    @staticmethod
+    def from_array(domain: RectDomain, arr: np.ndarray) -> "StackedDensity":
+        return StackedDensity(tuple(ScalarField(domain, row) for row in arr))
 
 
 @dataclasses.dataclass(eq=False)
-class HybridTarget:
+class HybridTarget(StackedDensity):
     """Per-state target fields; states with zero mass form the off-support
     set that stabilization must drain."""
 
-    fields: tuple[ScalarField, ...]
     support: tuple[int, ...]          # 1-based states with positive mass
 
     @classmethod
@@ -141,17 +141,6 @@ class HybridTarget:
                     f"min = {np.min(f.values):.3e}"
                 )
         return cls(fields=fields, support=support)
-
-    @property
-    def domain(self) -> RectDomain:
-        return self.fields[0].domain
-
-    @property
-    def n_states(self) -> int:
-        return len(self.fields)
-
-    def mass_vector(self) -> np.ndarray:
-        return np.array([mass(f) for f in self.fields])
 
     def full_support(self) -> bool:
         return len(self.support) == self.n_states
@@ -380,7 +369,7 @@ def zero_mass_stabilizing_gains(
 
 
 @dataclasses.dataclass(eq=False)
-class CoupledSpectrumReport:
+class CoupledSpectrumReport(SpectrumReport):
     """Right end of the coupled generator's spectrum.
 
     ``eigenvalues`` holds ``SPECTRUM_EIGENVALUES`` eigenvalues by decreasing
@@ -390,9 +379,6 @@ class CoupledSpectrumReport:
     second one's.
     """
 
-    eigenvalues: np.ndarray
-    max_real_part: float
-    gap: float
     zero_simple: bool
     zero_vector: np.ndarray  # (n_states, n_cells), unit total mass when defined
 

@@ -711,6 +711,63 @@ def test_malformed_density_table_is_usage_error(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("shape", [(32, 2), (32,)], ids=["two-columns", "short-column"])
+def test_wrong_shape_density_table_is_usage_error(tmp_path, capsys, shape):
+    # a two-column table on 64 cells has 64 values, but they interleave x
+    # and the density: it is rejected, not reshaped onto the grid
+    np.savetxt(tmp_path / "table.csv", np.ones(shape), delimiter=",")
+    text = STABILIZE_CFG.replace("expr = 1 + 0.3*cos(pi*x)", "table = table.csv")
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 2
+    err = capsys.readouterr().err
+    assert "ConfigurationError" in err and "[target] table" in err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "cells, layout",
+    [("64", "column"), ("64", "row"), ("8 6", "column"), ("8 6", "row"), ("8 6", "grid")],
+    ids=["1d-column", "1d-row", "2d-column", "2d-row", "2d-grid"],
+)
+def test_density_table_layouts(tmp_path, cells, layout):
+    # one value per cell as a column or a row (cells in C order, x slowest),
+    # or in 2D a table of the grid's shape (one row per x cell)
+    text = STABILIZE_CFG.replace("expr = 1 + 0.3*cos(pi*x)", "table = density.csv")
+    if cells != "64":
+        text = text.replace("dim = 1", "dim = 2").replace("lengths = 1.0", "lengths = 1.0 1.0")
+        text = text.replace("cells = 64", f"cells = {cells}")
+    sc = cli._load_scenario(write_cfg(tmp_path, text))
+    domain = cli._build_domain(sc)
+    values = 1.0 + np.arange(domain.cell_count).reshape(domain.shape)
+    table = {"column": values.reshape(-1, 1), "row": values.reshape(1, -1), "grid": values}[layout]
+    np.savetxt(tmp_path / "density.csv", table, delimiter=",")
+    field = cli._field_from_spec(sc, domain, "target")
+    assert field.values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("[scenario]", "seed = 3\n[scenario]"),
+        ("cells = 64", "cells = 64\ncells = 32"),
+        ("expr = 1 + 0.3*cos(pi*x)", "expr = 1 + 0.3*cos(pi*x) % 2"),
+    ],
+    ids=["key-before-section", "duplicate-option", "percent-sign"],
+)
+def test_malformed_ini_is_usage_error(tmp_path, capsys, old, new):
+    # configparser's own errors, and a '%' that its interpolation would
+    # reject, end in one error line at exit 2 (the '%' now reaches the
+    # expression parser, which rejects it)
+    assert old in STABILIZE_CFG
+    path = write_cfg(tmp_path, STABILIZE_CFG.replace(old, new, 1))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error")
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize(
     "spelling",
     ["expr", "table", "expr = 1/0", "expr = 10^400", "expr = (-1)^0.5"],

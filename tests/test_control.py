@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import cosine_target, implicit_step, random_density
 from swarmctrl import control, grid, pde
 from swarmctrl.control import (
-    Phase,
     SteeringPlan,
     TargetDensity,
     execute_plan,
@@ -192,7 +191,7 @@ class TestSteeringPlan:
         assert all(t == "gain" for t in tags[3:])
         assert sum(p.duration for p in plan.phases) == pytest.approx(1.0, abs=1e-12)
         assert plan.epsilon == pytest.approx(0.1)
-        assert plan.schedule.alpha >= 1.0 / plan.schedule.gap
+        assert plan.alpha >= 1.0 / plan.target.spectral_gap
         # interval lengths follow the 1/j^2 profile
         gains = [p for p in plan.phases if p.tag == "gain"]
         for p, q in zip(gains, gains[1:]):
@@ -218,22 +217,34 @@ class TestSteeringPlan:
         msgs = [w for w in caught if issubclass(w.category, TruncationWarning)]
         assert len(msgs) == 1
         assert msgs[0].message.achievable > 1e-40
-        assert plan.schedule.truncation == 40
+        assert len(plan.intervals) == 40
 
     def test_duration_mismatch_rejected(self, unit_grid_64):
         f = cosine_target(unit_grid_64)
         target = TargetDensity.create(f)
         plan = synthesize_steering_plan(f, target, 1.0, 1e-2)
-        broken = SteeringPlan(
-            target=target,
-            t_final=2.0,
-            epsilon=plan.epsilon,
-            phases=plan.phases,
-            schedule=plan.schedule,
-            predicted_error=plan.predicted_error,
-        )
         with pytest.raises(PlanError):
-            execute_plan(broken, f)
+            SteeringPlan(
+                target=target,
+                t_final=2.0,
+                epsilon=plan.epsilon,
+                alpha=plan.alpha,
+                intervals=plan.intervals,
+                predicted_error=plan.predicted_error,
+            )
+
+    @pytest.mark.parametrize("entry", [0, 1], ids=["epsilon", "interval"])
+    @pytest.mark.parametrize("value", [0.0, -0.01], ids=["zero", "negative"])
+    def test_nonpositive_duration_rejected(self, unit_grid_64, entry, value):
+        # the other entry takes up the difference, so the durations still
+        # sum to t_final and only their sign is wrong
+        f = cosine_target(unit_grid_64)
+        plan = synthesize_steering_plan(f, TargetDensity.create(f), 1.0, 1e-2)
+        durations = [plan.epsilon, *plan.intervals]
+        durations[1 - entry] += durations[entry] - value
+        durations[entry] = value
+        with pytest.raises(PlanError):
+            dataclasses.replace(plan, epsilon=durations[0], intervals=tuple(durations[1:]))
 
     def test_uniform_target_plan_leaves_uniform_state(self, unit_grid_64):
         # with a uniform target every phase realizes a zero velocity, so
@@ -273,7 +284,7 @@ class TestSteeringPlan:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             plan = synthesize_steering_plan(y0, target, 1.0, 1e-40)
-        assert plan.schedule.truncation == 40
+        assert len(plan.intervals) == 40
         run = execute_plan(plan, y0)
         witness = [r.max_velocity for r in run.records if r.tag == "gain"]
         assert len(witness) == 40
@@ -299,8 +310,8 @@ class TestSteeringPlan:
         # below twice exp(-alpha*gap*scale*H_j) times the entry error
         gain_records = [r for r in run.records if r.tag == "gain"]
         entry_error = run.records[2].end_error_weighted
-        alpha, gap = plan.schedule.alpha, plan.schedule.gap
-        scale = plan.schedule.intervals[0]  # = scale/1^2
+        alpha, gap = plan.alpha, plan.target.spectral_gap
+        scale = plan.intervals[0]  # = scale/1^2
         harmonic = 0.0
         for r in gain_records:
             harmonic += 1.0 / r.j
@@ -325,7 +336,7 @@ class TestSteeringPlan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert plan.schedule.gap > 0
+        assert plan.target.spectral_gap > 0
         assert peak <= 16 * 2**20
 
 
@@ -450,17 +461,16 @@ class TestExecutePlan:
         target = TargetDensity.create(cosine_target(unit_grid_64))
         y0 = random_density(unit_grid_64, rng)
         plan = synthesize_steering_plan(y0, target, 1.0, 1e-3)
-        assert plan.schedule.truncation > 1
+        assert len(plan.intervals) > 1
         execute_plan(plan, y0)
         assert calls == {"divergence_form_operator": 1, "assemble_advection_diffusion": 2}
 
-    @pytest.mark.parametrize("alpha, j", [(-1.0, 1), (float("nan"), 1), (1.0, 0)])
-    def test_bad_gain_phase_rejected(self, unit_grid_64, alpha, j):
+    @pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
+    def test_bad_gain_rejected(self, unit_grid_64, alpha):
         f = cosine_target(unit_grid_64)
         plan = synthesize_steering_plan(f, TargetDensity.create(f), 1.0, 1e-2)
-        phases = plan.phases[:-1] + (Phase("gain", plan.phases[-1].duration, alpha, j),)
         with pytest.raises(InputError):
-            execute_plan(dataclasses.replace(plan, phases=phases), f)
+            dataclasses.replace(plan, alpha=alpha)
 
 
 class TestPathFollowing:

@@ -53,3 +53,13 @@ def test_scalar_faults_follow_numpy(text, expected):
     # array arithmetic does instead of raising a Python exception
     with np.errstate(all="ignore"):
         np.testing.assert_equal(evaluate(text), expected)
+
+
+@pytest.mark.parametrize(
+    "text", ["(" * 400 + "1" + ")" * 400, "-" * 3000 + "1"], ids=["parentheses", "unary-minus"]
+)
+def test_deep_nesting_rejected(text):
+    # the recursive-descent parser's depth is bounded by Python's stack: an
+    # expression nested past it is an ExpressionError, not a RecursionError
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        evaluate(text)

@@ -1,12 +1,14 @@
 """Every module's ``__all__`` names what the module defines: no stale
 entries after a deletion, and no public function left out.  Every name in
 an ``__all__`` has a caller in the package or the benchmark, unless it is
-allowed below with a reason."""
+allowed below with a reason.  The README's library example runs as
+written."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -111,3 +113,15 @@ def test_no_unused_imports():
                     if (alias.asname or alias.name) not in used
                 ]
     assert not unused, f"unused imports: {unused}"
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's "Library example" block is documentation of the public
+    # API: it must run as written and reach its tolerance
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    assert block, "README has no Library example python block"
+    namespace = {}
+    exec(compile(block.group(1), "README.md", "exec"), namespace)
+    assert namespace["run"].final_error_l2 <= 1e-2
+    assert capsys.readouterr().out.strip()
